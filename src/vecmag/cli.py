@@ -4,8 +4,7 @@ scaling and robustness sweeps, and the validation suite.
 Every run writes a single text artifact: `#`-prefixed JSON metadata lines
 (command echo, seed where one is used, package version) followed by the
 payload, either CSV rows with a header or a JSON document.  Identical
-invocations produce byte-identical artifacts; worker count never changes
-the output, only how fast sweep points are computed.
+invocations produce byte-identical artifacts.
 
 Exit codes: 0 success; 2 bad flags or flag combinations; 3 numerical or
 validation failure; 4 estimation outside its regime (under-resolved
@@ -21,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -163,29 +161,6 @@ def _json_num(value):
     return value if math.isfinite(value) else None
 
 
-# ----------------------------------------------------------------- workers
-
-def _resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("VECMAG_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            sys.stderr.write(f"ignoring malformed VECMAG_WORKERS={env!r}\n")
-    return os.cpu_count() or 1
-
-
-def _map_ordered(func, items, workers: int) -> list:
-    """Run func over items on a bounded pool, results in input order."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(func, items))
-
-
 # ------------------------------------------------------------- subcommands
 
 def cmd_simulate(args) -> int:
@@ -209,14 +184,11 @@ def cmd_simulate(args) -> int:
                                            *phases, axis=args.axis), dtype=float)
     else:
         dims = EnsembleDims(args.N)
-
-        def jz_at(t: float) -> float:
+        values = []
+        for t in times.tolist():
             cfg = SchemeConfig(args.scheme, args.probe, dims, field,
                                (t, t, t), evolution=args.evolution, tau=args.tau)
-            return jz_moments(final_state(cfg, args.axis))[0]
-
-        workers = _resolve_workers(args.workers)
-        values = _map_ordered(jz_at, (float(t) for t in times), workers)
+            values.append(jz_moments(final_state(cfg, args.axis))[0])
     params = {"scheme": args.scheme, "probe": args.probe, "N": args.N,
               "B": list(args.B), "axis": args.axis,
               "grid": [start, stop, points], "evolution": args.evolution,
@@ -230,6 +202,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     parser = args.parser
+    _require_even_for_ghz(args)
     if args.M < 2 or args.M & (args.M - 1):
         parser.error("--M must be a power of two >= 2")
     field = FieldVector(*args.B)
@@ -311,20 +284,16 @@ def cmd_qfi(args) -> int:
 
 def cmd_scaling(args) -> int:
     probes = ("scs", "ghz") if args.probe == "both" else (args.probe,)
-    cells = [(probe, n) for probe in probes for n in args.N]
-
-    def cell(item):
-        probe, n = item
-        try:
-            values = [minimized_delta_b(args.scheme, probe, n, axis,
-                                        duration=args.duration)
-                      for axis in AXES]
-            return probe, n, values, ""
-        except ValueError as exc:  # odd-N cat probe has no closed forms
-            return probe, n, None, f"skipped: {exc}"
-
-    workers = _resolve_workers(args.workers)
-    results = _map_ordered(cell, cells, workers)
+    results = []
+    for probe in probes:
+        for n in args.N:
+            try:
+                values = [minimized_delta_b(args.scheme, probe, n, axis,
+                                            duration=args.duration)
+                          for axis in AXES]
+                results.append((probe, n, values, ""))
+            except ValueError as exc:  # odd-N cat probe has no closed forms
+                results.append((probe, n, None, f"skipped: {exc}"))
     rows = []
     for probe, n, values, note in results:
         cols = [_fmt(v) for v in values] if values else ["", "", ""]
@@ -353,25 +322,19 @@ def cmd_robustness(args) -> int:
     field = FieldVector(*args.B)
     modes = (("alternating", "identical") if args.mode == "both"
              else (args.mode,))
-    cells = [(eta, mode) for eta in args.eta for mode in modes]
-
-    def cell(item):
-        eta, mode = item
-        schedules = [DDSchedule(axis, args.pairs, args.tau, mode)
-                     for axis in ("z", "y", "x")]
-        noise = NoiseModel(eta=eta, trials=args.trials, seed=args.seed,
-                           paired_error=(args.error_draws == "paired"))
-        return fidelity_f2(dims, field, schedules, noise)
-
-    workers = _resolve_workers(args.workers)
-    results = _map_ordered(cell, cells, workers)
     rows = []
     summary = []
-    for (eta, mode), res in zip(cells, results):
-        summary.append({"eta": eta, "mode": mode,
-                        "mean_trajectory_min": res.mean_trajectory_minimum})
-        for t, mean, std in zip(res.times, res.mean, res.std):
-            rows.append([_fmt(eta), mode, _fmt(t), _fmt(mean), _fmt(std)])
+    for eta in args.eta:
+        noise = NoiseModel(eta=eta, trials=args.trials, seed=args.seed,
+                           paired_error=(args.error_draws == "paired"))
+        for mode in modes:
+            schedules = [DDSchedule(axis, args.pairs, args.tau, mode)
+                         for axis in ("z", "y", "x")]
+            res = fidelity_f2(dims, field, schedules, noise)
+            summary.append({"eta": eta, "mode": mode,
+                            "mean_trajectory_min": res.mean_trajectory_minimum})
+            for t, mean, std in zip(res.times, res.mean, res.std):
+                rows.append([_fmt(eta), mode, _fmt(t), _fmt(mean), _fmt(std)])
     params = {"N": args.N, "B": list(args.B), "tau": args.tau,
               "pairs": args.pairs, "trials": args.trials,
               "eta": list(args.eta), "mode": args.mode,
@@ -450,8 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="analytic", help="trace source (default analytic)")
     sim.add_argument("--tau", type=_angle, default=None,
                      help="pulse spacing for --evolution exact")
-    sim.add_argument("--workers", type=_positive_int, default=None,
-                     help="sweep workers (default VECMAG_WORKERS or CPU count)")
     sim.set_defaults(func=cmd_simulate, parser=sim)
 
     spect = subs.add_parser("spectrum",
@@ -493,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated ensemble sizes (default evens 4..40)")
     scal.add_argument("--duration", type=_angle, default=1.0,
                       help="interrogation time per axis (default 1)")
-    scal.add_argument("--workers", type=_positive_int, default=None)
     scal.add_argument("--output", "-o", default=None)
     scal.set_defaults(func=cmd_scaling, parser=scal)
 
@@ -514,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("paired", "independent"), default="paired",
                      help="one draw per pulse pair, or per pulse")
     rob.add_argument("--seed", type=int, default=7)
-    rob.add_argument("--workers", type=_positive_int, default=None)
     rob.add_argument("--output", "-o", default=None)
     rob.set_defaults(func=cmd_robustness, parser=rob)
 

@@ -21,8 +21,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from .schemes import SchemeConfig, closed_form_jz, final_state, sequential_signal_terms
-from .spin import AXES, _frozen, collective_operator, expectation
+from .schemes import (
+    SchemeConfig,
+    closed_form_jz,
+    final_state,
+    jz_moments,
+    sequential_signal_terms,
+)
+from .spin import AXES, _frozen
 
 SIGN_CHOICES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
@@ -164,11 +170,10 @@ def sample_signal(config: SchemeConfig, t_max: float, m: int) -> SignalTrace:
                                 couplings[0] * times, couplings[1] * times,
                                 couplings[2] * times)
     else:
-        jz_op = collective_operator(config.dims, "z")
         values = np.empty(m)
         for k, t in enumerate(times):
             point = replace(config, durations=(float(t), float(t), float(t)))
-            values[k] = expectation(final_state(point), jz_op)
+            values[k] = jz_moments(final_state(point))[0]
     return SignalTrace(times, values, config.probe, config.dims.N)
 
 
@@ -364,7 +369,9 @@ def _delta_b_grid(probe: str, n: int, axis: str, duration: float, bx, by, bz):
     prefactor = 1.0 / ((math.sqrt(n) if probe == "scs" else n) * duration)
     with np.errstate(divide="ignore", invalid="ignore"):
         db = prefactor * np.sqrt(np.clip(1.0 - s**2, 0.0, None)) / np.abs(ds[axis])
-    return np.where(np.isfinite(db), db, np.inf)
+    # 1 - S^2 rounding to zero at |S| = 1 leaves no noise amplitude to
+    # propagate; that 0 is not a precision, so it ranks with the blind spots
+    return np.where(np.isfinite(db) & (db > 0.0), db, np.inf)
 
 
 def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,

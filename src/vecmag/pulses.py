@@ -3,9 +3,9 @@
 A block of rapid pi pulses about one axis cancels the transverse field
 components to first order in the pulse spacing tau, so the block behaves
 like free evolution under the selected component alone.  This module
-evolves states pulse by pulse (exactly), evolves them under the idealized
-effective segments, injects rotation-angle errors, and measures how well
-the idealization holds:
+evolves states pulse by pulse (exactly), injects rotation-angle errors,
+and measures how well the idealization holds against the effective
+rotation e^{-i gamma B_a t J_a} from `spin.propagate`:
 
 * F1(t): overlap between the exact pulsed state and the effective state.
 * F2(t): overlap between the noiseless and error-perturbed pulsed states.
@@ -22,8 +22,8 @@ from .spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
-    collective_operator,
     field_hamiltonian,
+    propagate,
     scs_state,
     unitary_from_generator,
 )
@@ -31,10 +31,7 @@ from .spin import (
 __all__ = [
     "DDSchedule",
     "NoiseModel",
-    "EffectiveSegment",
-    "segments_for",
     "evolve_exact",
-    "evolve_effective",
     "F1Curve",
     "fidelity_f1",
     "F2Result",
@@ -92,39 +89,6 @@ class NoiseModel:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
-@dataclass(frozen=True)
-class EffectiveSegment:
-    """Idealized block: free evolution under one retained field component.
-
-    Generates e^{-i coupling J_axis duration}, where coupling is the
-    effective angular frequency gamma * B_axis.
-    """
-
-    axis: str
-    duration: float
-    coupling: float
-
-
-def segments_for(field: FieldVector, durations) -> list[EffectiveSegment]:
-    """Effective segments for (axis, duration) pairs in application order."""
-    return [EffectiveSegment(ax, T, field.coupling(ax)) for ax, T in durations]
-
-
-class _AxisBasis:
-    """Eigenbasis of J_axis, for applying many pulse angles cheaply."""
-
-    def __init__(self, dims: EnsembleDims, axis: str):
-        w, v = np.linalg.eigh(collective_operator(dims, axis).matrix)
-        self.eigenvalues = w
-        self.vectors = v
-
-    def pulse(self, psi: np.ndarray, angle: float) -> np.ndarray:
-        """e^{-i angle J_axis} |psi| via three small matvecs."""
-        coeff = self.vectors.conj().T @ psi
-        coeff *= np.exp(-1j * angle * self.eigenvalues)
-        return self.vectors @ coeff
-
-
 def _draw_pair_angles(sched: DDSchedule, noise: NoiseModel | None, rng) -> tuple[float, float]:
     """Signed pulse angles (chronologically first, second) for one pair.
 
@@ -169,23 +133,11 @@ def _iter_pair_states(psi, dims, field, schedules, noise, rng):
         if sched.tau not in free_cache:
             free_cache[sched.tau] = unitary_from_generator(h_b, sched.tau)
         u_free = free_cache[sched.tau]
-        basis = _AxisBasis(dims, sched.axis)
         for _ in range(sched.pairs):
             a_first, a_second = _draw_pair_angles(sched, noise, rng)
-            psi = u_free @ psi
-            psi = basis.pulse(psi, a_first)
-            psi = u_free @ psi
-            psi = basis.pulse(psi, a_second)
+            psi = propagate(dims, sched.axis, a_first, u_free @ psi)
+            psi = propagate(dims, sched.axis, a_second, u_free @ psi)
             yield psi
-
-
-def evolve_effective(state: DickeState, segments) -> DickeState:
-    """Apply e^{-i coupling J_axis duration} for each segment in order."""
-    psi = state.amplitudes
-    for seg in segments:
-        gen = collective_operator(state.dims, seg.axis)
-        psi = unitary_from_generator(gen, seg.coupling * seg.duration) @ psi
-    return DickeState(state.dims, psi / np.linalg.norm(psi))
 
 
 @dataclass(frozen=True)
@@ -228,19 +180,15 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
         tau = ratio * t_block
         pairs = L_per_axis if L_per_axis is not None else max(1, round(1.0 / (2.0 * ratio)))
         schedules = [DDSchedule(ax, pairs, tau) for ax in block_order]
-        psi = scs_state(dims).amplitudes
-        phi = psi.copy()
-        steps = {ax: unitary_from_generator(collective_operator(dims, ax),
-                                            field.coupling(ax) * 2.0 * tau)
-                 for ax in block_order}
+        psi = phi = scs_state(dims).amplitudes
         times, values = [], []
         t = 0.0
         pair_iter = _iter_pair_states(psi, dims, field, schedules, None, None)
         for sched in schedules:
-            step = steps[sched.axis]
+            angle = field.coupling(sched.axis) * 2.0 * tau
             for _ in range(sched.pairs):
                 psi = next(pair_iter)
-                phi = step @ phi
+                phi = propagate(dims, sched.axis, angle, phi)
                 t += 2.0 * tau
                 times.append(t)
                 values.append(abs(np.vdot(psi, phi)) ** 2)

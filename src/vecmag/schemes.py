@@ -27,16 +27,9 @@ from .spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
-    apply_unitary,
-    collective_operator,
-    expectation,
     ghz_state,
-    rotation,
+    propagate,
     scs_state,
-    squared_operator,
-    twist,
-    unitary_from_generator,
-    variance,
 )
 
 SCHEMES = ("parallel", "sequential")
@@ -230,31 +223,29 @@ def sequential_chain(probe: str, durations, literal: bool = False) -> ChainSpec:
 
 
 def _free_evolution(config: SchemeConfig, axis: str, duration: float,
-                    state: DickeState) -> DickeState:
+                    psi: np.ndarray) -> np.ndarray:
     if duration == 0.0:
-        return state
+        return psi
     if config.evolution == "effective":
-        gen = collective_operator(config.dims, axis)
-        u = unitary_from_generator(gen, config.field.coupling(axis) * duration)
-        return apply_unitary(u, state)
+        return propagate(config.dims, axis, config.field.coupling(axis) * duration, psi)
     pairs = max(1, round(duration / (2.0 * config.tau)))
     sched = DDSchedule(axis=axis, pairs=pairs, tau=duration / (2.0 * pairs))
-    return evolve_exact(state, config.field, [sched])
+    return evolve_exact(DickeState(config.dims, psi), config.field, [sched]).amplitudes
 
 
 def run_chain(config: SchemeConfig, chain: ChainSpec) -> DickeState:
     """Prepare the probe and apply the chain right to left."""
     if chain.probe != config.probe:
         raise ValueError("chain probe does not match configuration")
-    state = scs_state(config.dims) if config.probe == "scs" else ghz_state(config.dims)
+    dims = config.dims
+    psi = (scs_state(dims) if config.probe == "scs" else ghz_state(dims)).amplitudes
     for step in reversed(chain.steps):
-        if step.kind == "rot":
-            state = apply_unitary(rotation(config.dims, step.axis, step.value), state)
-        elif step.kind == "twist":
-            state = apply_unitary(twist(config.dims, step.axis, step.value), state)
+        if step.kind == "free":
+            psi = _free_evolution(config, step.axis, step.value, psi)
         else:
-            state = _free_evolution(config, step.axis, step.value, state)
-    return state
+            psi = propagate(dims, step.axis, step.value, psi,
+                            squared=step.kind == "twist")
+    return DickeState(dims, psi / np.linalg.norm(psi))
 
 
 def parallel_final_state(config: SchemeConfig, axis: str,
@@ -281,10 +272,11 @@ def final_state(config: SchemeConfig, axis: str | None = None,
 
 
 def jz_moments(state: DickeState) -> tuple[float, float]:
-    """(<Jz>, <Jz^2>) of the readout observable."""
-    jz_op = collective_operator(state.dims, "z")
-    jz2_op = squared_operator(state.dims, "z")
-    return expectation(state, jz_op), expectation(state, jz2_op)
+    """(<Jz>, <Jz^2>) of the readout observable, read off the diagonal."""
+    amps = state.amplitudes
+    prob = amps.real * amps.real + amps.imag * amps.imag
+    m = state.dims.m_values
+    return float(prob @ m), float(prob @ (m * m))
 
 
 def _ghz_parity(n: int) -> float:
@@ -521,12 +513,11 @@ def delta_b_numeric(config: SchemeConfig, axis: str, h: float | None = None) -> 
         h = _default_step(config, axis)
     b0 = config.field.component(axis)
     which_axis = axis if config.scheme == "parallel" else None
-    state = final_state(config, which_axis)
-    jz_op = collective_operator(config.dims, "z")
-    djz = math.sqrt(max(0.0, variance(state, jz_op)))
+    jz, jz2 = jz_moments(final_state(config, which_axis))
+    djz = math.sqrt(max(0.0, jz2 - jz * jz))
 
     def jz_at(b_value):
-        return expectation(DickeState(config.dims, _state_at(config, axis, b_value)), jz_op)
+        return jz_moments(DickeState(config.dims, _state_at(config, axis, b_value)))[0]
 
     slope = (jz_at(b0 + h) - jz_at(b0 - h)) / (2.0 * h)
     floor = 1e-12 * config.dims.N * max(1.0, config.duration(axis))

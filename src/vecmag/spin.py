@@ -3,7 +3,8 @@
 N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
-the collective operators, the probe states, unitaries from Hermitian
+the collective operators, the probe states, the propagator kernel for
+rotations and twists about x, y and z, unitaries from general Hermitian
 generators, and the elementary expectation/fidelity helpers.
 """
 
@@ -23,6 +24,7 @@ __all__ = [
     "squared_operator",
     "field_hamiltonian",
     "unitary_from_generator",
+    "propagate",
     "rotation",
     "twist",
     "scs_state",
@@ -136,31 +138,26 @@ class FieldVector:
 
 
 @lru_cache(maxsize=None)
-def _ladder_plus(N: int) -> np.ndarray:
-    # J+ |J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>; in descending-m order the
-    # nonzero elements sit on the first superdiagonal.
+def _ladder(N: int) -> np.ndarray:
+    # J+ |J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>; in descending-m order these
+    # are the first-superdiagonal elements, one per m = J-1, ..., -J.
     dims = EnsembleDims(N)
-    J = dims.J
-    m = dims.m_values
-    jp = np.zeros((dims.dim, dims.dim))
-    for col in range(1, dims.dim):
-        mm = m[col]
-        jp[col - 1, col] = np.sqrt(J * (J + 1) - mm * (mm + 1))
-    return _frozen(jp.astype(complex))
+    m = dims.m_values[1:]
+    return _frozen(np.sqrt(dims.J * (dims.J + 1) - m * (m + 1)))
 
 
 @lru_cache(maxsize=None)
 def _axis_matrix(N: int, axis: str) -> np.ndarray:
-    jp = _ladder_plus(N)
+    up = np.diag(_ladder(N), 1)
     if axis == "x":
-        mat = (jp + jp.conj().T) / 2.0
+        mat = (up + up.T) / 2.0
     elif axis == "y":
-        mat = (jp - jp.conj().T) / 2.0j
+        mat = (up - up.T) / 2.0j
     elif axis == "z":
-        mat = np.diag(EnsembleDims(N).m_values).astype(complex)
+        mat = np.diag(EnsembleDims(N).m_values)
     else:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _frozen(mat)
+    return _frozen(mat.astype(complex))
 
 
 def collective_operator(dims: EnsembleDims, axis: str) -> CollectiveOperator:
@@ -206,14 +203,72 @@ def unitary_from_generator(gen: CollectiveOperator, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+@lru_cache(maxsize=None)
+def _jx_basis(N: int):
+    """(V, ev, m, r, r*) for the propagator kernel, built once per N.
+
+    V holds the real orthogonal eigenvectors of the real symmetric J_x,
+    column k for the exact eigenvalue ev[k] = k - J; the eigenvalues eigh
+    returns are discarded.  m is the descending Dicke ladder J, ..., -J
+    (the diagonal of J_z) and r = e^{-i pi m / 2} the diagonal of
+    R_z(pi/2), which maps J_x onto J_y = R_z(pi/2) J_x R_z(pi/2)^dagger.
+    """
+    half = _ladder(N) / 2.0
+    _, v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
+    m = EnsembleDims(N).m_values
+    r = np.exp(-0.5j * np.pi * m)
+    return tuple(_frozen(a) for a in (v, m[::-1], m, r, r.conj()))
+
+
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for real a and complex z.
+
+    numpy promotes a to a complex copy first, which is the cheapest route
+    only for a single short vector.  Otherwise the real and imaginary
+    parts of z enter one real product as the columns of a float view of
+    z, and a is never copied.
+    """
+    if z.ndim == 1 and a.shape[0] <= 32:
+        return np.dot(a, z)
+    z = np.ascontiguousarray(z)
+    out = a @ z.view(np.float64).reshape(z.shape[0], -1)
+    return out.view(complex).reshape(z.shape)
+
+
+def propagate(dims: EnsembleDims, axis: str, theta: float, psi: np.ndarray,
+              squared: bool = False) -> np.ndarray:
+    """e^{-i theta J_axis} psi, or e^{-i theta J_axis^2} psi when squared.
+
+    psi is a (dim,) amplitude vector or a (dim, k) block of columns.  J_z
+    is diagonal.  J_x acts through its cached real eigenbasis with the
+    exact eigenvalues -J, ..., J (squared for a twist), and J_y reuses that
+    basis between the two diagonal factors of R_z(pi/2), so every axis
+    costs at most two real matrix products.
+    """
+    v, ev, m, r, r_conj = _jx_basis(dims.N)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim == 2:
+        ev, m, r, r_conj = ev[:, None], m[:, None], r[:, None], r_conj[:, None]
+    if axis == "z":
+        return np.exp(-1j * theta * (m * m if squared else m)) * psi
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    if axis == "y":
+        psi = r_conj * psi
+    coeff = _real_matmul(v.T, psi)
+    coeff *= np.exp(-1j * theta * (ev * ev if squared else ev))
+    psi = _real_matmul(v, coeff)
+    return r * psi if axis == "y" else psi
+
+
 def rotation(dims: EnsembleDims, axis: str, theta: float) -> np.ndarray:
     """R_axis(theta) = e^{-i theta J_axis}."""
-    return unitary_from_generator(collective_operator(dims, axis), theta)
+    return propagate(dims, axis, theta, np.eye(dims.dim))
 
 
 def twist(dims: EnsembleDims, axis: str, theta: float) -> np.ndarray:
     """e^{-i theta J_axis^2}."""
-    return unitary_from_generator(squared_operator(dims, axis), theta)
+    return propagate(dims, axis, theta, np.eye(dims.dim), squared=True)
 
 
 def scs_state(dims: EnsembleDims) -> DickeState:

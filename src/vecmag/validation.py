@@ -35,8 +35,10 @@ from .spin import (
     FieldVector,
     collective_operator,
     ghz_state,
+    rotation,
     scs_state,
     squared_operator,
+    twist,
     unitary_from_generator,
 )
 
@@ -287,7 +289,11 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Operator algebra and unitarity hold for every supported ensemble size."""
+    """Operator algebra and unitarity hold for every supported ensemble size.
+
+    Kernel rotations and twists must be unitary and match the spectral
+    decomposition of their generator.
+    """
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
     for n in (*range(1, 13), 20, 30):
@@ -303,16 +309,18 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         for _ in range(3):
             axis = AXES[rng.integers(3)]
             theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-            for gen in (collective_operator(dims, axis), squared_operator(dims, axis)):
-                u = unitary_from_generator(gen, theta)
-                worst = max(worst, np.max(np.abs(u.conj().T @ u - eye)))
+            for u, gen in ((rotation(dims, axis, theta), collective_operator(dims, axis)),
+                           (twist(dims, axis, theta), squared_operator(dims, axis))):
+                ref = unitary_from_generator(gen, theta)
+                worst = max(worst, np.max(np.abs(u - ref)),
+                            *(np.max(np.abs(w.conj().T @ w - eye)) for w in (u, ref)))
         for state in (scs_state(dims), ghz_state(dims)):
             worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0))
         evolved = evolve_exact(scs_state(dims), FieldVector(0.4, 0.5, 0.6),
                                [DDSchedule("x", 3, 0.01)])
         worst = max(worst, abs(np.linalg.norm(evolved.amplitudes) - 1.0))
     return _result(10, worst <= 1e-10,
-        f"max commutator/Casimir/unitarity/norm defect = {worst:.2e} for "
+        f"max commutator/Casimir/unitarity/kernel/norm defect = {worst:.2e} for "
         f"N in {{1..12, 20, 30}} (tol 1e-10)")
 
 

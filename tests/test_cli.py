@@ -65,8 +65,7 @@ def test_simulate_effective_matches_analytic(capsys):
     for evolution in ("analytic", "effective"):
         code, out, _ = run_cli(capsys, "simulate", "--scheme", "sequential",
                                "--probe", "scs", "--B", "1,0.6,0.2",
-                               "--grid", "0:3:16", "--evolution", evolution,
-                               "--workers", "2")
+                               "--grid", "0:3:16", "--evolution", evolution)
         assert code == 0
         _, lines = split_artifact(out)
         traces[evolution] = [float(r[1]) for r in parse_csv(lines)[1:]]
@@ -165,6 +164,15 @@ def test_spectrum_error_exits(capsys):
     assert json.loads(err)["error"] == "ambiguous-signs"
 
 
+def test_spectrum_rejects_odd_n_cat_probe(capsys):
+    # the sign fit needs the cat-probe closed forms, which exist for even N only
+    code, out, err = run_cli(capsys, "spectrum", "--probe", "ghz", "--N", "9",
+                             "--B", "10,6,2", "--M", "64")
+    assert code == 2
+    assert out == ""
+    assert "--N" in err
+
+
 def test_precision_report_artifact(capsys):
     code, out, _ = run_cli(capsys, "precision", "--scheme", "sequential",
                            "--probe", "scs", "--B", "1,0.8,1.2")
@@ -196,7 +204,7 @@ def test_qfi_report_names_both_variants(capsys):
 
 def test_scaling_sweep_with_odd_size_warning(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--N", "4,5,6,8",
-                           "--probe", "both", "--workers", "2")
+                           "--probe", "both")
     assert code == 0
     meta, lines = split_artifact(out)
     rows = parse_csv(lines)
@@ -208,6 +216,18 @@ def test_scaling_sweep_with_odd_size_warning(capsys):
     assert float(by_key[("4", "ghz")][2]) == pytest.approx(0.25, abs=1e-6)
     assert meta["fits"]["scs"]["x"]["slope"] == pytest.approx(-0.5, abs=0.05)
     assert meta["fits"]["ghz"]["z"]["slope"] == pytest.approx(-1.0, abs=0.05)
+
+
+def test_scaling_at_off_grid_duration(capsys):
+    # at T = 0.75 the polish can reach points where 1 - S^2 rounds to zero;
+    # those must not be reported as a zero precision
+    code, out, _ = run_cli(capsys, "scaling", "--N", "4,8,12,16",
+                           "--duration", "0.75")
+    assert code == 0
+    _, lines = split_artifact(out)
+    for n, probe, *values, _ in parse_csv(lines)[1:]:
+        floor = 1.0 / ((math.sqrt(int(n)) if probe == "scs" else int(n)) * 0.75)
+        assert all(float(v) >= floor * (1 - 1e-6) for v in values)
 
 
 def test_robustness_zero_error_column_is_exactly_one(capsys):
@@ -224,8 +244,7 @@ def test_robustness_zero_error_column_is_exactly_one(capsys):
 
 def test_robustness_modes_and_eta_grammar(capsys):
     code, out, _ = run_cli(capsys, "robustness", "--eta", "0.06pi",
-                           "--mode", "both", "--trials", "2", "--pairs", "50",
-                           "--workers", "2")
+                           "--mode", "both", "--trials", "2", "--pairs", "50")
     assert code == 0
     meta, lines = split_artifact(out)
     assert meta["params"]["eta"] == [pytest.approx(0.06 * math.pi)]

@@ -248,6 +248,17 @@ def test_minimized_precision_reaches_the_limits():
     assert 1.0 / math.sqrt(10) - 1e-12 <= scs_best <= 1.001 / math.sqrt(10)
 
 
+def test_minimized_precision_never_beats_the_parallel_floor():
+    for duration in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0):
+        for n in range(4, 17, 2):
+            for probe, floor in (("scs", 1.0 / (math.sqrt(n) * duration)),
+                                 ("ghz", 1.0 / (n * duration))):
+                for axis in "xyz":
+                    best = minimized_delta_b("sequential", probe, n, axis,
+                                             duration=duration)
+                    assert best >= floor * (1 - 1e-6), (duration, n, probe, axis)
+
+
 def test_scaling_slopes_from_minimized_precision():
     ns = range(4, 17, 2)
     for probe, target in (("scs", -0.5), ("ghz", -1.0)):

@@ -1,32 +1,39 @@
-"""Pulse-sequence evolution, effective segments, and the F1/F2 fidelities."""
+"""Pulse-sequence evolution, the effective-rotation limit, and the F1/F2 fidelities."""
 
 import numpy as np
 import pytest
 
 from vecmag.spin import (
+    DickeState,
     EnsembleDims,
     FieldVector,
     collective_operator,
     expectation,
     fidelity,
     ghz_state,
+    propagate,
     scs_state,
-    unitary_from_generator,
 )
 from vecmag.pulses import (
     DDSchedule,
-    EffectiveSegment,
     NoiseModel,
     _iter_pair_states,
-    evolve_effective,
     evolve_exact,
     fidelity_f1,
     fidelity_f2,
-    segments_for,
 )
+from vecmag.schemes import SchemeConfig, final_state
 
 DIMS = EnsembleDims(10)
 FIELD = FieldVector(4.0, 5.0, 6.0)
+
+
+def effective(state, blocks):
+    """Free evolution e^{-i coupling J_axis duration} for each block in order."""
+    psi = state.amplitudes
+    for axis, duration, coupling in blocks:
+        psi = propagate(state.dims, axis, coupling * duration, psi)
+    return DickeState(state.dims, psi)
 
 
 def test_schedule_validation():
@@ -96,8 +103,7 @@ def test_exact_block_matches_effective_block():
     # spacing ratio 0.002 of the block keeps the x block faithful
     tau, pairs = 0.004, 250
     out = evolve_exact(scs_state(DIMS), FIELD, [DDSchedule("x", pairs, tau)])
-    eff = evolve_effective(scs_state(DIMS),
-                           [EffectiveSegment("x", 2 * pairs * tau, FIELD.Bx)])
+    eff = effective(scs_state(DIMS), [("x", 2 * pairs * tau, FIELD.Bx)])
     assert fidelity(out, eff) >= 0.999
 
 
@@ -105,27 +111,33 @@ def test_three_blocks_match_effective_at_fine_spacing():
     tau, pairs = 0.0004, 2500
     scheds = [DDSchedule(ax, pairs, tau) for ax in ("z", "y", "x")]
     out = evolve_exact(scs_state(DIMS), FIELD, scheds)
-    eff = evolve_effective(scs_state(DIMS),
-                           segments_for(FIELD, [("z", 2.0), ("y", 2.0), ("x", 2.0)]))
+    eff = effective(scs_state(DIMS),
+                    [(ax, 2.0, FIELD.coupling(ax)) for ax in ("z", "y", "x")])
     assert fidelity(out, eff) >= 0.9999
 
 
 def test_effective_segment_on_eigenstate_is_phase():
     s = scs_state(DIMS)
-    out = evolve_effective(s, [EffectiveSegment("z", 1.3, 2.0)])
+    out = effective(s, [("z", 1.3, 2.0)])
     assert fidelity(out, s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_effective_x_segment_oscillates_at_coupling_frequency():
     jz = collective_operator(DIMS, "z")
     for t in (0.3, 0.8, 1.0):
-        out = evolve_effective(scs_state(DIMS), [EffectiveSegment("x", t, 2.0)])
+        out = effective(scs_state(DIMS), [("x", t, 2.0)])
         assert expectation(out, jz) == pytest.approx(5 * np.cos(2 * t), abs=1e-10)
 
 
-def test_segments_for_uses_gamma():
-    segs = segments_for(FieldVector(1, 2, 3, gamma=2.0), [("y", 0.5)])
-    assert segs == [EffectiveSegment("y", 0.5, 4.0)]
+def test_free_step_uses_gamma():
+    # the effective free step of a chain rotates by gamma * B_axis * T
+    field = FieldVector(1, 2, 3, gamma=2.0)
+    cfg = SchemeConfig("parallel", "scs", DIMS, field, (0.5, 0.5, 0.5))
+    free = effective(scs_state(DIMS), [("y", 0.5, 4.0)])
+    expected = propagate(DIMS, "y", -np.pi / 2, free.amplitudes)
+    assert np.max(np.abs(final_state(cfg, "y").amplitudes - expected)) < 1e-13
+    doubled = SchemeConfig("parallel", "scs", DIMS, FieldVector(2, 4, 6), (0.5, 0.5, 0.5))
+    assert np.allclose(final_state(doubled, "y").amplitudes, expected, rtol=0, atol=1e-13)
 
 
 def test_alternating_and_identical_agree_without_noise():
@@ -143,7 +155,7 @@ def test_identical_mode_converges_to_effective_as_tau_shrinks():
         pairs = int(round(0.5 / (2 * tau)))
         out = evolve_exact(scs_state(DIMS), FIELD,
                            [DDSchedule("y", pairs, tau, "identical")])
-        eff = evolve_effective(scs_state(DIMS), [EffectiveSegment("y", 0.5, FIELD.By)])
+        eff = effective(scs_state(DIMS), [("y", 0.5, FIELD.By)])
         return 1.0 - fidelity(out, eff)
 
     assert gap(2e-4) < gap(2e-3) < gap(8e-3)

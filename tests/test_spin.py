@@ -1,8 +1,12 @@
-"""Operator algebra, probe states, and unitary construction."""
+"""Operator algebra, probe states, unitary construction and the propagator kernel."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from vecmag import spin
+from vecmag.schemes import SchemeConfig, parallel_chain, run_chain, sequential_chain
 from vecmag.spin import (
     AXES,
     CollectiveOperator,
@@ -15,9 +19,11 @@ from vecmag.spin import (
     fidelity,
     field_hamiltonian,
     ghz_state,
+    propagate,
     rotation,
     scs_state,
     squared_operator,
+    twist,
     unitary_from_generator,
     variance,
 )
@@ -210,3 +216,76 @@ def test_values_are_immutable():
     s = scs_state(EnsembleDims(6))
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 10, 31])
+def test_kernel_matches_spectral_unitaries(N):
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(N)
+    block = rng.normal(size=(dims.dim, 3)) + 1j * rng.normal(size=(dims.dim, 3))
+    for axis in AXES:
+        for theta in (0.0, -np.pi / 2, 1.3):
+            for squared, make in ((False, collective_operator), (True, squared_operator)):
+                ref = unitary_from_generator(make(dims, axis), theta)
+                got = twist(dims, axis, theta) if squared else rotation(dims, axis, theta)
+                assert np.max(np.abs(got - ref)) < 1e-12
+                out = propagate(dims, axis, theta, block, squared=squared)
+                assert np.max(np.abs(out - ref @ block)) < 1e-12
+                assert np.max(np.abs(propagate(dims, axis, theta, block[:, 0],
+                                               squared=squared) - out[:, 0])) < 1e-12
+    with pytest.raises(ValueError):
+        propagate(dims, "w", 1.0, block)
+
+
+@lru_cache(maxsize=None)
+def _reference_unitary(N, kind, axis, theta):
+    dims = EnsembleDims(N)
+    gen = squared_operator(dims, axis) if kind == "twist" else collective_operator(dims, axis)
+    return unitary_from_generator(gen, theta)
+
+
+def _reference_chain(config, chain):
+    """The chain applied step by step with spectral-decomposition unitaries."""
+    psi = (scs_state if chain.probe == "scs" else ghz_state)(config.dims).amplitudes
+    for step in reversed(chain.steps):
+        theta = step.value
+        if step.kind == "free":
+            theta *= config.field.coupling(step.axis)
+        psi = _reference_unitary(config.dims.N, step.kind, step.axis, theta) @ psi
+    return psi
+
+
+@pytest.mark.parametrize("N", [*range(1, 13), 31, 100, 250, 400])
+def test_every_chain_matches_the_spectral_reference(N):
+    dims = EnsembleDims(N)
+    field = FieldVector(0.31, -0.47, 0.23)
+    durations = (1.0, 0.8, 1.2)
+    worst = 0.0
+    for probe in ("scs", "ghz"):
+        for literal in (False, True):
+            runs = [("sequential", sequential_chain(probe, durations, literal))]
+            runs += [("parallel", parallel_chain(probe, axis, durations, literal))
+                     for axis in AXES]
+            for scheme, chain in runs:
+                cfg = SchemeConfig(scheme, probe, dims, field, durations)
+                got = run_chain(cfg, chain).amplitudes
+                worst = max(worst, np.max(np.abs(got - _reference_chain(cfg, chain))))
+    assert worst <= 1e-11
+
+
+def test_chains_at_one_n_share_one_eigendecomposition(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    spin._jx_basis.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    dims = EnsembleDims(14)
+    for field in (FieldVector(0.3, 0.4, 0.5), FieldVector(1.1, -0.2, 0.7)):
+        for probe in ("scs", "ghz"):
+            cfg = SchemeConfig("sequential", probe, dims, field, (1.0, 1.0, 1.0))
+            run_chain(cfg, sequential_chain(probe, cfg.durations))
+    assert len(calls) <= 1
