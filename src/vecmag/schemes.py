@@ -27,6 +27,7 @@ from .spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
+    apply_collective,
     ghz_state,
     propagate,
     scs_state,
@@ -224,28 +225,45 @@ def sequential_chain(probe: str, durations, literal: bool = False) -> ChainSpec:
 
 def _free_evolution(config: SchemeConfig, axis: str, duration: float,
                     psi: np.ndarray) -> np.ndarray:
+    """One free step on a (dim,) vector or a (dim, 4) tangent block (see _tangent).
+
+    B_axis enters only here and J_axis commutes with the step, so its
+    derivative is the tap -i gamma T J_axis on the propagated state.
+    """
     if duration == 0.0:
         return psi
     if config.evolution == "effective":
-        return propagate(config.dims, axis, config.field.coupling(axis) * duration, psi)
+        psi = propagate(config.dims, axis, config.field.coupling(axis) * duration, psi)
+        if psi.ndim == 2:
+            tap = apply_collective(config.dims, axis, psi[:, 0])
+            psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
+        return psi
     pairs = max(1, round(duration / (2.0 * config.tau)))
     sched = DDSchedule(axis=axis, pairs=pairs, tau=duration / (2.0 * pairs))
     return evolve_exact(DickeState(config.dims, psi), config.field, [sched]).amplitudes
 
 
-def run_chain(config: SchemeConfig, chain: ChainSpec) -> DickeState:
-    """Prepare the probe and apply the chain right to left."""
+def _apply_chain(config: SchemeConfig, chain: ChainSpec, psi: np.ndarray) -> np.ndarray:
+    """Apply the chain right to left to a probe vector or a tangent block."""
     if chain.probe != config.probe:
         raise ValueError("chain probe does not match configuration")
-    dims = config.dims
-    psi = (scs_state(dims) if config.probe == "scs" else ghz_state(dims)).amplitudes
     for step in reversed(chain.steps):
         if step.kind == "free":
             psi = _free_evolution(config, step.axis, step.value, psi)
         else:
-            psi = propagate(dims, step.axis, step.value, psi,
+            psi = propagate(config.dims, step.axis, step.value, psi,
                             squared=step.kind == "twist")
-    return DickeState(dims, psi / np.linalg.norm(psi))
+    return psi
+
+
+def _probe_amplitudes(config: SchemeConfig) -> np.ndarray:
+    return (scs_state if config.probe == "scs" else ghz_state)(config.dims).amplitudes
+
+
+def run_chain(config: SchemeConfig, chain: ChainSpec) -> DickeState:
+    """Prepare the probe and apply the chain right to left."""
+    psi = _apply_chain(config, chain, _probe_amplitudes(config))
+    return DickeState(config.dims, psi / np.linalg.norm(psi))
 
 
 def parallel_final_state(config: SchemeConfig, axis: str,
@@ -261,14 +279,31 @@ def sequential_final_state(config: SchemeConfig, literal: bool = False) -> Dicke
     return run_chain(config, sequential_chain(config.probe, config.durations, literal))
 
 
-def final_state(config: SchemeConfig, axis: str | None = None,
-                literal: bool = False) -> DickeState:
-    """Dispatch to the per-axis device (parallel) or the single device."""
+def _readout_chain(config: SchemeConfig, axis: str | None,
+                   literal: bool = False) -> ChainSpec:
     if config.scheme == "parallel":
         if axis is None:
             raise ValueError("parallel scheme needs an axis")
-        return parallel_final_state(config, axis, literal)
-    return sequential_final_state(config, literal)
+        return parallel_chain(config.probe, axis, config.durations, literal)
+    return sequential_chain(config.probe, config.durations, literal)
+
+
+def final_state(config: SchemeConfig, axis: str | None = None,
+                literal: bool = False) -> DickeState:
+    """Dispatch to the per-axis device (parallel) or the single device."""
+    return run_chain(config, _readout_chain(config, axis, literal))
+
+
+def _tangent(config: SchemeConfig, axis: str) -> np.ndarray:
+    """One chain pass giving the final state (column 0) and its exact
+    derivatives in B_x, B_y, B_z (columns 1-3) as a (dim, 4) block."""
+    if config.evolution != "effective":
+        raise ValueError("exact state derivatives need effective evolution, "
+                         f"got evolution={config.evolution!r}")
+    block = np.zeros((config.dims.dim, 4), dtype=complex)
+    block[:, 0] = _probe_amplitudes(config)
+    block = _apply_chain(config, _readout_chain(config, axis), block)
+    return block / np.linalg.norm(block[:, 0])
 
 
 def jz_moments(state: DickeState) -> tuple[float, float]:
@@ -455,75 +490,34 @@ def qfi_analytic(config: SchemeConfig, axis: str) -> QFIVariants:
     return QFIVariants(main, appendix)
 
 
-def _with_component(field: FieldVector, axis: str, value: float) -> FieldVector:
-    comps = dict(zip(AXES, field.components))
-    comps[axis] = value
-    return FieldVector(comps["x"], comps["y"], comps["z"], gamma=field.gamma)
+def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
+    """<Jz>, <Jz^2>, dJz, slope 2 Re<psi|Jz|d psi> and QFI 4 (|d psi|^2 - |<psi|d psi>|^2)
+    for B_axis from a tangent block; dJz and the QFI are clipped at 0 like a variance."""
+    psi, dpsi = block[:, 0], block[:, 1 + AXES.index(axis)]
+    jz, jz2 = jz_moments(DickeState(config.dims, psi))
+    slope = 2.0 * float(np.vdot(psi, config.dims.m_values * dpsi).real)
+    qfi = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
+    return jz, jz2, math.sqrt(max(0.0, jz2 - jz * jz)), slope, max(float(qfi), 0.0)
 
 
-def _state_at(config: SchemeConfig, axis: str, b_value: float) -> np.ndarray:
-    shifted = SchemeConfig(
-        scheme=config.scheme,
-        probe=config.probe,
-        dims=config.dims,
-        field=_with_component(config.field, axis, b_value),
-        durations=config.durations,
-        evolution=config.evolution,
-        tau=config.tau,
-    )
-    which_axis = axis if config.scheme == "parallel" else None
-    return final_state(shifted, which_axis).amplitudes
-
-
-def _default_step(config: SchemeConfig, axis: str) -> float:
-    return 1e-5 * max(1.0, abs(config.field.component(axis)))
-
-
-def _qfi_central(config: SchemeConfig, axis: str, h: float) -> float:
-    b0 = config.field.component(axis)
-    psi = _state_at(config, axis, b0)
-    dpsi = (_state_at(config, axis, b0 + h) - _state_at(config, axis, b0 - h)) / (2.0 * h)
-    overlap = np.vdot(psi, dpsi)
-    value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2)
-    return float(value)
-
-
-def qfi_numeric(config: SchemeConfig, axis: str, h: float | None = None) -> float:
-    """Fisher information from central-difference state derivatives.
-
-    Evaluated at step h and h/2; if the two disagree beyond 1e-6 relative,
-    the h^2 error term is cancelled by Richardson extrapolation.
-    """
-    if h is None:
-        h = _default_step(config, axis)
-    coarse = _qfi_central(config, axis, h)
-    fine = _qfi_central(config, axis, h / 2.0)
-    if abs(coarse - fine) <= 1e-6 * max(abs(fine), 1.0):
-        return fine
-    return (4.0 * fine - coarse) / 3.0
-
-
-def delta_b_numeric(config: SchemeConfig, axis: str, h: float | None = None) -> float:
-    """Error-propagated precision from simulated states.
-
-    Central-difference slope of <Jz> against B_axis; a vanishing slope is
-    reported as inf (blind spot) rather than a division error.
-    """
-    if h is None:
-        h = _default_step(config, axis)
-    b0 = config.field.component(axis)
-    which_axis = axis if config.scheme == "parallel" else None
-    jz, jz2 = jz_moments(final_state(config, which_axis))
-    djz = math.sqrt(max(0.0, jz2 - jz * jz))
-
-    def jz_at(b_value):
-        return jz_moments(DickeState(config.dims, _state_at(config, axis, b_value)))[0]
-
-    slope = (jz_at(b0 + h) - jz_at(b0 - h)) / (2.0 * h)
+def _delta_b(config: SchemeConfig, axis: str, delta_jz: float, slope: float) -> float:
     floor = 1e-12 * config.dims.N * max(1.0, config.duration(axis))
-    if abs(slope) < floor:
-        return math.inf
-    return djz / abs(slope)
+    return math.inf if abs(slope) < floor else delta_jz / abs(slope)
+
+
+def qfi_numeric(config: SchemeConfig, axis: str) -> float:
+    """Fisher information for B_axis from the exact state derivative."""
+    return _axis_figures(config, _tangent(config, axis), axis)[4]
+
+
+def delta_b_numeric(config: SchemeConfig, axis: str) -> float:
+    """Error-propagated precision dJz / |d<Jz>/dB_axis| from simulated states.
+
+    A vanishing slope is reported as inf (blind spot) rather than a
+    division error.
+    """
+    _, _, delta_jz, slope, _ = _axis_figures(config, _tangent(config, axis), axis)
+    return _delta_b(config, axis, delta_jz, slope)
 
 
 @dataclass(frozen=True)
@@ -587,8 +581,7 @@ class PrecisionReport:
         }
 
 
-def precision_report(config: SchemeConfig, axes=AXES, h: float | None = None,
-                     eta: int = 1) -> PrecisionReport:
+def precision_report(config: SchemeConfig, axes=AXES, eta: int = 1) -> PrecisionReport:
     """Assemble analytic and numeric precision figures for each axis.
 
     eta is the number of independent trials entering the Cramer-Rao bound
@@ -598,13 +591,12 @@ def precision_report(config: SchemeConfig, axes=AXES, h: float | None = None,
     if eta < 1:
         raise ValueError("eta must be a positive trial count")
     entries = []
+    block = None
     for axis in axes:
-        which_axis = axis if config.scheme == "parallel" else None
-        state = final_state(config, which_axis)
-        jz, jz2 = jz_moments(state)
-        delta_jz = math.sqrt(max(0.0, jz2 - jz * jz))
-        db_num = delta_b_numeric(config, axis, h)
-        qfi_num = qfi_numeric(config, axis, h)
+        if block is None or config.scheme == "parallel":
+            block = _tangent(config, axis)
+        jz, jz2, delta_jz, slope, qfi_num = _axis_figures(config, block, axis)
+        db_num = _delta_b(config, axis, delta_jz, slope)
         variants = qfi_analytic(config, axis)
         db_ana = analytic_delta_b(config, axis)
         qcrb = math.inf if qfi_num <= 0 else 1.0 / math.sqrt(eta * qfi_num)

@@ -22,6 +22,7 @@ __all__ = [
     "FieldVector",
     "collective_operator",
     "squared_operator",
+    "apply_collective",
     "field_hamiltonian",
     "unitary_from_generator",
     "propagate",
@@ -29,7 +30,6 @@ __all__ = [
     "twist",
     "scs_state",
     "ghz_state",
-    "apply_unitary",
     "expectation",
     "variance",
     "fidelity",
@@ -176,6 +176,17 @@ def collective_operator(dims: EnsembleDims, axis: str) -> CollectiveOperator:
     return CollectiveOperator(dims, _axis_matrix(dims.N, axis), label=f"J{axis}")
 
 
+def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray) -> np.ndarray:
+    """J_axis psi for a (dim,) vector, from the ladder coefficients alone."""
+    if axis == "z":
+        return dims.m_values * psi
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    raised = np.append(_ladder(dims.N) * psi[1:], 0.0)  # J+ psi
+    lowered = np.insert(_ladder(dims.N) * psi[:-1], 0, 0.0)  # J- psi
+    return (raised + lowered) / 2.0 if axis == "x" else (raised - lowered) / 2.0j
+
+
 def squared_operator(dims: EnsembleDims, axis: str) -> CollectiveOperator:
     """J_axis^2, the twist generator for the interaction-based readouts."""
     m = _axis_matrix(dims.N, axis)
@@ -283,15 +294,6 @@ def ghz_state(dims: EnsembleDims) -> DickeState:
     amps = np.zeros(dims.dim, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return DickeState(dims, amps)
-
-
-def apply_unitary(U: np.ndarray, state: DickeState) -> DickeState:
-    """U |psi>, renormalized against accumulated round-off."""
-    amps = U @ state.amplitudes
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-9:
-        raise ArithmeticError(f"evolution lost unitarity, norm {norm}")
-    return DickeState(state.dims, amps / norm)
 
 
 def expectation(state: DickeState, op: CollectiveOperator) -> float:

@@ -1,12 +1,17 @@
 """Interferometer chains: closed forms vs simulation, precision, QFI."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vecmag.spin import EnsembleDims, FieldVector, fidelity
+from vecmag import schemes
+from vecmag.spin import AXES, EnsembleDims, FieldVector, fidelity
 from vecmag.schemes import (
+    PROBES,
+    SCHEMES,
     AnalyticBranchError,
     ChainStep,
     SchemeConfig,
@@ -35,6 +40,28 @@ UNIT_T = (1.0, 1.0, 1.0)
 
 def config(scheme, probe, dims=DIMS, field=FIELD, durations=UNIT_T, **kw):
     return SchemeConfig(scheme, probe, dims, field, durations, **kw)
+
+
+def central_difference(cfg, axis):
+    """(d psi, d<Jz>, QFI), all for B_axis, from a fourth-order central difference.
+
+    The test oracle for the exact derivatives: final_state at B_axis shifted
+    by -2h, -h, h, 2h, with the step h a 1e-3 phase at gamma N T.
+    """
+    which = axis if cfg.scheme == "parallel" else None
+    h = 1e-3 / (cfg.field.gamma * cfg.dims.N * max(1.0, cfg.duration(axis)))
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    shifted = []
+    for k in (-2, -1, 1, 2):
+        comps = dict(zip(AXES, cfg.field.components))
+        comps[axis] += k * h
+        field = FieldVector(comps["x"], comps["y"], comps["z"], gamma=cfg.field.gamma)
+        shifted.append(final_state(dataclasses.replace(cfg, field=field), which))
+    dpsi = sum(w * s.amplitudes for w, s in zip(weights, shifted))
+    slope = sum(w * jz_moments(s)[0] for w, s in zip(weights, shifted))
+    psi = final_state(cfg, which).amplitudes
+    qfi = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
+    return dpsi, float(slope), float(qfi)
 
 
 def test_config_validation():
@@ -211,6 +238,13 @@ def test_qfi_numeric_matches_analytic_and_prefers_appendix():
             assert variants.main == variants.appendix
             assert qfi_numeric(other, axis) == pytest.approx(
                 variants.appendix, rel=1e-7)
+    # At zero field the sequential z QFI vanishes; round-off must not push
+    # it below zero.
+    zero = config("sequential", "scs", field=FieldVector(0.0, 0.0, 0.0))
+    for axis in "xyz":
+        value = qfi_numeric(zero, axis)
+        assert value >= 0.0
+        assert value == pytest.approx(qfi_analytic(zero, axis).appendix, abs=1e-12)
 
 
 def test_qfi_for_x_never_depends_on_the_field():
@@ -230,6 +264,7 @@ def test_blind_spot_reported_as_infinite_precision():
     report = precision_report(cfg)
     entry = report.axis("y")
     assert entry.blind_spot
+    assert math.isinf(entry.delta_b_numeric)
     assert entry.qfi_analytic_appendix == pytest.approx(0.0, abs=1e-12)
 
 
@@ -251,6 +286,61 @@ def test_precision_report_eta_scales_qcrb():
     assert many == pytest.approx(one / 10.0)
     with pytest.raises(ValueError):
         precision_report(cfg, eta=0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 40),
+       field=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       durations=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+       gamma=st.sampled_from([1.0, 2.5]),
+       scheme=st.sampled_from(SCHEMES),
+       probe=st.sampled_from(PROBES),
+       axis=st.sampled_from(AXES))
+def test_exact_derivatives_match_finite_differences(n, field, durations, gamma,
+                                                    scheme, probe, axis):
+    cfg = config(scheme, probe, dims=EnsembleDims(n),
+                 field=FieldVector(*field, gamma=gamma), durations=durations)
+    fd_dpsi, fd_slope, fd_qfi = central_difference(cfg, axis)
+    tangent = schemes._tangent(cfg, axis)[:, 1 + AXES.index(axis)]
+    # Absolute floors at the largest natural scales: gamma N T for d psi and
+    # its square for the QFI and the slope.
+    size = gamma * n * max(1.0, cfg.duration(axis))
+    scale = size * size
+    assert np.max(np.abs(tangent - fd_dpsi)) <= 1e-8 * size
+    assert qfi_numeric(cfg, axis) == pytest.approx(fd_qfi, rel=1e-6, abs=1e-9 * scale)
+    jz, jz2 = jz_moments(final_state(cfg, axis if scheme == "parallel" else None))
+    delta_jz = math.sqrt(max(0.0, jz2 - jz * jz))
+    delta_b = delta_b_numeric(cfg, axis)
+    if abs(fd_slope) > 1e-4 * scale:
+        assert delta_b == pytest.approx(delta_jz / abs(fd_slope), rel=1e-6)
+    else:  # near a blind spot: the exact slope is at most the oracle's
+        assert delta_b >= delta_jz / (abs(fd_slope) + 1e-9 * scale)
+
+
+def test_derivatives_refuse_exact_evolution():
+    cfg = config("sequential", "scs", evolution="exact", tau=1e-2)
+    with pytest.raises(ValueError, match="effective evolution"):
+        qfi_numeric(cfg, "x")
+    with pytest.raises(ValueError, match="effective evolution"):
+        delta_b_numeric(cfg, "y")
+    with pytest.raises(ValueError, match="effective evolution"):
+        precision_report(cfg)
+
+
+def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch):
+    passes = []
+    apply_chain = schemes._apply_chain
+
+    def counting(cfg, chain, psi):
+        passes.append(np.shape(psi))
+        return apply_chain(cfg, chain, psi)
+
+    monkeypatch.setattr(schemes, "_apply_chain", counting)
+    precision_report(config("sequential", "ghz"))
+    assert passes == [(DIMS.dim, 4)]
+    passes.clear()
+    precision_report(config("parallel", "scs"))
+    assert passes == [(DIMS.dim, 4)] * 3
 
 
 def test_report_json_replaces_nonfinite_with_null():

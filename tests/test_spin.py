@@ -13,7 +13,7 @@ from vecmag.spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
-    apply_unitary,
+    apply_collective,
     collective_operator,
     expectation,
     fidelity,
@@ -94,8 +94,20 @@ def test_unitarity_and_norm_preservation(N):
     U = unitary_from_generator(field_hamiltonian(dims, fv), 0.7)
     assert np.linalg.norm(U.conj().T @ U - np.eye(dims.dim)) < 1e-10
     amps = rng.normal(size=dims.dim) + 1j * rng.normal(size=dims.dim)
-    state = DickeState(dims, amps / np.linalg.norm(amps))
-    assert abs(apply_unitary(U, state).norm - 1.0) < 1e-12
+    amps /= np.linalg.norm(amps)
+    assert abs(np.linalg.norm(U @ amps) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("N", PROPERTY_NS)
+def test_apply_collective_matches_operator_matrix(N):
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(N)
+    amps = rng.normal(size=dims.dim) + 1j * rng.normal(size=dims.dim)
+    for axis in AXES:
+        expected = op(N, axis).matrix @ amps
+        assert np.max(np.abs(apply_collective(dims, axis, amps) - expected)) < 1e-12
+    with pytest.raises(ValueError):
+        apply_collective(dims, "w", amps)
 
 
 def test_field_hamiltonian_reduces_to_jz():
