@@ -23,10 +23,10 @@ from scipy import optimize
 
 from .schemes import (
     SchemeConfig,
+    closed_form_delta_b,
     closed_form_jz,
     final_state,
     jz_moments,
-    sequential_signal_terms,
 )
 from .spin import AXES, _frozen
 
@@ -207,11 +207,10 @@ def _refine_peak(spectrum: FFTSpectrum, i: int) -> SpectrumPeak:
     return SpectrumPeak(omega, amplitude)
 
 
-def extract_peaks(spectrum: FFTSpectrum, count: int = 6,
-                  min_separation: int = 2) -> list[SpectrumPeak]:
+def extract_peaks(spectrum: FFTSpectrum, count: int = 6) -> list[SpectrumPeak]:
     """The `count` strongest spectral lines, sub-bin refined.
 
-    Local maxima closer than min_separation bins to a stronger one are
+    Local maxima closer than 2 bins to a stronger one are
     absorbed into it, and maxima below PEAK_FLOOR of the strongest are
     dropped as sidelobes.  Fewer survivors than requested raises
     UnderResolvedError carrying the found count.
@@ -231,7 +230,7 @@ def extract_peaks(spectrum: FFTSpectrum, count: int = 6,
     candidates.sort(key=lambda i: -mags[i])
     kept: list[int] = []
     for i in candidates:
-        if all(abs(i - j) >= min_separation for j in kept):
+        if all(abs(i - j) >= 2 for j in kept):
             kept.append(i)
     if len(kept) < count:
         raise UnderResolvedError(count, len(kept))
@@ -363,39 +362,25 @@ def scaling_fit(points) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), r2)
 
 
-def _delta_b_grid(probe: str, n: int, axis: str, duration: float, bx, by, bz):
-    s, ds = sequential_signal_terms(probe, n, bx * duration, by * duration,
-                                    bz * duration)
-    prefactor = 1.0 / ((math.sqrt(n) if probe == "scs" else n) * duration)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        db = prefactor * np.sqrt(np.clip(1.0 - s**2, 0.0, None)) / np.abs(ds[axis])
-    # 1 - S^2 rounding to zero at |S| = 1 leaves no noise amplitude to
-    # propagate; that 0 is not a precision, so it ranks with the blind spots
-    return np.where(np.isfinite(db) & (db > 0.0), db, np.inf)
-
-
 def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
-                      duration: float = 1.0, grid_points: int | None = None) -> float:
+                      duration: float = 1.0) -> float:
     """Best achievable closed-form dB_axis over B in (0, pi/T)^3.
 
-    Parallel devices have field-independent precision, returned directly.
-    Sequential readouts are minimized on a coarse grid (grid_points per
-    axis, default max(24, 2N) to track the cat probe's N-fold fringes)
-    and polished with Nelder-Mead inside the open box.
+    Parallel devices have field-independent precision, read at one point.
+    Sequential readouts are minimized on a coarse grid (max(24, 2N) points
+    per axis, to track the cat probe's N-fold fringes) and polished with
+    Nelder-Mead inside the open box.
     """
+    def delta_b(bx, by, bz):
+        return closed_form_delta_b(scheme, probe, n, axis, duration,
+                                   bx * duration, by * duration, bz * duration)
+
     if scheme == "parallel":
-        if probe == "scs":
-            return 1.0 / (math.sqrt(n) * duration)
-        if n % 2:
-            raise ValueError("parallel cat-probe precision needs even N")
-        return 1.0 / (n * duration)
-    if scheme != "sequential":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    pts = grid_points if grid_points is not None else max(24, 2 * n)
+        return float(delta_b(0.0, 0.0, 0.0))
+    pts = max(24, 2 * n)
     upper = math.pi / duration
     grid = np.linspace(0.0, upper, pts + 2)[1:-1]
-    bx, by, bz = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-    values = _delta_b_grid(probe, n, axis, duration, bx, by, bz)
+    values = delta_b(*np.meshgrid(grid, grid, grid, indexing="ij", sparse=True))
     flat_best = int(np.argmin(values))
     ix, iy, iz = np.unravel_index(flat_best, values.shape)
     start = np.array([grid[ix], grid[iy], grid[iz]])
@@ -404,7 +389,7 @@ def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
     def objective(b):
         if np.any(b <= 0.0) or np.any(b >= upper):
             return math.inf
-        return float(_delta_b_grid(probe, n, axis, duration, b[0], b[1], b[2]))
+        return float(delta_b(b[0], b[1], b[2]))
 
     result = optimize.minimize(objective, start, method="Nelder-Mead",
                                options={"xatol": 1e-10, "fatol": 1e-14,

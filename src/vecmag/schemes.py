@@ -106,12 +106,6 @@ class SchemeConfig:
     def analytic_supported(self) -> bool:
         return self.probe != "ghz" or self.dims.N % 2 == 0
 
-    def require_analytic(self) -> None:
-        if not self.analytic_supported:
-            raise AnalyticBranchError(
-                f"closed forms for the ghz probe need even N, got N={self.dims.N}"
-            )
-
 
 @dataclass(frozen=True)
 class ChainStep:
@@ -266,19 +260,6 @@ def run_chain(config: SchemeConfig, chain: ChainSpec) -> DickeState:
     return DickeState(config.dims, psi / np.linalg.norm(psi))
 
 
-def parallel_final_state(config: SchemeConfig, axis: str,
-                         literal: bool = False) -> DickeState:
-    if config.scheme != "parallel":
-        raise ValueError("configuration is not a parallel scheme")
-    return run_chain(config, parallel_chain(config.probe, axis, config.durations, literal))
-
-
-def sequential_final_state(config: SchemeConfig, literal: bool = False) -> DickeState:
-    if config.scheme != "sequential":
-        raise ValueError("configuration is not a sequential scheme")
-    return run_chain(config, sequential_chain(config.probe, config.durations, literal))
-
-
 def _readout_chain(config: SchemeConfig, axis: str | None,
                    literal: bool = False) -> ChainSpec:
     if config.scheme == "parallel":
@@ -314,32 +295,44 @@ def jz_moments(state: DickeState) -> tuple[float, float]:
     return float(prob @ m), float(prob @ (m * m))
 
 
-def _ghz_parity(n: int) -> float:
-    """(-1)^J for even N."""
-    return -1.0 if (n // 2) % 2 else 1.0
+def signal_terms(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
+                 axis: str | None = None):
+    """Normalized closed-form signal S, <Jz> = (N/2) S, and dS[a] = dS/d(k phi_a).
 
-
-def _parallel_ghz_sign(n: int, axis: str) -> float:
-    # Readout sign of the repaired chains, fixed by the chain algebra:
-    # x carries (-1)^{J+1}, y and z come out positive.
-    return -_ghz_parity(n) if axis == "x" else 1.0
-
-
-def _seq_scs_terms(px, py, pz):
-    """Signal S and its phase derivatives for the sequential product probe."""
-    s = np.cos(px) * np.sin(py) * np.cos(pz) + np.sin(px) * np.sin(pz)
-    ds = {
-        "x": -np.sin(px) * np.sin(py) * np.cos(pz) + np.cos(px) * np.sin(pz),
-        "y": np.cos(px) * np.cos(py) * np.cos(pz),
-        "z": -np.cos(px) * np.sin(py) * np.sin(pz) + np.sin(px) * np.cos(pz),
-    }
-    return s, ds
-
-
-def _seq_ghz_terms(n: int, px, py, pz):
-    """Signal S and derivatives in the scaled phases N*phi for the cat probe."""
-    parity = _ghz_parity(n)
-    a, b, c = n * np.asarray(px), n * np.asarray(py), n * np.asarray(pz)
+    k is 1 for the product probe and N for the cat probe, the phase the
+    precision prefactors 1/(sqrt(N) gamma T) and 1/(N gamma T) expect.  This
+    is the one home of the readout-sign table of docs/conventions.md: the
+    parity s = (-1)^J, the minus of the sequential product probe and the -s
+    of the parallel cat-probe x readout.  For the parallel scheme `axis`
+    selects the device and only its phase enters.  Phases broadcast as numpy
+    arrays; the cat probe needs even N.
+    """
+    if probe not in PROBES:
+        raise ValueError(f"unknown probe {probe!r}")
+    if probe == "ghz" and n % 2:
+        raise AnalyticBranchError(f"ghz closed forms need even N, got N={n}")
+    parity = -1.0 if (n // 2) % 2 else 1.0
+    a, b, c = phases = (phase_x, phase_y, phase_z)
+    if probe == "ghz":
+        a, b, c = (n * np.asarray(p, dtype=float) for p in phases)
+    if scheme == "parallel":
+        if axis not in AXES:
+            raise ValueError("parallel closed form needs an axis")
+        phase = {"x": a, "y": b, "z": c}[axis]
+        sign = -parity if probe == "ghz" and axis == "x" else 1.0
+        ds = dict.fromkeys(AXES, np.zeros_like(phase))
+        ds[axis] = sign * np.cos(phase)
+        return sign * np.sin(phase), ds
+    if scheme != "sequential":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if probe == "scs":
+        s = -(np.cos(a) * np.sin(b) * np.cos(c) + np.sin(a) * np.sin(c))
+        ds = {
+            "x": np.sin(a) * np.sin(b) * np.cos(c) - np.cos(a) * np.sin(c),
+            "y": -np.cos(a) * np.cos(b) * np.cos(c),
+            "z": np.cos(a) * np.sin(b) * np.sin(c) - np.sin(a) * np.cos(c),
+        }
+        return s, ds
     s = np.cos(a) * np.cos(b) * np.sin(c) - parity * np.sin(a) * np.cos(c)
     ds = {
         "x": -np.sin(a) * np.cos(b) * np.sin(c) - parity * np.cos(a) * np.cos(c),
@@ -349,110 +342,60 @@ def _seq_ghz_terms(n: int, px, py, pz):
     return s, ds
 
 
-def sequential_signal_terms(probe: str, n: int, phase_x, phase_y, phase_z):
-    """Normalized sequential signal S and its derivative per axis.
-
-    <Jz> is -(N/2) S for the product probe and +(N/2) S for the cat probe.
-    Derivatives are taken in the natural argument: the bare phase phi for
-    the product probe, the amplified phase N*phi for the cat probe, which
-    is the convention the precision prefactors 1/(sqrt(N) T) and 1/(N T)
-    expect.  Arguments broadcast as numpy arrays.
-    """
-    if probe == "ghz":
-        if n % 2:
-            raise AnalyticBranchError(f"ghz closed forms need even N, got N={n}")
-        return _seq_ghz_terms(n, phase_x, phase_y, phase_z)
-    if probe != "scs":
-        raise ValueError(f"unknown probe {probe!r}")
-    return _seq_scs_terms(phase_x, phase_y, phase_z)
-
-
 def closed_form_jz(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
                    axis: str | None = None):
-    """Vectorized closed-form <Jz>; phases broadcast as numpy arrays.
-
-    For the parallel scheme, `axis` selects which device is read out and
-    only that axis's phase enters.  The ghz forms require even N.
-    """
-    if probe == "ghz" and n % 2:
-        raise AnalyticBranchError(f"ghz closed forms need even N, got N={n}")
-    if scheme == "parallel":
-        if axis is None:
-            raise ValueError("parallel closed form needs an axis")
-        phase = {"x": phase_x, "y": phase_y, "z": phase_z}[axis]
-        if probe == "scs":
-            return (n / 2.0) * np.sin(phase)
-        return _parallel_ghz_sign(n, axis) * (n / 2.0) * np.sin(n * np.asarray(phase))
-    if probe == "scs":
-        s, _ = _seq_scs_terms(phase_x, phase_y, phase_z)
-        return -(n / 2.0) * s
-    s, _ = _seq_ghz_terms(n, phase_x, phase_y, phase_z)
+    """Vectorized closed-form <Jz> = (N/2) S (see signal_terms)."""
+    s, _ = signal_terms(scheme, probe, n, phase_x, phase_y, phase_z, axis)
     return (n / 2.0) * s
 
 
 def closed_form_jz2(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
                     axis: str | None = None):
-    """Vectorized closed-form <Jz^2> matching closed_form_jz."""
-    if probe == "ghz" and n % 2:
-        raise AnalyticBranchError(f"ghz closed forms need even N, got N={n}")
-    if scheme == "parallel":
-        if axis is None:
-            raise ValueError("parallel closed form needs an axis")
-        phase = {"x": phase_x, "y": phase_y, "z": phase_z}[axis]
-        if probe == "scs":
-            return n / 4.0 + (n * (n - 1) / 4.0) * np.sin(phase) ** 2
-        return (n * n / 4.0) * np.ones_like(np.asarray(phase, dtype=float))
+    """Vectorized closed-form <Jz^2>: N/4 + N(N-1)/4 S^2 for the product
+    probe, exactly N^2/4 for the cat probe."""
+    s, _ = signal_terms(scheme, probe, n, phase_x, phase_y, phase_z, axis)
     if probe == "scs":
-        s, _ = _seq_scs_terms(phase_x, phase_y, phase_z)
         return n / 4.0 + (n * (n - 1) / 4.0) * s**2
-    s, _ = _seq_ghz_terms(n, phase_x, phase_y, phase_z)
-    return (n * n / 4.0) * np.ones_like(np.asarray(s, dtype=float))
+    return (n * n / 4.0) * np.ones_like(s)
+
+
+def closed_form_delta_b(scheme: str, probe: str, n: int, axis: str, gamma_t,
+                        phase_x, phase_y, phase_z):
+    """Vectorized closed-form single-shot precision dJz / |d<Jz>/dB_axis|.
+
+    gamma_t is gamma T_axis.  Parallel devices give the flat bounds
+    1/(sqrt(N) gamma T) and 1/(N gamma T), the phase dependence of dJz and of
+    the slope cancelling; the sequential readout gives that prefactor times
+    sqrt(1 - S^2) / |dS_axis|.  Sequential blind spots (|dS| < 1e-12), T = 0
+    and points where 1 - S^2 rounds to 0, which leaves no noise to propagate,
+    are inf.
+    """
+    s, ds = signal_terms(scheme, probe, n, phase_x, phase_y, phase_z, axis)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prefactor = 1.0 / ((math.sqrt(n) if probe == "scs" else n) * np.float64(gamma_t))
+        if scheme == "parallel":
+            db, slope = prefactor * np.ones_like(s), 1.0
+        else:
+            slope = np.abs(ds[axis])
+            db = prefactor * np.sqrt(np.maximum(1.0 - s**2, 0.0)) / slope
+    return np.where(np.isfinite(db) & (db > 0.0) & (slope >= 1e-12), db, np.inf)
 
 
 def analytic_jz(config: SchemeConfig, axis: str | None = None) -> float:
-    config.require_analytic()
-    px, py, pz = config.phases
     return float(closed_form_jz(config.scheme, config.probe, config.dims.N,
-                                px, py, pz, axis))
+                                *config.phases, axis))
 
 
 def analytic_jz2(config: SchemeConfig, axis: str | None = None) -> float:
-    config.require_analytic()
-    px, py, pz = config.phases
     return float(closed_form_jz2(config.scheme, config.probe, config.dims.N,
-                                 px, py, pz, axis))
+                                 *config.phases, axis))
 
 
 def analytic_delta_b(config: SchemeConfig, axis: str) -> float:
-    """Single-shot error-propagated precision dJz / |d<Jz>/dB_axis|.
-
-    The parallel devices give flat bounds (the phase dependence cancels):
-    1/(sqrt(N) T) for the product probe, 1/(N T) for the cat.  Sequential
-    readouts inherit blind spots where the slope vanishes; those return inf.
-    """
-    config.require_analytic()
-    n = config.dims.N
-    t_axis = config.duration(axis)
-    if t_axis == 0.0:
-        return math.inf
-    if config.scheme == "parallel":
-        if config.probe == "scs":
-            return 1.0 / (math.sqrt(n) * t_axis)
-        return 1.0 / (n * t_axis)
-    px, py, pz = config.phases
-    if config.probe == "scs":
-        s, ds = _seq_scs_terms(px, py, pz)
-        noise_amp = math.sqrt(max(0.0, 1.0 - float(s) ** 2))
-        slope = abs(float(ds[axis]))
-        if slope < 1e-12:
-            return math.inf
-        return noise_amp / (math.sqrt(n) * t_axis * slope)
-    s, ds = _seq_ghz_terms(n, px, py, pz)
-    noise_amp = math.sqrt(max(0.0, 1.0 - float(s) ** 2))
-    slope = abs(float(ds[axis]))
-    if slope < 1e-12:
-        return math.inf
-    return noise_amp / (n * t_axis * slope)
+    """Closed-form single-shot precision for B_axis (see closed_form_delta_b)."""
+    gamma_t = config.field.gamma * config.duration(axis)
+    return float(closed_form_delta_b(config.scheme, config.probe, config.dims.N,
+                                     axis, gamma_t, *config.phases))
 
 
 def qfi_analytic(config: SchemeConfig, axis: str) -> QFIVariants:
@@ -463,41 +406,37 @@ def qfi_analytic(config: SchemeConfig, axis: str) -> QFIVariants:
     ones the numeric QFI reproduces, so downstream consumers should prefer
     `.appendix`.
     """
-    config.require_analytic()
     n = config.dims.N
-    t_axis = config.duration(axis)
+    signal_terms(config.scheme, config.probe, n, *config.phases, axis)  # odd-N cat refuses
     px, py, _ = config.phases
-    if config.scheme == "parallel":
-        value = (n if config.probe == "scs" else n * n) * t_axis**2
-        return QFIVariants(value, value)
-    if config.probe == "scs":
-        if axis == "x":
-            value = n * t_axis**2
-        elif axis == "y":
-            value = n * t_axis**2 * math.cos(px) ** 2
-        else:
-            value = n * t_axis**2 * (1.0 - math.cos(px) ** 2 * math.cos(py) ** 2)
-        return QFIVariants(value, value)
-    if axis == "x":
-        value = n * n * t_axis**2
-        return QFIVariants(value, value)
+    gamma_t = config.field.gamma * config.duration(axis)
+    scale = (n if config.probe == "scs" else n * n) * gamma_t**2
+    if config.scheme == "parallel" or axis == "x":
+        return QFIVariants(scale, scale)
     if axis == "y":
-        main = n * n * t_axis**2 * math.cos(px) ** 2
-        appendix = n * n * t_axis**2 * math.cos(n * px) ** 2
-        return QFIVariants(main, appendix)
-    main = n * n * t_axis**2 * (1.0 - math.cos(px) ** 2 * math.cos(py) ** 2)
-    appendix = n * n * t_axis**2 * (1.0 - math.cos(n * px) ** 2 * math.sin(n * py) ** 2)
-    return QFIVariants(main, appendix)
+        main = scale * math.cos(px) ** 2
+        appendix = scale * math.cos(n * px) ** 2
+    else:
+        main = scale * (1.0 - math.cos(px) ** 2 * math.cos(py) ** 2)
+        appendix = scale * (1.0 - math.cos(n * px) ** 2 * math.sin(n * py) ** 2)
+    return QFIVariants(main, main if config.probe == "scs" else appendix)
 
 
 def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
-    """<Jz>, <Jz^2>, dJz, slope 2 Re<psi|Jz|d psi> and QFI 4 (|d psi|^2 - |<psi|d psi>|^2)
-    for B_axis from a tangent block; dJz and the QFI are clipped at 0 like a variance."""
+    """<Jz>, <Jz^2>, dJz, slope and QFI for B_axis from a tangent block.
+
+    Each is taken about the state so that none cancels as |<Jz>| nears J or
+    the QFI nears 0: dJz^2 = <(Jz - <Jz>)^2>, the slope 2 Re<psi|(Jz - <Jz>)|d psi>
+    (the raw 2 Re<psi|Jz|d psi>, as Re<psi|d psi> = 0) and the QFI
+    4 |d psi - psi <psi|d psi>|^2 (= 4 (|d psi|^2 - |<psi|d psi>|^2), never < 0).
+    """
     psi, dpsi = block[:, 0], block[:, 1 + AXES.index(axis)]
     jz, jz2 = jz_moments(DickeState(config.dims, psi))
-    slope = 2.0 * float(np.vdot(psi, config.dims.m_values * dpsi).real)
-    qfi = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
-    return jz, jz2, math.sqrt(max(0.0, jz2 - jz * jz)), slope, max(float(qfi), 0.0)
+    centred = config.dims.m_values - jz
+    delta_jz = math.sqrt(np.vdot(psi, centred * centred * psi).real)
+    slope = 2.0 * float(np.vdot(psi, centred * dpsi).real)
+    perp = dpsi - psi * np.vdot(psi, dpsi)
+    return jz, jz2, delta_jz, slope, 4.0 * float(np.vdot(perp, perp).real)
 
 
 def _delta_b(config: SchemeConfig, axis: str, delta_jz: float, slope: float) -> float:
@@ -600,8 +539,8 @@ def precision_report(config: SchemeConfig, axes=AXES, eta: int = 1) -> Precision
         variants = qfi_analytic(config, axis)
         db_ana = analytic_delta_b(config, axis)
         qcrb = math.inf if qfi_num <= 0 else 1.0 / math.sqrt(eta * qfi_num)
-        t_axis = config.duration(axis)
-        qfi_scale = (config.dims.N * max(t_axis, 1e-300)) ** 2
+        gamma_t = config.field.gamma * config.duration(axis)
+        qfi_scale = (config.dims.N * max(gamma_t, 1e-300)) ** 2
         blind = math.isinf(db_ana) or qfi_num < BLIND_SPOT_QFI_FLOOR * qfi_scale
         if math.isfinite(db_num) and qfi_num > 0:
             single_shot_bound = 1.0 / math.sqrt(qfi_num)

@@ -187,6 +187,30 @@ def test_precision_report_artifact(capsys):
             assert entry["delta_b_numeric"] >= entry["qcrb"] - 1e-9
 
 
+@pytest.mark.parametrize("scheme,probe,field", [
+    ("parallel", "scs", "1.5708,0.3,0.2"),
+    ("parallel", "ghz", "0.15708,0.3,0.2"),
+    ("sequential", "scs", "0,1.5708963267948966,0"),
+    ("sequential", "ghz", "0,0.15708963267948967,0"),
+])
+def test_precision_near_an_extremum_or_a_blind_spot(capsys, scheme, probe, field):
+    # The first three put |S| close to 1, where the raw <Jz^2> - <Jz>^2 and
+    # <psi|Jz|d psi> cancel; the last puts the z QFI close to 0, where
+    # |d psi|^2 - |<psi|d psi>|^2 cancels.  Each pushed the numeric precision
+    # below the quantum bound.
+    code, out, _ = run_cli(capsys, "precision", "--scheme", scheme,
+                           "--probe", probe, "--N", "10", "--B", field)
+    assert code == 0
+    _, lines = split_artifact(out)
+    for entry in json.loads("\n".join(lines))["axes"]:
+        if entry["delta_b_numeric"] is None:
+            continue
+        assert entry["delta_b_numeric"] >= entry["qcrb"] - 1e-9
+        if scheme == "parallel":
+            assert entry["delta_b_numeric"] == pytest.approx(
+                entry["delta_b_analytic"], rel=1e-9)
+
+
 def test_qfi_report_names_both_variants(capsys):
     code, out, _ = run_cli(capsys, "qfi", "--scheme", "sequential",
                            "--probe", "ghz", "--B", "1,0.8,1.2")

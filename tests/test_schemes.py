@@ -24,13 +24,12 @@ from vecmag.schemes import (
     final_state,
     jz_moments,
     parallel_chain,
-    parallel_final_state,
     precision_report,
     qfi_analytic,
     qfi_numeric,
     run_chain,
     sequential_chain,
-    sequential_final_state,
+    signal_terms,
 )
 
 DIMS = EnsembleDims(10)
@@ -98,7 +97,7 @@ def test_parallel_closed_forms_match_simulator():
             field = FieldVector(*rng.uniform(0.0, math.pi / 2, 3))
             cfg = config("parallel", probe, field=field)
             for axis in "xyz":
-                jz, jz2 = jz_moments(parallel_final_state(cfg, axis))
+                jz, jz2 = jz_moments(final_state(cfg, axis))
                 assert jz == pytest.approx(analytic_jz(cfg, axis), abs=1e-10)
                 assert jz2 == pytest.approx(analytic_jz2(cfg, axis), abs=1e-10)
 
@@ -110,7 +109,7 @@ def test_sequential_closed_forms_match_simulator():
             field = FieldVector(*rng.uniform(0.0, math.pi / 2, 3))
             durations = tuple(rng.uniform(0.3, 1.6, 3))
             cfg = config("sequential", probe, field=field, durations=durations)
-            jz, jz2 = jz_moments(sequential_final_state(cfg))
+            jz, jz2 = jz_moments(final_state(cfg))
             assert jz == pytest.approx(analytic_jz(cfg), abs=1e-10)
             assert jz2 == pytest.approx(analytic_jz2(cfg), abs=1e-10)
 
@@ -121,7 +120,7 @@ def test_parallel_ghz_sign_convention_across_even_n():
         cfg = config("parallel", "ghz", dims=EnsembleDims(n),
                      field=FieldVector(0.21, 0.37, 0.13))
         for axis in "xyz":
-            jz, _ = jz_moments(parallel_final_state(cfg, axis))
+            jz, _ = jz_moments(final_state(cfg, axis))
             assert jz == pytest.approx(analytic_jz(cfg, axis), abs=1e-10)
     cfg8 = config("parallel", "ghz", dims=EnsembleDims(8),
                   field=FieldVector(0.21, 0.37, 0.13))
@@ -136,28 +135,28 @@ def test_odd_n_ghz_analytic_refuses_and_simulator_reads_zero():
     for axis in "xyz":
         with pytest.raises(AnalyticBranchError):
             analytic_jz(cfg, axis)
-        jz, _ = jz_moments(parallel_final_state(cfg, axis))
+        jz, _ = jz_moments(final_state(cfg, axis))
         assert abs(jz) < 1e-10
     seq = config("sequential", "ghz", dims=EnsembleDims(9))
     with pytest.raises(AnalyticBranchError):
         analytic_jz(seq)
-    sequential_final_state(seq)  # simulation itself stays available
+    final_state(seq)  # simulation itself stays available
 
 
 def test_literal_parallel_ghz_transverse_chains_read_nothing():
     cfg = config("parallel", "ghz", field=FieldVector(0.21, 0.37, 0.13))
     for axis in "xy":
-        jz, _ = jz_moments(parallel_final_state(cfg, axis, literal=True))
+        jz, _ = jz_moments(final_state(cfg, axis, literal=True))
         assert abs(jz) < 1e-10
-    lit = parallel_final_state(cfg, "z", literal=True)
-    rep = parallel_final_state(cfg, "z")
+    lit = final_state(cfg, "z", literal=True)
+    rep = final_state(cfg, "z")
     assert fidelity(lit, rep) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequential_ghz_literal_skips_basis_preparation():
     cfg = config("sequential", "ghz", field=FieldVector(0.21, 0.37, 0.13))
-    jz_lit, _ = jz_moments(sequential_final_state(cfg, literal=True))
-    jz_rep, _ = jz_moments(sequential_final_state(cfg))
+    jz_lit, _ = jz_moments(final_state(cfg, literal=True))
+    jz_rep, _ = jz_moments(final_state(cfg))
     assert jz_rep == pytest.approx(analytic_jz(cfg), abs=1e-10)
     assert abs(jz_lit - jz_rep) > 1.0
 
@@ -189,7 +188,7 @@ def test_exact_pulsed_chain_converges_to_closed_forms():
 
 def test_zero_duration_segments_are_identity():
     cfg = config("parallel", "scs", durations=(0.0, 0.0, 0.0))
-    jz, jz2 = jz_moments(parallel_final_state(cfg, "x"))
+    jz, jz2 = jz_moments(final_state(cfg, "x"))
     assert jz == pytest.approx(0.0, abs=1e-12)
     assert jz2 == pytest.approx(analytic_jz2(cfg, "x"), abs=1e-12)
 
@@ -207,37 +206,40 @@ def test_parallel_precisions_are_flat_bounds():
 
 
 def test_sequential_precision_analytic_matches_numeric():
-    rng = np.random.default_rng(5)
-    for probe in ("scs", "ghz"):
-        for _ in range(5):
-            field = FieldVector(*rng.uniform(0.1, 1.2, 3))
-            cfg = config("sequential", probe, field=field,
-                         durations=tuple(rng.uniform(0.4, 1.3, 3)))
-            for axis in "xyz":
-                ana = analytic_delta_b(cfg, axis)
-                num = delta_b_numeric(cfg, axis)
-                if math.isinf(ana):
-                    assert math.isinf(num) or num > 1e6
-                else:
-                    assert num == pytest.approx(ana, rel=1e-6)
+    for gamma in (1.0, 2.5):
+        rng = np.random.default_rng(5)
+        for probe in ("scs", "ghz"):
+            for _ in range(5):
+                field = FieldVector(*rng.uniform(0.1, 1.2, 3), gamma=gamma)
+                cfg = config("sequential", probe, field=field,
+                             durations=tuple(rng.uniform(0.4, 1.3, 3)))
+                for axis in "xyz":
+                    ana = analytic_delta_b(cfg, axis)
+                    num = delta_b_numeric(cfg, axis)
+                    if math.isinf(ana):
+                        assert math.isinf(num) or num > 1e6
+                    else:
+                        assert num == pytest.approx(ana, rel=1e-6)
 
 
 def test_qfi_numeric_matches_analytic_and_prefers_appendix():
-    cfg = config("sequential", "ghz", durations=(1.0, 0.8, 1.2))
-    for axis in "xyz":
-        variants = qfi_analytic(cfg, axis)
-        assert qfi_numeric(cfg, axis) == pytest.approx(variants.appendix, rel=1e-7)
-    # y and z separate the two candidate forms at this working point
-    assert qfi_analytic(cfg, "y").main != pytest.approx(
-        qfi_analytic(cfg, "y").appendix, rel=1e-3)
-    for scheme, probe in (("parallel", "scs"), ("parallel", "ghz"),
-                          ("sequential", "scs")):
-        other = config(scheme, probe, durations=(1.0, 0.8, 1.2))
+    for gamma in (1.0, 2.5):
+        field = FieldVector(*FIELD.components, gamma=gamma)
+        cfg = config("sequential", "ghz", field=field, durations=(1.0, 0.8, 1.2))
         for axis in "xyz":
-            variants = qfi_analytic(other, axis)
-            assert variants.main == variants.appendix
-            assert qfi_numeric(other, axis) == pytest.approx(
-                variants.appendix, rel=1e-7)
+            variants = qfi_analytic(cfg, axis)
+            assert qfi_numeric(cfg, axis) == pytest.approx(variants.appendix, rel=1e-7)
+        # y and z separate the two candidate forms at this working point
+        assert qfi_analytic(cfg, "y").main != pytest.approx(
+            qfi_analytic(cfg, "y").appendix, rel=1e-3)
+        for scheme, probe in (("parallel", "scs"), ("parallel", "ghz"),
+                              ("sequential", "scs")):
+            other = config(scheme, probe, field=field, durations=(1.0, 0.8, 1.2))
+            for axis in "xyz":
+                variants = qfi_analytic(other, axis)
+                assert variants.main == variants.appendix
+                assert qfi_numeric(other, axis) == pytest.approx(
+                    variants.appendix, rel=1e-7)
     # At zero field the sequential z QFI vanishes; round-off must not push
     # it below zero.
     zero = config("sequential", "scs", field=FieldVector(0.0, 0.0, 0.0))
@@ -315,6 +317,39 @@ def test_exact_derivatives_match_finite_differences(n, field, durations, gamma,
         assert delta_b == pytest.approx(delta_jz / abs(fd_slope), rel=1e-6)
     else:  # near a blind spot: the exact slope is at most the oracle's
         assert delta_b >= delta_jz / (abs(fd_slope) + 1e-9 * scale)
+
+
+@settings(derandomize=True, deadline=None)
+@given(half_n=st.integers(1, 20),
+       field=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       durations=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+       gamma=st.sampled_from([1.0, 2.5]),
+       scheme=st.sampled_from(SCHEMES),
+       probe=st.sampled_from(PROBES),
+       axis=st.sampled_from(AXES))
+def test_closed_forms_match_simulation(half_n, field, durations, gamma, scheme,
+                                       probe, axis):
+    n, j = 2 * half_n, float(half_n)
+    cfg = config(scheme, probe, dims=EnsembleDims(n),
+                 field=FieldVector(*field, gamma=gamma), durations=durations)
+    which = axis if scheme == "parallel" else None
+    jz, jz2 = jz_moments(final_state(cfg, which))
+    assert closed_form_jz(scheme, probe, n, *cfg.phases, which) == pytest.approx(
+        jz, abs=1e-9 * j)
+    assert closed_form_jz2(scheme, probe, n, *cfg.phases, which) == pytest.approx(
+        jz2, abs=1e-9 * j * j)
+    s, ds = signal_terms(scheme, probe, n, *cfg.phases, which)
+    # Away from blind spots and from |S| = 1; gamma T >= 1e-6 keeps the slope
+    # above the numeric path's blind-spot floor.
+    if abs(ds[axis]) >= 1e-3 and 1.0 - s**2 >= 1e-6 and gamma * cfg.duration(axis) >= 1e-6:
+        assert analytic_delta_b(cfg, axis) == pytest.approx(
+            delta_b_numeric(cfg, axis), rel=1e-6)
+    odd = dataclasses.replace(cfg, probe="ghz", dims=EnsembleDims(n - 1))
+    for closed_form in (signal_terms, closed_form_jz, closed_form_jz2):
+        with pytest.raises(AnalyticBranchError):
+            closed_form(scheme, "ghz", n - 1, *cfg.phases, which)
+    with pytest.raises(AnalyticBranchError):
+        analytic_delta_b(odd, axis)
 
 
 def test_derivatives_refuse_exact_evolution():
