@@ -61,11 +61,22 @@ def _angle(text: str) -> float:
     try:
         if text.endswith("pi"):
             head = text[:-2].strip()
-            return (float(head) if head else 1.0) * math.pi
-        return float(text)
+            value = (float(head) if head else 1.0) * math.pi
+        else:
+            value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number or a pi multiple like 0.06pi, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_angle(text: str) -> float:
+    value = _angle(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
 
 
 def _triple(text: str) -> tuple[float, float, float]:
@@ -74,6 +85,13 @@ def _triple(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated numbers, got {text!r}")
     return tuple(_angle(p) for p in parts)
+
+
+def _durations(text: str) -> tuple[float, float, float]:
+    values = _triple(text)
+    if any(v < 0 for v in values):
+        raise argparse.ArgumentTypeError(f"durations must be >= 0, got {text!r}")
+    return values
 
 
 def _grid(text: str) -> tuple[float, float, int]:
@@ -86,6 +104,9 @@ def _grid(text: str) -> tuple[float, float, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected start:stop:points, got {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(
+            f"expected finite start and stop, got {text!r}")
     if points < 2 or stop <= start:
         raise argparse.ArgumentTypeError(
             f"need stop > start and points >= 2, got {text!r}")
@@ -390,7 +411,7 @@ def _add_common(sub, scheme_flag=True, b_required=True, durations=False):
     sub.add_argument("--B", type=_triple, required=b_required,
                      help="field components bx,by,bz (pi literals allowed)")
     if durations:
-        sub.add_argument("--T", type=_triple, default=(1.0, 1.0, 1.0),
+        sub.add_argument("--T", type=_durations, default=(1.0, 1.0, 1.0),
                          help="per-axis interrogation times tx,ty,tz (default 1,1,1)")
     sub.add_argument("--output", "-o", default=None,
                      help="artifact path (default stdout)")
@@ -411,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="time grid start:stop:points")
     sim.add_argument("--evolution", choices=("analytic", "effective", "exact"),
                      default="analytic", help="trace source (default analytic)")
-    sim.add_argument("--tau", type=_angle, default=None,
+    sim.add_argument("--tau", type=_positive_angle, default=None,
                      help="pulse spacing for --evolution exact")
     sim.set_defaults(func=cmd_simulate, parser=sim)
 
@@ -420,7 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(spect, scheme_flag=False)
     spect.add_argument("--M", type=_positive_int, default=4096,
                       help="sample count, power of two (default 4096)")
-    spect.add_argument("--t-max", dest="t_max", type=_angle, default=None,
+    spect.add_argument("--t-max", dest="t_max", type=_positive_angle,
+                      default=None,
                       help="trace length (default: quarter-Nyquist rule)")
     spect.add_argument("--method",
                       choices=("amplitude-rule", "pair-spread-rule"),
@@ -452,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scal.add_argument("--N", type=_int_list,
                       default=tuple(range(4, 41, 2)),
                       help="comma-separated ensemble sizes (default evens 4..40)")
-    scal.add_argument("--duration", type=_angle, default=1.0,
+    scal.add_argument("--duration", type=_positive_angle, default=1.0,
                       help="interrogation time per axis (default 1)")
     scal.add_argument("--output", "-o", default=None)
     scal.set_defaults(func=cmd_scaling, parser=scal)
@@ -461,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="pulse-error Monte Carlo, F2 versus time")
     rob.add_argument("--N", type=_positive_int, default=10)
     rob.add_argument("--B", type=_triple, default=(4.0, 5.0, 6.0))
-    rob.add_argument("--tau", type=_angle, default=1e-3,
+    rob.add_argument("--tau", type=_positive_angle, default=1e-3,
                      help="pulse spacing (default 1e-3)")
     rob.add_argument("--pairs", type=_positive_int, default=1000,
                      help="pulse pairs per axis block (default 1000)")

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .schemes import (
     SchemeConfig,
@@ -369,7 +368,8 @@ def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
     Parallel devices have field-independent precision, read at one point.
     Sequential readouts are minimized on a coarse grid (max(24, 2N) points
     per axis, to track the cat probe's N-fold fringes) and polished with
-    Nelder-Mead inside the open box.
+    Nelder-Mead inside the open box.  scipy.optimize is imported here, on
+    first use, so commands that never minimize load numpy alone.
     """
     def delta_b(bx, by, bz):
         return closed_form_delta_b(scheme, probe, n, axis, duration,
@@ -390,6 +390,8 @@ def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
         if np.any(b <= 0.0) or np.any(b >= upper):
             return math.inf
         return float(delta_b(b[0], b[1], b[2]))
+
+    from scipy import optimize
 
     result = optimize.minimize(objective, start, method="Nelder-Mead",
                                options={"xatol": 1e-10, "fatol": 1e-14,

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ def test_flag_grammar_rejections(capsys):
          "--axis", "x", "--grid", "0:6"),
         ("spectrum", "--probe", "scs", "--B", "10,6,2", "--M", "1000"),
         ("robustness", "--eta", "-0.1"),
+        # out-of-range numbers are refused by the flag types, before any run
+        ("robustness", "--eta", "nan"),
+        ("qfi", "--scheme", "sequential", "--probe", "scs", "--B", "1,1,1",
+         "--T=1,-1,1"),
+        ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,1,1",
+         "--grid", "0:1:4", "--evolution", "exact", "--tau", "-0.1"),
+        ("robustness", "--tau", "0"),
+        ("spectrum", "--probe", "scs", "--B", "10,6,2", "--t-max", "0"),
+        ("precision", "--scheme", "sequential", "--probe", "scs", "--B", "nan,1,1"),
+        ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "inf,1,1",
+         "--grid", "0:1:4"),
+        ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,1,1",
+         "--grid", "0:inf:4"),
+        ("scaling", "--duration", "0"),
+        ("scaling", "--duration", "-1"),
     )
     for argv in bad:
         code, _, _ = run_cli(capsys, *argv)
@@ -317,3 +333,50 @@ def test_module_entry_point():
                           "--only", "2"], capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.splitlines()[0].startswith("# ")
+
+
+LIGHT_RUNS_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from vecmag.cli import main
+
+    def run(*argv):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                return main(list(argv))
+            except SystemExit as exc:
+                return exc.code
+
+    codes = [
+        run("simulate", "--scheme", "parallel", "--probe", "ghz", "--B", "2,2,2",
+            "--axis", "z", "--grid", "0:6:64"),
+        run("simulate", "--scheme", "sequential", "--probe", "scs", "--N", "5",
+            "--B", "1,0.6,0.2", "--grid", "0:1:4", "--evolution", "exact",
+            "--tau", "1e-2"),
+        run("spectrum", "--probe", "scs", "--B", "10,6,2", "--M", "1024"),
+        run("spectrum", "--probe", "scs", "--B", "10,6,6", "--t-max", "12.8"),
+        run("precision", "--scheme", "sequential", "--probe", "scs",
+            "--B", "1,0.8,1.2"),
+        run("qfi", "--scheme", "sequential", "--probe", "ghz", "--B", "1,0.8,1.2"),
+        run("robustness", "--pairs", "10", "--trials", "2", "--mode", "both"),
+        run("validate", "--only", "10"),
+    ]
+    light_scipy = sorted(m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy."))
+    scaling_code = run("scaling", "--N", "4,6,8")
+    print(json.dumps({"codes": codes, "light_scipy": light_scipy,
+                      "scaling_code": scaling_code,
+                      "optimize_loaded": "scipy.optimize" in sys.modules}))
+""")
+
+
+def test_light_commands_do_not_import_scipy():
+    # A fresh interpreter: this process may already hold scipy.
+    out = subprocess.run([sys.executable, "-c", LIGHT_RUNS_SCRIPT],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout.splitlines()[-1])
+    assert doc["codes"] == [0, 0, 0, 4, 0, 0, 0, 0]
+    assert doc["light_scipy"] == []
+    assert doc["scaling_code"] == 0
+    assert doc["optimize_loaded"] is True
