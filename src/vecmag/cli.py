@@ -36,12 +36,12 @@ from .estimation import (
 from .pulses import DDSchedule, NoiseModel, fidelity_f2
 from .schemes import (
     SchemeConfig,
+    _json_num,
     closed_form_jz,
-    final_state,
-    jz_moments,
     precision_report,
     qfi_analytic,
     qfi_numeric,
+    simulated_jz,
 )
 from .spin import AXES, EnsembleDims, FieldVector
 from .validation import CRITERION_NAMES, DEFAULT_SEED, run_all
@@ -177,11 +177,6 @@ def _error_json(kind: str, exc: Exception) -> None:
                                 sort_keys=True) + "\n")
 
 
-def _json_num(value):
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
 # ------------------------------------------------------------- subcommands
 
 def cmd_simulate(args) -> int:
@@ -204,12 +199,9 @@ def cmd_simulate(args) -> int:
         values = np.asarray(closed_form_jz(args.scheme, args.probe, args.N,
                                            *phases, axis=args.axis), dtype=float)
     else:
-        dims = EnsembleDims(args.N)
-        values = []
-        for t in times.tolist():
-            cfg = SchemeConfig(args.scheme, args.probe, dims, field,
-                               (t, t, t), evolution=args.evolution, tau=args.tau)
-            values.append(jz_moments(final_state(cfg, args.axis))[0])
+        cfg = SchemeConfig(args.scheme, args.probe, EnsembleDims(args.N), field,
+                           (0.0, 0.0, 0.0), evolution=args.evolution, tau=args.tau)
+        values = simulated_jz(cfg, times, args.axis)
     params = {"scheme": args.scheme, "probe": args.probe, "N": args.N,
               "B": list(args.B), "axis": args.axis,
               "grid": [start, stop, points], "evolution": args.evolution,

@@ -16,16 +16,16 @@ through zero is reported as out-of-regime rather than unfolded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .schemes import (
     SchemeConfig,
+    _json_num,
     closed_form_delta_b,
     closed_form_jz,
-    final_state,
-    jz_moments,
+    simulated_jz,
 )
 from .spin import AXES, _frozen
 
@@ -136,15 +136,12 @@ class RecoveredField:
     scale: float
 
     def to_json_dict(self) -> dict:
-        def num(x: float):
-            return None if math.isinf(x) or math.isnan(x) else x
-
         return {
-            "bx": num(self.bx),
-            "by": num(self.by),
-            "bz": num(self.bz),
+            "bx": _json_num(self.bx),
+            "by": _json_num(self.by),
+            "bz": _json_num(self.bz),
             "method": self.method,
-            "residual": num(self.residual),
+            "residual": _json_num(self.residual),
             "scale": self.scale,
         }
 
@@ -169,10 +166,7 @@ def sample_signal(config: SchemeConfig, t_max: float, m: int) -> SignalTrace:
                                 couplings[0] * times, couplings[1] * times,
                                 couplings[2] * times)
     else:
-        values = np.empty(m)
-        for k, t in enumerate(times):
-            point = replace(config, durations=(float(t), float(t), float(t)))
-            values[k] = jz_moments(final_state(point))[0]
+        values = simulated_jz(config, times)
     return SignalTrace(times, values, config.probe, config.dims.N)
 
 

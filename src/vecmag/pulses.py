@@ -89,55 +89,62 @@ class NoiseModel:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
-def _draw_pair_angles(sched: DDSchedule, noise: NoiseModel | None, rng) -> tuple[float, float]:
-    """Signed pulse angles (chronologically first, second) for one pair.
+def _pair_plan(schedules) -> list[DDSchedule]:
+    """The schedule each pulse pair belongs to, in pulse order."""
+    return [sched for sched in schedules for _ in range(sched.pairs)]
 
-    Angles are in the e^{-i angle J_axis} convention, so the alternating
-    pair free/+pi/free/-pi comes out as (-(pi+d1), +(pi+d2)).
+
+def _pair_times(schedules) -> np.ndarray:
+    """Elapsed time at the end of every pulse pair: the F1 and F2 grid."""
+    return np.cumsum([2.0 * sched.tau for sched in _pair_plan(schedules)])
+
+
+def _angle_table(schedules, noise: NoiseModel | None = None) -> np.ndarray:
+    """Signed pulse angles of shape (pairs, 2, 1 + trials), in pulse order.
+
+    In the e^{-i angle J_axis} convention an alternating pair (free/+pi/
+    free/-pi) is (-(pi+d1), +(pi+d2)).  Column 0 holds the exact pi pulses;
+    column 1 + k holds trial k, with all its errors drawn at once from the
+    stream seeded by (noise.seed, k).
     """
-    if noise is None or noise.eta == 0.0:
-        d1 = d2 = 0.0
-    elif noise.paired_error:
-        d1 = d2 = rng.uniform(-noise.eta, noise.eta)
-    else:
-        d1 = rng.uniform(-noise.eta, noise.eta)
-        d2 = rng.uniform(-noise.eta, noise.eta)
-    if sched.mode == "alternating":
-        return -(np.pi + d1), np.pi + d2
-    return np.pi + d1, np.pi + d2
+    plan = _pair_plan(schedules)
+    trials = 0 if noise is None else noise.trials
+    angles = np.full((len(plan), 2, 1 + trials), np.pi)
+    for k in range(trials):
+        shape = (len(plan), 1 if noise.paired_error else 2)
+        rng = np.random.default_rng([noise.seed, k])
+        angles[:, :, 1 + k] += rng.uniform(-noise.eta, noise.eta, shape)
+    angles[[s.mode == "alternating" for s in plan], 0] *= -1.0
+    return angles
 
 
-def evolve_exact(state: DickeState, field: FieldVector, schedules,
-                 noise: NoiseModel | None = None, rng=None) -> DickeState:
-    """Pulse-by-pulse evolution through the listed DD blocks.
+def evolve_exact(state: DickeState, field: FieldVector, schedules) -> DickeState:
+    """Pulse-by-pulse evolution through the listed DD blocks, exact pi pulses.
 
     Each pair applies free evolution, the first pi pulse, free evolution,
-    the second pi pulse (chronological order).  The free-evolution unitary
-    is computed once per distinct tau and reused.
+    the second pi pulse (chronological order).
     """
     if not schedules:
         return state
-    if noise is not None and noise.eta > 0.0 and rng is None:
-        rng = np.random.default_rng(noise.seed)
-    psi = state.amplitudes
-    for step in _iter_pair_states(psi, state.dims, field, schedules, noise, rng):
-        psi = step
+    angles = _angle_table(schedules)[:, :, 0].tolist()
+    for psi in _iter_pair_states(state.amplitudes, state.dims, field, schedules, angles):
+        pass
     return DickeState(state.dims, psi / np.linalg.norm(psi))
 
 
-def _iter_pair_states(psi, dims, field, schedules, noise, rng):
-    """Yield the raw state vector after every pulse pair, block by block."""
+def _iter_pair_states(psi, dims, field, schedules, angles):
+    """Yield the raw state after every pulse pair, block by block.
+
+    psi is a (dim,) vector or a (dim, k) block; angles[i] holds pair i's
+    (first, second) angles, scalars or one per column (see _angle_table).
+    The free-evolution unitary is computed once per distinct tau.
+    """
     h_b = field_hamiltonian(dims, field)
-    free_cache: dict[float, np.ndarray] = {}
-    for sched in schedules:
-        if sched.tau not in free_cache:
-            free_cache[sched.tau] = unitary_from_generator(h_b, sched.tau)
-        u_free = free_cache[sched.tau]
-        for _ in range(sched.pairs):
-            a_first, a_second = _draw_pair_angles(sched, noise, rng)
-            psi = propagate(dims, sched.axis, a_first, u_free @ psi)
-            psi = propagate(dims, sched.axis, a_second, u_free @ psi)
-            yield psi
+    u_free = {t: unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
+    for sched, (a_first, a_second) in zip(_pair_plan(schedules), angles):
+        psi = propagate(dims, sched.axis, a_first, u_free[sched.tau] @ psi)
+        psi = propagate(dims, sched.axis, a_second, u_free[sched.tau] @ psi)
+        yield psi
 
 
 @dataclass(frozen=True)
@@ -167,9 +174,8 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
     The total time is split into three equal single-axis blocks of duration
     T_block = total_time / 3, applied in block_order.  For each ratio r in
     tau_over_T the spacing is tau = r * T_block and the pair count is
-    L = round(1 / (2 r)) unless L_per_axis overrides it.  Both the exact
-    and the effective state advance pair by pair and are compared at every
-    pair boundary.
+    L = round(1 / (2 r)) unless L_per_axis overrides it.  The exact and the
+    effective state are compared at every pair boundary.
     """
     ratios = [float(r) for r in np.atleast_1d(tau_over_T)]
     if any(r <= 0 for r in ratios):
@@ -180,19 +186,15 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
         tau = ratio * t_block
         pairs = L_per_axis if L_per_axis is not None else max(1, round(1.0 / (2.0 * ratio)))
         schedules = [DDSchedule(ax, pairs, tau) for ax in block_order]
-        psi = phi = scs_state(dims).amplitudes
-        times, values = [], []
-        t = 0.0
-        pair_iter = _iter_pair_states(psi, dims, field, schedules, None, None)
-        for sched in schedules:
-            angle = field.coupling(sched.axis) * 2.0 * tau
-            for _ in range(sched.pairs):
-                psi = next(pair_iter)
-                phi = propagate(dims, sched.axis, angle, phi)
-                t += 2.0 * tau
-                times.append(t)
-                values.append(abs(np.vdot(psi, phi)) ** 2)
-        curves.append(F1Curve(ratio, pairs, tau, np.array(times), np.array(values)))
+        phi = scs_state(dims).amplitudes
+        angles = _angle_table(schedules)[:, :, 0].tolist()
+        free_angle = {ax: field.coupling(ax) * 2.0 * tau for ax in block_order}
+        values = []
+        for sched, psi in zip(_pair_plan(schedules),
+                              _iter_pair_states(phi, dims, field, schedules, angles)):
+            phi = propagate(dims, sched.axis, free_angle[sched.axis], phi)
+            values.append(abs(np.vdot(psi, phi)) ** 2)
+        curves.append(F1Curve(ratio, pairs, tau, _pair_times(schedules), np.array(values)))
     return curves
 
 
@@ -215,24 +217,22 @@ def fidelity_f2(dims: EnsembleDims, field: FieldVector, schedules,
                 noise: NoiseModel) -> F2Result:
     """F2(t) = |<noiseless(t)|noisy(t)>|^2 over `noise.trials` realizations.
 
-    Trial k draws its errors from an independent stream seeded by
-    (noise.seed, k), so results are reproducible and order-independent.
-    The reference trajectory runs the same schedules with exact pi pulses.
+    The noiseless reference (column 0) and the trials run as one
+    (dim, 1 + trials) block through a single pass over the pulses.  Trial k
+    draws its errors from its own stream seeded by (noise.seed, k), so
+    results are reproducible and depend on the trial count only at round-off
+    level.  With eta = 0 every trial is the reference: F2 is 1 by definition.
     """
     if not schedules:
         raise ValueError("at least one schedule is required")
-    psi0 = scs_state(dims).amplitudes
-    reference = list(_iter_pair_states(psi0, dims, field, schedules, None, None))
-    ref_norm2 = [np.vdot(r, r).real for r in reference]
-    times = np.cumsum([2.0 * s.tau for s in schedules for _ in range(s.pairs)])
-    table = np.empty((noise.trials, len(reference)))
-    for trial in range(noise.trials):
-        rng = np.random.default_rng([noise.seed, trial])
-        noisy = _iter_pair_states(psi0, dims, field, schedules, noise, rng)
-        for i, (ref, psi) in enumerate(zip(reference, noisy)):
-            # normalized so a zero-error trajectory scores exactly 1 even
-            # though the raw vectors' norms drift at machine level
-            v = np.vdot(ref, psi)
-            num = v.real * v.real + v.imag * v.imag
-            table[trial, i] = num / (ref_norm2[i] * np.vdot(psi, psi).real)
+    times = _pair_times(schedules)
+    table = np.ones((noise.trials, times.size))
+    if noise.eta > 0.0:
+        block = np.repeat(scs_state(dims).amplitudes[:, None], 1 + noise.trials, 1)
+        angles = _angle_table(schedules, noise)
+        for i, psi in enumerate(_iter_pair_states(block, dims, field, schedules, angles)):
+            # normalized so the raw vectors' machine-level norm drift cancels
+            overlap = psi[:, 0].conj() @ psi[:, 1:]
+            norm2 = np.sum(psi.real ** 2 + psi.imag ** 2, axis=0)
+            table[:, i] = (overlap.real ** 2 + overlap.imag ** 2) / (norm2[0] * norm2[1:])
     return F2Result(times, table.mean(axis=0), table.std(axis=0), table.min(axis=1))

@@ -16,7 +16,7 @@ functions refuse rather than return garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -275,6 +275,15 @@ def final_state(config: SchemeConfig, axis: str | None = None,
     return run_chain(config, _readout_chain(config, axis, literal))
 
 
+def simulated_jz(config: SchemeConfig, times, axis: str | None = None) -> np.ndarray:
+    """Simulated <Jz> at each time t, every interrogation time set to t.
+
+    One chain run per point: exact evolution re-times its pulses per point.
+    """
+    points = (replace(config, durations=(t, t, t)) for t in map(float, times))
+    return np.array([jz_moments(final_state(point, axis))[0] for point in points])
+
+
 def _tangent(config: SchemeConfig, axis: str) -> np.ndarray:
     """One chain pass giving the final state (column 0) and its exact
     derivatives in B_x, B_y, B_z (columns 1-3) as a (dim, 4) block."""
@@ -409,8 +418,8 @@ def qfi_analytic(config: SchemeConfig, axis: str) -> QFIVariants:
     n = config.dims.N
     signal_terms(config.scheme, config.probe, n, *config.phases, axis)  # odd-N cat refuses
     px, py, _ = config.phases
-    gamma_t = config.field.gamma * config.duration(axis)
-    scale = (n if config.probe == "scs" else n * n) * gamma_t**2
+    gamma_t_sq = _square(config.field.gamma * config.duration(axis))
+    scale = (n if config.probe == "scs" else n * n) * gamma_t_sq
     if config.scheme == "parallel" or axis == "x":
         return QFIVariants(scale, scale)
     if axis == "y":
@@ -420,6 +429,18 @@ def qfi_analytic(config: SchemeConfig, axis: str) -> QFIVariants:
         main = scale * (1.0 - math.cos(px) ** 2 * math.cos(py) ** 2)
         appendix = scale * (1.0 - math.cos(n * px) ** 2 * math.sin(n * py) ** 2)
     return QFIVariants(main, main if config.probe == "scs" else appendix)
+
+
+def _square(x: float) -> float:
+    """x**2, saturating to inf where the float power would raise OverflowError."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** 2)
+
+
+def _json_num(value):
+    """A finite float for JSON, or None for inf and NaN."""
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
@@ -493,9 +514,6 @@ class PrecisionReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        def num(x: float):
-            return None if math.isinf(x) or math.isnan(x) else x
-
         return {
             "scheme": self.scheme,
             "probe": self.probe,
@@ -504,15 +522,15 @@ class PrecisionReport:
             "axes": [
                 {
                     "axis": a.axis,
-                    "jz": num(a.jz),
-                    "jz2": num(a.jz2),
-                    "delta_jz": num(a.delta_jz),
-                    "delta_b_analytic": num(a.delta_b_analytic),
-                    "delta_b_numeric": num(a.delta_b_numeric),
-                    "qfi_analytic_main": num(a.qfi_analytic_main),
-                    "qfi_analytic_appendix": num(a.qfi_analytic_appendix),
-                    "qfi_numeric": num(a.qfi_numeric),
-                    "qcrb": num(a.qcrb),
+                    "jz": _json_num(a.jz),
+                    "jz2": _json_num(a.jz2),
+                    "delta_jz": _json_num(a.delta_jz),
+                    "delta_b_analytic": _json_num(a.delta_b_analytic),
+                    "delta_b_numeric": _json_num(a.delta_b_numeric),
+                    "qfi_analytic_main": _json_num(a.qfi_analytic_main),
+                    "qfi_analytic_appendix": _json_num(a.qfi_analytic_appendix),
+                    "qfi_numeric": _json_num(a.qfi_numeric),
+                    "qcrb": _json_num(a.qcrb),
                     "blind_spot": a.blind_spot,
                 }
                 for a in self.axes
@@ -540,7 +558,7 @@ def precision_report(config: SchemeConfig, axes=AXES, eta: int = 1) -> Precision
         db_ana = analytic_delta_b(config, axis)
         qcrb = math.inf if qfi_num <= 0 else 1.0 / math.sqrt(eta * qfi_num)
         gamma_t = config.field.gamma * config.duration(axis)
-        qfi_scale = (config.dims.N * max(gamma_t, 1e-300)) ** 2
+        qfi_scale = _square(config.dims.N * max(gamma_t, 1e-300))
         blind = math.isinf(db_ana) or qfi_num < BLIND_SPOT_QFI_FLOOR * qfi_scale
         if math.isfinite(db_num) and qfi_num > 0:
             single_shot_bound = 1.0 / math.sqrt(qfi_num)

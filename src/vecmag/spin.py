@@ -4,8 +4,8 @@ N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
 the collective operators, the probe states, the propagator kernel for
-rotations and twists about x, y and z, unitaries from general Hermitian
-generators, and the elementary expectation/fidelity helpers.
+rotations and twists about x, y and z, and unitaries from general
+Hermitian generators.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ __all__ = [
     "twist",
     "scs_state",
     "ghz_state",
-    "expectation",
-    "variance",
-    "fidelity",
 ]
 
 AXES = ("x", "y", "z")
@@ -246,11 +243,12 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out.view(complex).reshape(z.shape)
 
 
-def propagate(dims: EnsembleDims, axis: str, theta: float, psi: np.ndarray,
-              squared: bool = False) -> np.ndarray:
+def propagate(dims: EnsembleDims, axis: str, theta: float | np.ndarray,
+              psi: np.ndarray, squared: bool = False) -> np.ndarray:
     """e^{-i theta J_axis} psi, or e^{-i theta J_axis^2} psi when squared.
 
-    psi is a (dim,) amplitude vector or a (dim, k) block of columns.  J_z
+    psi is a (dim,) amplitude vector or a (dim, k) block of columns; theta
+    is one angle, or for a block a (k,) array of one angle per column.  J_z
     is diagonal.  J_x acts through its cached real eigenbasis with the
     exact eigenvalues -J, ..., J (squared for a twist), and J_y reuses that
     basis between the two diagonal factors of R_z(pi/2), so every axis
@@ -258,6 +256,10 @@ def propagate(dims: EnsembleDims, axis: str, theta: float, psi: np.ndarray,
     """
     v, ev, m, r, r_conj = _jx_basis(dims.N)
     psi = np.asarray(psi, dtype=complex)
+    if isinstance(theta, np.ndarray) and theta.ndim and (
+            psi.ndim != 2 or theta.shape != psi.shape[1:]):
+        raise ValueError(f"per-column angles of shape {theta.shape} "
+                         f"do not match a block of shape {psi.shape}")
     if psi.ndim == 2:
         ev, m, r, r_conj = ev[:, None], m[:, None], r[:, None], r_conj[:, None]
     if axis == "z":
@@ -294,35 +296,3 @@ def ghz_state(dims: EnsembleDims) -> DickeState:
     amps = np.zeros(dims.dim, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return DickeState(dims, amps)
-
-
-def expectation(state: DickeState, op: CollectiveOperator) -> float:
-    """<psi| op |psi> as a real number.
-
-    The imaginary part must vanish for Hermitian op; it is asserted below
-    1e-10 and discarded.
-    """
-    if op.dims != state.dims:
-        raise ValueError("state and operator built for different ensembles")
-    val = np.vdot(state.amplitudes, op.matrix @ state.amplitudes)
-    if abs(val.imag) > 1e-10:
-        raise ArithmeticError(
-            f"expectation of {op.label!r} has imaginary part {val.imag}")
-    return float(val.real)
-
-
-def variance(state: DickeState, op: CollectiveOperator) -> float:
-    """<op^2> - <op>^2, clipped at round-off level."""
-    mean = expectation(state, op)
-    sq = CollectiveOperator(op.dims, op.matrix @ op.matrix, label=f"({op.label})^2")
-    var = expectation(state, sq) - mean * mean
-    if var < -1e-12:
-        raise ArithmeticError(f"variance of {op.label!r} is negative: {var}")
-    return max(var, 0.0)
-
-
-def fidelity(a: DickeState, b: DickeState) -> float:
-    """|<a|b>|^2."""
-    if a.dims != b.dims:
-        raise ValueError("states built for different ensembles")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -227,6 +228,26 @@ def test_precision_near_an_extremum_or_a_blind_spot(capsys, scheme, probe, field
                 entry["delta_b_analytic"], rel=1e-9)
 
 
+def test_huge_duration_reports_null_instead_of_overflowing(capsys):
+    # (gamma T)^2 overflows at T = 1e300: the x figures that depend on it
+    # are written as null, and the y and z figures are unaffected
+    flags = ("--scheme", "sequential", "--probe", "scs", "--B", "1,1,1",
+             "--T", "1e300,1,1")
+    code, out, _ = run_cli(capsys, "qfi", *flags)
+    assert code == 0
+    doc = json.loads("\n".join(split_artifact(out)[1]))
+    assert doc["x"]["main"] is None and doc["x"]["appendix"] is None
+    for axis in ("y", "z"):
+        assert doc[axis]["numeric"] == pytest.approx(doc[axis]["main"], rel=1e-9)
+    code, out, _ = run_cli(capsys, "precision", *flags)
+    assert code == 0
+    axes = json.loads("\n".join(split_artifact(out)[1]))["axes"]
+    assert axes[0]["qfi_analytic_main"] is None
+    assert [a["blind_spot"] for a in axes] == [False, False, False]
+    for entry in axes[1:]:
+        assert entry["delta_b_numeric"] >= entry["qcrb"] - 1e-9
+
+
 def test_qfi_report_names_both_variants(capsys):
     code, out, _ = run_cli(capsys, "qfi", "--scheme", "sequential",
                            "--probe", "ghz", "--B", "1,0.8,1.2")
@@ -380,3 +401,17 @@ def test_light_commands_do_not_import_scipy():
     assert doc["light_scipy"] == []
     assert doc["scaling_code"] == 0
     assert doc["optimize_loaded"] is True
+
+
+def test_robustness_artifact_independent_of_blas_threads():
+    # the reference and the trials share one block product, whose columns
+    # must not depend on how BLAS splits the work
+    argv = [sys.executable, "-m", "vecmag.cli", "robustness", "--mode", "both",
+            "--trials", "3", "--pairs", "50"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run(argv, capture_output=True, env=env)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]

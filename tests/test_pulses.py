@@ -2,21 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vecmag import pulses
 from vecmag.spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
     collective_operator,
-    expectation,
-    fidelity,
+    field_hamiltonian,
     ghz_state,
     propagate,
     scs_state,
+    unitary_from_generator,
 )
 from vecmag.pulses import (
     DDSchedule,
     NoiseModel,
+    _angle_table,
     _iter_pair_states,
     evolve_exact,
     fidelity_f1,
@@ -26,6 +29,16 @@ from vecmag.schemes import SchemeConfig, final_state
 
 DIMS = EnsembleDims(10)
 FIELD = FieldVector(4.0, 5.0, 6.0)
+
+
+def expectation(state, op):
+    """<psi| op |psi> of a Hermitian operator."""
+    return np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real
+
+
+def fidelity(a, b):
+    """|<a|b>|^2."""
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
 def effective(state, blocks):
@@ -164,9 +177,10 @@ def test_identical_mode_converges_to_effective_as_tau_shrinks():
 
 def test_norm_preserved_over_many_pairs():
     psi = scs_state(DIMS).amplitudes
+    scheds = [DDSchedule("x", 10000, 1e-4)]
     last = psi
-    for last in _iter_pair_states(psi, DIMS, FIELD, [DDSchedule("x", 10000, 1e-4)],
-                                  None, None):
+    angles = _angle_table(scheds)[:, :, 0]
+    for last in _iter_pair_states(psi, DIMS, FIELD, scheds, angles):
         pass
     assert abs(np.linalg.norm(last) - 1.0) < 1e-10
 
@@ -238,3 +252,77 @@ def test_f2_reference_scenario_alternating_beats_identical():
     assert ident.mean_trajectory_minimum < 0.01
     wins = np.sum(alt.trial_minima >= ident.trial_minima)
     assert wins == 20
+
+
+def scalar_f2(dims, field, schedules, noise):
+    """Per-trial F2 oracle: one reference pass, then one scalar pass per
+    trial drawing its errors pulse by pulse from the (seed, k) stream."""
+    h_b = field_hamiltonian(dims, field)
+
+    def trajectory(rng):
+        psi, states = scs_state(dims).amplitudes, []
+        for sched in schedules:
+            u_free = unitary_from_generator(h_b, sched.tau)
+            for _ in range(sched.pairs):
+                if rng is None:
+                    d1 = d2 = 0.0
+                elif noise.paired_error:
+                    d1 = d2 = rng.uniform(-noise.eta, noise.eta)
+                else:
+                    d1 = rng.uniform(-noise.eta, noise.eta)
+                    d2 = rng.uniform(-noise.eta, noise.eta)
+                first = -(np.pi + d1) if sched.mode == "alternating" else np.pi + d1
+                psi = propagate(dims, sched.axis, first, u_free @ psi)
+                psi = propagate(dims, sched.axis, np.pi + d2, u_free @ psi)
+                states.append(psi)
+        return states
+
+    reference = trajectory(None)
+    table = np.empty((noise.trials, len(reference)))
+    for k in range(noise.trials):
+        noisy = trajectory(np.random.default_rng([noise.seed, k]))
+        for i, (ref, psi) in enumerate(zip(reference, noisy)):
+            overlap = abs(np.vdot(ref, psi)) ** 2
+            table[k, i] = overlap / (np.vdot(ref, ref).real * np.vdot(psi, psi).real)
+    return table.mean(axis=0), table.std(axis=0), table.min(axis=1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 12),
+       mode=st.sampled_from(["alternating", "identical"]),
+       paired=st.booleans(),
+       eta=st.floats(0.0, 0.5),
+       trials=st.integers(1, 5),
+       blocks=st.lists(st.tuples(st.integers(1, 12), st.sampled_from([1e-3, 0.01, 0.1])),
+                       min_size=1, max_size=3),
+       field=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+       seed=st.integers(0, 2**16))
+def test_f2_block_matches_per_trial_oracle(n, mode, paired, eta, trials, blocks, field,
+                                          seed):
+    dims, fv = EnsembleDims(n), FieldVector(*field)
+    scheds = [DDSchedule(ax, pairs, tau, mode) for ax, (pairs, tau) in zip("zyx", blocks)]
+    noise = NoiseModel(eta=eta, trials=trials, seed=seed, paired_error=paired)
+    res = fidelity_f2(dims, fv, scheds, noise)
+    mean, std, minima = scalar_f2(dims, fv, scheds, noise)
+    assert res.times.size == sum(pairs for pairs, _ in blocks)
+    assert np.max(np.abs(res.mean - mean)) <= 1e-12
+    assert np.max(np.abs(res.std - std)) <= 1e-12
+    assert np.max(np.abs(res.trial_minima - minima)) <= 1e-12
+
+
+def test_f2_runs_reference_and_trials_in_one_block_pass(monkeypatch):
+    passes = []
+
+    def counted(psi, *args):
+        passes.append(psi.shape)
+        return _iter_pair_states(psi, *args)
+
+    monkeypatch.setattr(pulses, "_iter_pair_states", counted)
+    scheds = [DDSchedule(ax, 20, 1e-3) for ax in "zyx"]
+    fidelity_f2(DIMS, FIELD, scheds, NoiseModel(eta=0.1, trials=4, seed=2))
+    assert passes == [(DIMS.dim, 5)]
+    passes.clear()
+    res = fidelity_f2(DIMS, FIELD, scheds, NoiseModel(eta=0.0, trials=4, seed=2))
+    assert passes == []
+    assert np.all(res.mean == 1.0) and np.all(res.std == 0.0)
+    assert np.all(res.trial_minima == 1.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecmag import schemes
-from vecmag.spin import AXES, EnsembleDims, FieldVector, fidelity
+from vecmag.spin import AXES, EnsembleDims, FieldVector
 from vecmag.schemes import (
     PROBES,
     SCHEMES,
@@ -150,7 +150,8 @@ def test_literal_parallel_ghz_transverse_chains_read_nothing():
         assert abs(jz) < 1e-10
     lit = final_state(cfg, "z", literal=True)
     rep = final_state(cfg, "z")
-    assert fidelity(lit, rep) == pytest.approx(1.0, abs=1e-12)
+    overlap = np.vdot(lit.amplitudes, rep.amplitudes)
+    assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequential_ghz_literal_skips_basis_preparation():

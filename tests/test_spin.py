@@ -15,8 +15,6 @@ from vecmag.spin import (
     FieldVector,
     apply_collective,
     collective_operator,
-    expectation,
-    fidelity,
     field_hamiltonian,
     ghz_state,
     propagate,
@@ -25,7 +23,6 @@ from vecmag.spin import (
     squared_operator,
     twist,
     unitary_from_generator,
-    variance,
 )
 
 PROPERTY_NS = list(range(1, 13)) + [20, 30]
@@ -33,6 +30,16 @@ PROPERTY_NS = list(range(1, 13)) + [20, 30]
 
 def op(N, axis):
     return collective_operator(EnsembleDims(N), axis)
+
+
+def expectation(state, operator):
+    """<psi| operator |psi> of a Hermitian operator."""
+    return np.vdot(state.amplitudes, operator.matrix @ state.amplitudes).real
+
+
+def fidelity(a, b):
+    """|<a|b>|^2."""
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
 def test_dims_derived_quantities():
@@ -184,17 +191,23 @@ def test_ghz_state():
 
 
 def test_variance_nonnegative_and_correct():
+    def variance(state, axis):
+        return (expectation(state, squared_operator(state.dims, axis))
+                - expectation(state, collective_operator(state.dims, axis)) ** 2)
+
     g = ghz_state(EnsembleDims(8))
-    assert variance(g, op(8, "z")) == pytest.approx(16.0)
+    assert variance(g, "z") == pytest.approx(16.0)
     s = scs_state(EnsembleDims(8))
-    assert variance(s, op(8, "z")) == pytest.approx(0.0, abs=1e-12)
+    assert variance(s, "z") == pytest.approx(0.0, abs=1e-12)
     # transverse variance of the coherent state is N/4
-    assert variance(s, op(8, "x")) == pytest.approx(2.0)
+    assert variance(s, "x") == pytest.approx(2.0)
 
 
-def test_expectation_rejects_dimension_mismatch():
+def test_state_and_operator_reject_dimension_mismatch():
     with pytest.raises(ValueError):
-        expectation(scs_state(EnsembleDims(4)), op(6, "z"))
+        DickeState(EnsembleDims(6), scs_state(EnsembleDims(4)).amplitudes)
+    with pytest.raises(ValueError):
+        CollectiveOperator(EnsembleDims(6), op(4, "z").matrix)
 
 
 def test_fidelity_basics():
@@ -247,6 +260,25 @@ def test_kernel_matches_spectral_unitaries(N):
                                                squared=squared) - out[:, 0])) < 1e-12
     with pytest.raises(ValueError):
         propagate(dims, "w", 1.0, block)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 10, 31])
+def test_per_column_angles_match_column_by_column_calls(N):
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(100 + N)
+    block = rng.normal(size=(dims.dim, 4)) + 1j * rng.normal(size=(dims.dim, 4))
+    thetas = np.array([0.0, -np.pi, 1.3, 7.9])
+    for axis in AXES:
+        for squared in (False, True):
+            out = propagate(dims, axis, thetas, block, squared=squared)
+            for k, theta in enumerate(thetas):
+                col = propagate(dims, axis, theta, block[:, k], squared=squared)
+                assert np.max(np.abs(out[:, k] - col)) <= 1e-13
+    for bad in (thetas[:3], thetas[:, None]):
+        with pytest.raises(ValueError):
+            propagate(dims, "x", bad, block)
+    with pytest.raises(ValueError):
+        propagate(dims, "z", thetas, block[:, 0])
 
 
 @lru_cache(maxsize=None)
