@@ -1,14 +1,15 @@
 """Command-line front end: traces, spectra, precision and QFI reports,
 scaling and robustness sweeps, and the validation suite.
 
-Every run writes a single text artifact: `#`-prefixed JSON metadata lines
-(command echo, seed where one is used, package version) followed by the
-payload, either CSV rows with a header or a JSON document.  Identical
-invocations produce byte-identical artifacts.
+Every run writes a single text artifact: a `#`-prefixed JSON metadata line
+(command, every parsed flag, package version) followed by the payload,
+either CSV rows with a header or a JSON document.  Identical invocations
+produce byte-identical artifacts.
 
 Exit codes: 0 success; 2 bad flags or flag combinations; 3 numerical or
 validation failure; 4 estimation outside its regime (under-resolved
-spectrum, ambiguous signs, field violating Bx > By + Bz >= 0).
+spectrum, ambiguous signs, field violating Bx > By + Bz >= 0).  See the
+Artifacts section of docs/conventions.md.
 """
 
 from __future__ import annotations
@@ -35,22 +36,29 @@ from .estimation import (
 )
 from .pulses import DDSchedule, NoiseModel, fidelity_f2
 from .schemes import (
+    AnalyticBranchError,
+    BoundViolationError,
     SchemeConfig,
-    _json_num,
     closed_form_jz,
     precision_report,
     qfi_analytic,
     qfi_numeric,
     simulated_jz,
+    to_json,
 )
 from .spin import AXES, EnsembleDims, FieldVector
 from .validation import CRITERION_NAMES, DEFAULT_SEED, run_all
 
-ESTIMATION_ERRORS = {
-    UnderResolvedError: "under-resolved",
-    OutOfRegimeError: "out-of-regime",
-    AmbiguousSignError: "ambiguous-signs",
+# Typed failures: exit code and the `error` kind written to stderr as JSON.
+FAILURES = {
+    BoundViolationError: (3, "bound-violation"),
+    UnderResolvedError: (4, "under-resolved"),
+    OutOfRegimeError: (4, "out-of-regime"),
+    AmbiguousSignError: (4, "ambiguous-signs"),
 }
+
+# Parsed attributes that are plumbing or artifact paths, not run parameters.
+NOT_ECHOED = ("command", "func", "parser", "output", "recovered_output")
 
 
 # ---------------------------------------------------------------- flag types
@@ -149,19 +157,16 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _metadata_line(command: str, params: dict, **extra) -> str:
-    doc = {"command": command, "version": __version__, "params": params}
-    doc.update(extra)
-    return "# " + json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                             allow_nan=False)
-
-
 def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _json_text(doc) -> str:
+    return json.dumps(to_json(doc), sort_keys=True, indent=2) + "\n"
 
 
 def _write_artifact(text: str, path: str | None) -> None:
@@ -172,9 +177,22 @@ def _write_artifact(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _error_json(kind: str, exc: Exception) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "reason": str(exc)},
-                                sort_keys=True) + "\n")
+def _emit(args, payload, resolved=None, **extra) -> None:
+    """Write the artifact: the metadata line, then the payload.
+
+    The metadata echoes every parsed flag but NOT_ECHOED, `resolved`
+    overriding the values settled at run time, and adds `extra` as
+    top-level keys.  payload is CSV text or a document for to_json.
+    """
+    params = {key: value for key, value in vars(args).items()
+              if key not in NOT_ECHOED}
+    params.update(resolved or {})
+    meta = {"command": args.command, "version": __version__,
+            "params": params, **extra}
+    line = json.dumps(to_json(meta), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    body = payload if isinstance(payload, str) else _json_text(payload)
+    _write_artifact("# " + line + "\n" + body, args.output)
 
 
 # ------------------------------------------------------------- subcommands
@@ -193,6 +211,8 @@ def cmd_simulate(args) -> int:
         parser.error("--evolution analytic needs even --N for the ghz probe")
     field = FieldVector(*args.B)
     start, stop, points = args.grid
+    if args.evolution != "analytic" and start < 0:
+        parser.error(f"--evolution {args.evolution} needs a --grid start >= 0")
     times = np.linspace(start, stop, points)
     if args.evolution == "analytic":
         phases = [field.coupling(ax) * times for ax in AXES]
@@ -202,14 +222,8 @@ def cmd_simulate(args) -> int:
         cfg = SchemeConfig(args.scheme, args.probe, EnsembleDims(args.N), field,
                            (0.0, 0.0, 0.0), evolution=args.evolution, tau=args.tau)
         values = simulated_jz(cfg, times, args.axis)
-    params = {"scheme": args.scheme, "probe": args.probe, "N": args.N,
-              "B": list(args.B), "axis": args.axis,
-              "grid": [start, stop, points], "evolution": args.evolution,
-              "tau": args.tau}
-    text = (_metadata_line("simulate", params) + "\n"
-            + _csv_text(["T", "jz"],
-                        ((_fmt(t), _fmt(v)) for t, v in zip(times, values))))
-    _write_artifact(text, args.output)
+    _emit(args, _csv_text(["T", "jz"],
+                          ((_fmt(t), _fmt(v)) for t, v in zip(times, values))))
     return 0
 
 
@@ -229,25 +243,14 @@ def cmd_spectrum(args) -> int:
         t_max = math.pi * args.M / (4.0 * top)
     cfg = SchemeConfig("sequential", args.probe, EnsembleDims(args.N), field,
                        (1.0, 1.0, 1.0))
-    try:
-        trace = sample_signal(cfg, t_max, args.M)
-        recovered, spectrum, peaks = recover_from_trace(
-            trace, method=args.method, on_tie=args.on_tie)
-    except tuple(ESTIMATION_ERRORS) as exc:
-        _error_json(ESTIMATION_ERRORS[type(exc)], exc)
-        return 4
-    params = {"probe": args.probe, "N": args.N, "B": list(args.B),
-              "M": args.M, "t_max": t_max, "method": args.method,
-              "on_tie": args.on_tie}
-    text = (_metadata_line("spectrum", params,
-                           recovered=recovered.to_json_dict(),
-                           peaks=[[p.omega, p.amplitude] for p in peaks]) + "\n"
-            + _csv_text(["omega", "magnitude"],
-                        ((_fmt(w), _fmt(m)) for w, m in spectrum)))
-    _write_artifact(text, args.output)
+    recovered, spectrum, peaks = recover_from_trace(
+        sample_signal(cfg, t_max, args.M), method=args.method, on_tie=args.on_tie)
+    _emit(args, _csv_text(["omega", "magnitude"],
+                          ((_fmt(w), _fmt(m)) for w, m in spectrum)),
+          resolved={"t_max": t_max}, recovered=recovered,
+          peaks=[[p.omega, p.amplitude] for p in peaks])
     if args.recovered_output is not None:
-        body = json.dumps(recovered.to_json_dict(), sort_keys=True, indent=2)
-        _write_artifact(body + "\n", args.recovered_output)
+        _write_artifact(_json_text(recovered), args.recovered_output)
     return 0
 
 
@@ -256,42 +259,27 @@ def _require_even_for_ghz(args) -> None:
         args.parser.error("the ghz probe needs even --N for closed-form analysis")
 
 
-def cmd_precision(args) -> int:
+def _config(args) -> SchemeConfig:
     _require_even_for_ghz(args)
-    cfg = SchemeConfig(args.scheme, args.probe, EnsembleDims(args.N),
-                       FieldVector(*args.B), args.T)
-    try:
-        report = precision_report(cfg, eta=args.repetitions)
-    except ArithmeticError as exc:
-        _error_json("bound-violation", exc)
-        return 3
-    params = {"scheme": args.scheme, "probe": args.probe, "N": args.N,
-              "B": list(args.B), "T": list(args.T),
-              "repetitions": args.repetitions}
-    body = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    _write_artifact(_metadata_line("precision", params) + "\n" + body + "\n",
-                    args.output)
+    return SchemeConfig(args.scheme, args.probe, EnsembleDims(args.N),
+                        FieldVector(*args.B), args.T)
+
+
+def cmd_precision(args) -> int:
+    _emit(args, precision_report(_config(args), eta=args.repetitions))
     return 0
 
 
 def cmd_qfi(args) -> int:
-    _require_even_for_ghz(args)
-    cfg = SchemeConfig(args.scheme, args.probe, EnsembleDims(args.N),
-                       FieldVector(*args.B), args.T)
+    cfg = _config(args)
     table = {}
     for axis in AXES:
         variants = qfi_analytic(cfg, axis)
         numeric = qfi_numeric(cfg, axis)
         qcrb = 1.0 / math.sqrt(numeric) if numeric > 0 else math.inf
-        table[axis] = {"main": _json_num(variants.main),
-                       "appendix": _json_num(variants.appendix),
-                       "numeric": _json_num(numeric),
-                       "qcrb_single_shot": _json_num(qcrb)}
-    params = {"scheme": args.scheme, "probe": args.probe, "N": args.N,
-              "B": list(args.B), "T": list(args.T)}
-    body = json.dumps(table, sort_keys=True, indent=2)
-    _write_artifact(_metadata_line("qfi", params) + "\n" + body + "\n",
-                    args.output)
+        table[axis] = {**variants._asdict(), "numeric": numeric,
+                       "qcrb_single_shot": qcrb}
+    _emit(args, table)
     return 0
 
 
@@ -305,7 +293,7 @@ def cmd_scaling(args) -> int:
                                             duration=args.duration)
                           for axis in AXES]
                 results.append((probe, n, values, ""))
-            except ValueError as exc:  # odd-N cat probe has no closed forms
+            except AnalyticBranchError as exc:  # odd-N cat probe
                 results.append((probe, n, None, f"skipped: {exc}"))
     rows = []
     for probe, n, values, note in results:
@@ -322,11 +310,8 @@ def cmd_scaling(args) -> int:
             fits[probe] = {
                 axis: {"slope": fit.slope, "r_squared": fit.r_squared}
                 for axis, fit in ((ax, scaling_fit(points[ax])) for ax in AXES)}
-    params = {"scheme": args.scheme, "probe": args.probe, "N": list(args.N),
-              "duration": args.duration}
-    text = (_metadata_line("scaling", params, fits=fits) + "\n"
-            + _csv_text(["N", "probe", "db_x", "db_y", "db_z", "note"], rows))
-    _write_artifact(text, args.output)
+    _emit(args, _csv_text(["N", "probe", "db_x", "db_y", "db_z", "note"], rows),
+          fits=fits)
     return 0
 
 
@@ -348,13 +333,8 @@ def cmd_robustness(args) -> int:
                             "mean_trajectory_min": res.mean_trajectory_minimum})
             for t, mean, std in zip(res.times, res.mean, res.std):
                 rows.append([_fmt(eta), mode, _fmt(t), _fmt(mean), _fmt(std)])
-    params = {"N": args.N, "B": list(args.B), "tau": args.tau,
-              "pairs": args.pairs, "trials": args.trials,
-              "eta": list(args.eta), "mode": args.mode,
-              "error_draws": args.error_draws, "seed": args.seed}
-    text = (_metadata_line("robustness", params, summary=summary) + "\n"
-            + _csv_text(["eta", "mode", "t", "f2_mean", "f2_std"], rows))
-    _write_artifact(text, args.output)
+    _emit(args, _csv_text(["eta", "mode", "t", "f2_mean", "f2_std"], rows),
+          summary=summary)
     return 0
 
 
@@ -383,16 +363,14 @@ def cmd_validate(args) -> int:
     rows = [[str(r.index), r.name, "true" if r.passed else "false", r.detail]
             for r in results]
     all_passed = all(r.passed for r in results)
-    params = {"only": indices, "seed": args.seed}
-    text = (_metadata_line("validate", params, all_passed=all_passed) + "\n"
-            + _csv_text(["index", "name", "passed", "detail"], rows))
-    _write_artifact(text, args.output)
+    _emit(args, _csv_text(["index", "name", "passed", "detail"], rows),
+          resolved={"only": indices}, all_passed=all_passed)
     return 0 if all_passed else 3
 
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(sub, scheme_flag=True, b_required=True, durations=False):
+def _add_common(sub, scheme_flag=True, durations=False):
     if scheme_flag:
         sub.add_argument("--scheme", choices=("parallel", "sequential"),
                          required=True, help="readout scheme")
@@ -400,7 +378,7 @@ def _add_common(sub, scheme_flag=True, b_required=True, durations=False):
                      help="initial collective state")
     sub.add_argument("--N", type=_positive_int, default=10,
                      help="ensemble size (default 10)")
-    sub.add_argument("--B", type=_triple, required=b_required,
+    sub.add_argument("--B", type=_triple, required=True,
                      help="field components bx,by,bz (pi literals allowed)")
     if durations:
         sub.add_argument("--T", type=_durations, default=(1.0, 1.0, 1.0),
@@ -502,10 +480,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except tuple(FAILURES) as exc:
+        code, kind = FAILURES[type(exc)]
+        sys.stderr.write(json.dumps({"error": kind, "reason": str(exc)},
+                                    sort_keys=True) + "\n")
+        return code
     except BrokenPipeError:
         # reader closed the pipe (e.g. | head); hand exit-time flushes a sink
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -22,7 +22,6 @@ import numpy as np
 
 from .schemes import (
     SchemeConfig,
-    _json_num,
     closed_form_delta_b,
     closed_form_jz,
     simulated_jz,
@@ -134,16 +133,6 @@ class RecoveredField:
     method: str
     residual: float
     scale: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bx": _json_num(self.bx),
-            "by": _json_num(self.by),
-            "bz": _json_num(self.bz),
-            "method": self.method,
-            "residual": _json_num(self.residual),
-            "scale": self.scale,
-        }
 
 
 def sample_signal(config: SchemeConfig, t_max: float, m: int) -> SignalTrace:

@@ -161,18 +161,13 @@ class F1Curve:
     def minimum(self) -> float:
         return float(np.min(self.values))
 
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
 
 def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
-                tau_over_T, total_time: float = 6.0,
-                block_order=("z", "y", "x")) -> list[F1Curve]:
+                tau_over_T, block_order=("z", "y", "x")) -> list[F1Curve]:
     """F1(t) = |<exact(t)|effective(t)>|^2 for each pulse-spacing ratio.
 
-    The total time is split into three equal single-axis blocks of duration
-    T_block = total_time / 3, applied in block_order.  For each ratio r in
+    The total time 6 is split into three equal single-axis blocks of
+    duration T_block = 2, applied in block_order.  For each ratio r in
     tau_over_T the spacing is tau = r * T_block and the pair count is
     L = round(1 / (2 r)) unless L_per_axis overrides it.  The exact and the
     effective state are compared at every pair boundary.
@@ -180,7 +175,7 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
     ratios = [float(r) for r in np.atleast_1d(tau_over_T)]
     if any(r <= 0 for r in ratios):
         raise ValueError(f"tau/T ratios must be positive, got {ratios}")
-    t_block = total_time / 3.0
+    t_block = 2.0
     curves = []
     for ratio in ratios:
         tau = ratio * t_block

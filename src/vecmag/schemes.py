@@ -16,7 +16,7 @@ functions refuse rather than return garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +45,10 @@ BLIND_SPOT_QFI_FLOOR = 1e-6
 
 class AnalyticBranchError(ValueError):
     """No closed form exists for the requested configuration."""
+
+
+class BoundViolationError(ArithmeticError):
+    """A simulated precision beats the quantum Cramer-Rao bound."""
 
 
 class QFIVariants(NamedTuple):
@@ -437,10 +441,19 @@ def _square(x: float) -> float:
         return float(np.float64(x) ** 2)
 
 
-def _json_num(value):
-    """A finite float for JSON, or None for inf and NaN."""
-    value = float(value)
-    return value if math.isfinite(value) else None
+def to_json(value):
+    """JSON-ready copy of a result: dataclass fields become keys, tuples
+    become lists and non-finite floats become None; ints, bools and
+    strings pass through unchanged."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    return value
 
 
 def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
@@ -461,8 +474,15 @@ def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
 
 
 def _delta_b(config: SchemeConfig, axis: str, delta_jz: float, slope: float) -> float:
-    floor = 1e-12 * config.dims.N * max(1.0, config.duration(axis))
-    return math.inf if abs(slope) < floor else delta_jz / abs(slope)
+    """dJz / |slope|, or inf at a blind spot.
+
+    The slope is (N/2) k gamma T_a dS_a (k = 1 product probe, N cat probe;
+    see signal_terms), so the axis is blind where |slope| <= 1e-12 of that
+    scale, the closed form's |dS| floor in the slope's own units.
+    """
+    k = 1 if config.probe == "scs" else config.dims.N
+    scale = config.dims.N / 2.0 * k * abs(config.field.gamma * config.duration(axis))
+    return math.inf if abs(slope) <= 1e-12 * scale else delta_jz / abs(slope)
 
 
 def qfi_numeric(config: SchemeConfig, axis: str) -> float:
@@ -513,43 +533,19 @@ class PrecisionReport:
                 return entry
         raise KeyError(name)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "probe": self.probe,
-            "n": self.n,
-            "eta": self.eta,
-            "axes": [
-                {
-                    "axis": a.axis,
-                    "jz": _json_num(a.jz),
-                    "jz2": _json_num(a.jz2),
-                    "delta_jz": _json_num(a.delta_jz),
-                    "delta_b_analytic": _json_num(a.delta_b_analytic),
-                    "delta_b_numeric": _json_num(a.delta_b_numeric),
-                    "qfi_analytic_main": _json_num(a.qfi_analytic_main),
-                    "qfi_analytic_appendix": _json_num(a.qfi_analytic_appendix),
-                    "qfi_numeric": _json_num(a.qfi_numeric),
-                    "qcrb": _json_num(a.qcrb),
-                    "blind_spot": a.blind_spot,
-                }
-                for a in self.axes
-            ],
-        }
 
-
-def precision_report(config: SchemeConfig, axes=AXES, eta: int = 1) -> PrecisionReport:
+def precision_report(config: SchemeConfig, eta: int = 1) -> PrecisionReport:
     """Assemble analytic and numeric precision figures for each axis.
 
     eta is the number of independent trials entering the Cramer-Rao bound
     1/sqrt(eta F).  The single-shot numeric precision must respect the
-    single-trial bound; a violation beyond 1e-9 raises ArithmeticError.
+    single-trial bound; a violation beyond 1e-9 raises BoundViolationError.
     """
     if eta < 1:
         raise ValueError("eta must be a positive trial count")
     entries = []
     block = None
-    for axis in axes:
+    for axis in AXES:
         if block is None or config.scheme == "parallel":
             block = _tangent(config, axis)
         jz, jz2, delta_jz, slope, qfi_num = _axis_figures(config, block, axis)
@@ -563,7 +559,7 @@ def precision_report(config: SchemeConfig, axes=AXES, eta: int = 1) -> Precision
         if math.isfinite(db_num) and qfi_num > 0:
             single_shot_bound = 1.0 / math.sqrt(qfi_num)
             if db_num < single_shot_bound - 1e-9:
-                raise ArithmeticError(
+                raise BoundViolationError(
                     f"precision beats the quantum bound on axis {axis}: "
                     f"{db_num} < {single_shot_bound}"
                 )

@@ -216,7 +216,7 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """Pulsed evolution converges to the effective model as spacing shrinks."""
     curves = fidelity_f1(EnsembleDims(10), FieldVector(4.0, 5.0, 6.0), None,
-                         [0.0002, 0.002, 0.005], total_time=6.0)
+                         [0.0002, 0.002, 0.005])
     by_ratio = {c.tau_over_T: c.minimum for c in curves}
     ok = (by_ratio[0.0002] >= 0.999 and by_ratio[0.002] >= 0.99
           and by_ratio[0.005] < by_ratio[0.002])

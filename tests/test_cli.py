@@ -1,5 +1,6 @@
 """Command-line artifacts: flag grammar, exit codes, metadata, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from vecmag import __version__
+from vecmag import __version__, cli, schemes
 from vecmag.cli import main
 
 
@@ -130,6 +131,11 @@ def test_flag_grammar_rejections(capsys):
          "--grid", "0:inf:4"),
         ("scaling", "--duration", "0"),
         ("scaling", "--duration", "-1"),
+        # simulated traces start at T >= 0; only analytic ones run backwards
+        ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,1,1",
+         "--grid=-1:1:4", "--evolution", "effective"),
+        ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,1,1",
+         "--grid=-1:1:4", "--evolution", "exact", "--tau", "0.01"),
     )
     for argv in bad:
         code, _, _ = run_cli(capsys, *argv)
@@ -248,6 +254,17 @@ def test_huge_duration_reports_null_instead_of_overflowing(capsys):
         assert entry["delta_b_numeric"] >= entry["qcrb"] - 1e-9
 
 
+def test_only_a_bound_violation_is_reported_as_one(capsys, monkeypatch):
+    def divide(*_):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(schemes, "analytic_delta_b", divide)
+    with pytest.raises(ZeroDivisionError):
+        main(["precision", "--scheme", "sequential", "--probe", "scs",
+              "--B", "1,0.8,1.2"])
+    assert capsys.readouterr().err == ""
+
+
 def test_qfi_report_names_both_variants(capsys):
     code, out, _ = run_cli(capsys, "qfi", "--scheme", "sequential",
                            "--probe", "ghz", "--B", "1,0.8,1.2")
@@ -289,6 +306,15 @@ def test_scaling_at_off_grid_duration(capsys):
     for n, probe, *values, _ in parse_csv(lines)[1:]:
         floor = 1.0 / ((math.sqrt(int(n)) if probe == "scs" else int(n)) * 0.75)
         assert all(float(v) >= floor * (1 - 1e-6) for v in values)
+
+
+def test_scaling_skips_only_missing_closed_forms(monkeypatch):
+    def fail(*_, **__):
+        raise ValueError("not a closed-form gap")
+
+    monkeypatch.setattr(cli, "minimized_delta_b", fail)
+    with pytest.raises(ValueError, match="not a closed-form gap"):
+        main(["scaling", "--N", "4,6,8", "--probe", "scs"])
 
 
 def test_robustness_zero_error_column_is_exactly_one(capsys):
@@ -354,6 +380,32 @@ def test_module_entry_point():
                           "--only", "2"], capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.splitlines()[0].startswith("# ")
+
+
+ECHO_RUNS = {
+    "simulate": ("--scheme", "parallel", "--probe", "scs", "--B", "1,1,1",
+                 "--axis", "x", "--grid", "0:1:4"),
+    "spectrum": ("--probe", "scs", "--B", "10,6,2", "--M", "1024"),
+    "precision": ("--scheme", "sequential", "--probe", "scs", "--B", "1,0.8,1.2"),
+    "qfi": ("--scheme", "parallel", "--probe", "ghz", "--B", "1,0.8,1.2"),
+    "scaling": ("--scheme", "parallel", "--N", "4,6,8"),
+    "robustness": ("--pairs", "10", "--trials", "2"),
+    "validate": ("--only", "10"),
+}
+
+
+def test_metadata_echoes_every_flag(capsys):
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subs) == set(ECHO_RUNS)
+    for command, argv in ECHO_RUNS.items():
+        dests = {a.dest for a in subs[command]._actions if a.dest != "help"}
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0, command
+        meta, _ = split_artifact(out)
+        assert meta["command"] == command
+        assert set(meta["params"]) == dests - set(cli.NOT_ECHOED), command
 
 
 LIGHT_RUNS_SCRIPT = textwrap.dedent("""

@@ -30,6 +30,7 @@ from vecmag.schemes import (
     run_chain,
     sequential_chain,
     signal_terms,
+    to_json,
 )
 
 DIMS = EnsembleDims(10)
@@ -271,6 +272,17 @@ def test_blind_spot_reported_as_infinite_precision():
     assert entry.qfi_analytic_appendix == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("probe", PROBES)
+def test_short_interrogation_is_not_a_blind_spot(probe):
+    # gamma T_x = 1e-13 shrinks the x slope with the closed form's own scale;
+    # an absolute slope floor read it as a blind spot (inf)
+    cfg = config("sequential", probe, field=FieldVector(0.3, 0.4, 0.5),
+                 durations=(1e-13, 1.0, 1.0))
+    ana = analytic_delta_b(cfg, "x")
+    assert math.isfinite(ana)
+    assert delta_b_numeric(cfg, "x") == pytest.approx(ana, rel=1e-6)
+
+
 def test_precision_report_respects_quantum_bound():
     rng = np.random.default_rng(6)
     for scheme, probe in (("parallel", "scs"), ("parallel", "ghz"),
@@ -340,9 +352,9 @@ def test_closed_forms_match_simulation(half_n, field, durations, gamma, scheme,
     assert closed_form_jz2(scheme, probe, n, *cfg.phases, which) == pytest.approx(
         jz2, abs=1e-9 * j * j)
     s, ds = signal_terms(scheme, probe, n, *cfg.phases, which)
-    # Away from blind spots and from |S| = 1; gamma T >= 1e-6 keeps the slope
-    # above the numeric path's blind-spot floor.
-    if abs(ds[axis]) >= 1e-3 and 1.0 - s**2 >= 1e-6 and gamma * cfg.duration(axis) >= 1e-6:
+    # Away from blind spots and from |S| = 1; any gamma T > 0, as both paths
+    # scale their blind-spot floor with it.
+    if abs(ds[axis]) >= 1e-3 and 1.0 - s**2 >= 1e-6 and gamma * cfg.duration(axis) > 0:
         assert analytic_delta_b(cfg, axis) == pytest.approx(
             delta_b_numeric(cfg, axis), rel=1e-6)
     odd = dataclasses.replace(cfg, probe="ghz", dims=EnsembleDims(n - 1))
@@ -381,11 +393,34 @@ def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch):
 
 def test_report_json_replaces_nonfinite_with_null():
     cfg = config("sequential", "scs", field=FieldVector(math.pi / 2, 0.4, 0.3))
-    payload = precision_report(cfg).to_json_dict()
+    payload = to_json(precision_report(cfg))
     by_axis = {row["axis"]: row for row in payload["axes"]}
     assert by_axis["y"]["delta_b_analytic"] is None
     assert by_axis["y"]["blind_spot"] is True
     assert payload["scheme"] == "sequential" and payload["n"] == 10
+
+
+def test_to_json_encodes_nested_dataclasses():
+    @dataclasses.dataclass(frozen=True)
+    class Inner:
+        value: float
+        flag: bool
+
+    @dataclasses.dataclass(frozen=True)
+    class Outer:
+        count: int
+        name: str
+        items: tuple
+        table: dict
+
+    doc = to_json(Outer(3, "x", (Inner(math.inf, True), Inner(1.5, False)),
+                        {"nan": math.nan, "ninf": -math.inf, "pair": (1, 2.0)}))
+    assert doc == {"count": 3, "name": "x",
+                   "items": [{"value": None, "flag": True},
+                             {"value": 1.5, "flag": False}],
+                   "table": {"nan": None, "ninf": None, "pair": [1, 2.0]}}
+    assert type(doc["count"]) is int and type(doc["items"][0]["flag"]) is bool
+    assert type(doc["table"]["pair"][0]) is int
 
 
 def test_sequential_chain_shapes():
