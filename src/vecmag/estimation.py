@@ -344,16 +344,80 @@ def scaling_fit(points) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), r2)
 
 
+_XATOL, _FATOL, _MAXITER, _MAXFEV = 1e-10, 1e-14, 4000, 8000  # Nelder-Mead polish
+
+
+class _BudgetSpent(Exception):
+    """The polish has made its _MAXFEV objective calls."""
+
+
+def _nelder_mead(objective, start) -> float:
+    """Lowest value of `objective` (3 floats -> float, never NaN) the Nelder-Mead
+    simplex (Comput. J. 7, 308 (1965)) reaches from `start`: scipy's steps with
+    the constants above, so its value bit for bit (same first simplex, budget
+    check, centroid order, and np.argsort ranking, unlike a stable sort's).
+    """
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= _MAXFEV:
+            raise _BudgetSpent
+        calls += 1
+        return objective(x)
+
+    def ranked(sim, fsim):
+        order = np.argsort(fsim)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    def toward(a, b):  # a xbar - b worst, read at call time
+        return [a * p - b * q for p, q in zip(xbar, worst)]
+
+    sim = [list(start) for _ in range(4)]
+    for k in range(3):
+        sim[k + 1][k] = 1.05 * start[k] if start[k] != 0 else 0.00025
+    sim, fsim = ranked(sim, [f(x) for x in sim])
+    iterations = 1
+    while calls < _MAXFEV and iterations < _MAXITER:
+        try:
+            best, worst = sim[0], sim[-1]
+            if (all(abs(v - w) <= _XATOL for x in sim[1:] for v, w in zip(x, best))
+                    and all(abs(fsim[0] - fx) <= _FATOL for fx in fsim[1:])):
+                break
+            xbar = [(p + q + r) / 3 for p, q, r in zip(*sim[:-1])]
+            fxr = f(xr := toward(2, 1))
+            if fxr < fsim[0]:
+                fxe = f(xe := toward(3, 2))
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                fxc = f(xc := toward(1.5, 0.5) if outside else toward(0.5, -0.5))
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, 4):
+                        sim[j] = [p + 0.5 * (q - p) for p, q in zip(best, sim[j])]
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = ranked(sim, fsim)
+    return min(fsim)
+
+
 def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
                       duration: float = 1.0) -> float:
-    """Best achievable closed-form dB_axis over B in (0, pi/T)^3.
+    """Best achievable closed-form dB_axis over B in (0, pi/T)^3, T finite > 0.
 
     Parallel devices have field-independent precision, read at one point.
-    Sequential readouts are minimized on a coarse grid (max(24, 2N) points
-    per axis, to track the cat probe's N-fold fringes) and polished with
-    Nelder-Mead inside the open box.  scipy.optimize is imported here, on
-    first use, so commands that never minimize load numpy alone.
+    Sequential readouts are minimized on a coarse grid (max(24, 2N) points per
+    axis, for the cat probe's N-fold fringes), then polished by _nelder_mead.
     """
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+
     def delta_b(bx, by, bz):
         return closed_form_delta_b(scheme, probe, n, axis, duration,
                                    bx * duration, by * duration, bz * duration)
@@ -364,20 +428,9 @@ def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
     upper = math.pi / duration
     grid = np.linspace(0.0, upper, pts + 2)[1:-1]
     values = delta_b(*np.meshgrid(grid, grid, grid, indexing="ij", sparse=True))
-    flat_best = int(np.argmin(values))
-    ix, iy, iz = np.unravel_index(flat_best, values.shape)
-    start = np.array([grid[ix], grid[iy], grid[iz]])
-    best_grid = float(values[ix, iy, iz])
+    best = np.unravel_index(int(np.argmin(values)), values.shape)
 
     def objective(b):
-        if np.any(b <= 0.0) or np.any(b >= upper):
-            return math.inf
-        return float(delta_b(b[0], b[1], b[2]))
+        return delta_b(*b) if 0.0 < min(b) and max(b) < upper else math.inf
 
-    from scipy import optimize
-
-    result = optimize.minimize(objective, start, method="Nelder-Mead",
-                               options={"xatol": 1e-10, "fatol": 1e-14,
-                                        "maxiter": 4000, "maxfev": 8000})
-    polished = float(result.fun) if np.isfinite(result.fun) else math.inf
-    return min(best_grid, polished)
+    return min(float(values[best]), _nelder_mead(objective, grid[list(best)].tolist()))

@@ -317,42 +317,44 @@ def signal_terms(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
     is the one home of the readout-sign table of docs/conventions.md: the
     parity s = (-1)^J, the minus of the sequential product probe and the -s
     of the parallel cat-probe x readout.  For the parallel scheme `axis`
-    selects the device and only its phase enters.  Phases broadcast as numpy
-    arrays; the cat probe needs even N.
+    selects the device and only its phase enters; a given `axis` is dS's one
+    key.  The cat probe needs even N.  Sines and cosines come from math for
+    finite float phases (np.float64 too), else from numpy, which broadcasts;
+    test_schemes checks that both give the same bits.  On a machine where
+    they do not, scalars should take numpy as well.
     """
     if probe not in PROBES:
         raise ValueError(f"unknown probe {probe!r}")
     if probe == "ghz" and n % 2:
         raise AnalyticBranchError(f"ghz closed forms need even N, got N={n}")
     parity = -1.0 if (n // 2) % 2 else 1.0
-    a, b, c = phases = (phase_x, phase_y, phase_z)
+    phases = (phase_x, phase_y, phase_z)
     if probe == "ghz":
-        a, b, c = (n * np.asarray(p, dtype=float) for p in phases)
+        phases = [n * (p if isinstance(p, float) else np.asarray(p, dtype=float))
+                  for p in phases]
+    xp = math if all(isinstance(p, float) and math.isfinite(p) for p in phases) else np
     if scheme == "parallel":
         if axis not in AXES:
             raise ValueError("parallel closed form needs an axis")
-        phase = {"x": a, "y": b, "z": c}[axis]
+        phase = phases[AXES.index(axis)]
         sign = -parity if probe == "ghz" and axis == "x" else 1.0
-        ds = dict.fromkeys(AXES, np.zeros_like(phase))
-        ds[axis] = sign * np.cos(phase)
-        return sign * np.sin(phase), ds
+        return sign * xp.sin(phase), {axis: sign * xp.cos(phase)}
     if scheme != "sequential":
         raise ValueError(f"unknown scheme {scheme!r}")
+    a, b, c = phases
+    sa, ca, sb, cb = xp.sin(a), xp.cos(a), xp.sin(b), xp.cos(b)
+    sc, cc = xp.sin(c), xp.cos(c)
     if probe == "scs":
-        s = -(np.cos(a) * np.sin(b) * np.cos(c) + np.sin(a) * np.sin(c))
-        ds = {
-            "x": np.sin(a) * np.sin(b) * np.cos(c) - np.cos(a) * np.sin(c),
-            "y": -np.cos(a) * np.cos(b) * np.cos(c),
-            "z": np.cos(a) * np.sin(b) * np.sin(c) - np.sin(a) * np.cos(c),
-        }
-        return s, ds
-    s = np.cos(a) * np.cos(b) * np.sin(c) - parity * np.sin(a) * np.cos(c)
-    ds = {
-        "x": -np.sin(a) * np.cos(b) * np.sin(c) - parity * np.cos(a) * np.cos(c),
-        "y": -np.cos(a) * np.sin(b) * np.sin(c),
-        "z": np.cos(a) * np.cos(b) * np.cos(c) + parity * np.sin(a) * np.sin(c),
-    }
-    return s, ds
+        s = -(ca * sb * cc + sa * sc)
+        terms = {"x": lambda: sa * sb * cc - ca * sc,
+                 "y": lambda: -ca * cb * cc,
+                 "z": lambda: ca * sb * sc - sa * cc}
+    else:
+        s = ca * cb * sc - parity * sa * cc
+        terms = {"x": lambda: -sa * cb * sc - parity * ca * cc,
+                 "y": lambda: -ca * sb * sc,
+                 "z": lambda: ca * cb * cc + parity * sa * sc}
+    return s, {ax: term() for ax, term in terms.items() if axis in (None, ax)}
 
 
 def closed_form_jz(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
@@ -381,11 +383,17 @@ def closed_form_delta_b(scheme: str, probe: str, n: int, axis: str, gamma_t,
     the slope cancelling; the sequential readout gives that prefactor times
     sqrt(1 - S^2) / |dS_axis|.  Sequential blind spots (|dS| < 1e-12), T = 0
     and points where 1 - S^2 rounds to 0, which leaves no noise to propagate,
-    are inf.
+    are inf.  A float comes back where signal_terms took the scalar path.
     """
     s, ds = signal_terms(scheme, probe, n, phase_x, phase_y, phase_z, axis)
+    scale = (math.sqrt(n) if probe == "scs" else n) * gamma_t
+    if isinstance(s, float):
+        noise, slope = (1.0, 1.0) if scheme == "parallel" else (1.0 - s**2, abs(ds[axis]))
+        ok = scale > 0.0 and slope >= 1e-12 and noise > 0.0
+        db = (1.0 / scale) * math.sqrt(noise) / slope if ok else math.inf
+        return db if 0.0 < db < math.inf else math.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prefactor = 1.0 / ((math.sqrt(n) if probe == "scs" else n) * np.float64(gamma_t))
+        prefactor = 1.0 / np.float64(scale)
         if scheme == "parallel":
             db, slope = prefactor * np.ones_like(s), 1.0
         else:

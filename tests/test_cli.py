@@ -408,7 +408,7 @@ def test_metadata_echoes_every_flag(capsys):
         assert set(meta["params"]) == dests - set(cli.NOT_ECHOED), command
 
 
-LIGHT_RUNS_SCRIPT = textwrap.dedent("""
+COMMAND_RUNS_SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
     from vecmag.cli import main
 
@@ -416,11 +416,13 @@ LIGHT_RUNS_SCRIPT = textwrap.dedent("""
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             try:
-                return main(list(argv))
+                code = main(list(argv))
             except SystemExit as exc:
-                return exc.code
+                code = exc.code
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        return [argv[0], code, scipy]
 
-    codes = [
+    runs = [
         run("simulate", "--scheme", "parallel", "--probe", "ghz", "--B", "2,2,2",
             "--axis", "z", "--grid", "0:6:64"),
         run("simulate", "--scheme", "sequential", "--probe", "scs", "--N", "5",
@@ -432,27 +434,22 @@ LIGHT_RUNS_SCRIPT = textwrap.dedent("""
             "--B", "1,0.8,1.2"),
         run("qfi", "--scheme", "sequential", "--probe", "ghz", "--B", "1,0.8,1.2"),
         run("robustness", "--pairs", "10", "--trials", "2", "--mode", "both"),
+        run("scaling", "--N", "4,6,8"),
+        run("validate", "--only", "9"),
         run("validate", "--only", "10"),
     ]
-    light_scipy = sorted(m for m in sys.modules
-                         if m == "scipy" or m.startswith("scipy."))
-    scaling_code = run("scaling", "--N", "4,6,8")
-    print(json.dumps({"codes": codes, "light_scipy": light_scipy,
-                      "scaling_code": scaling_code,
-                      "optimize_loaded": "scipy.optimize" in sys.modules}))
+    print(json.dumps(runs))
 """)
 
 
-def test_light_commands_do_not_import_scipy():
+def test_no_command_imports_scipy():
     # A fresh interpreter: this process may already hold scipy.
-    out = subprocess.run([sys.executable, "-c", LIGHT_RUNS_SCRIPT],
+    out = subprocess.run([sys.executable, "-c", COMMAND_RUNS_SCRIPT],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout.splitlines()[-1])
-    assert doc["codes"] == [0, 0, 0, 4, 0, 0, 0, 0]
-    assert doc["light_scipy"] == []
-    assert doc["scaling_code"] == 0
-    assert doc["optimize_loaded"] is True
+    runs = json.loads(out.stdout.splitlines()[-1])
+    assert [code for _, code, _ in runs] == [0, 0, 0, 4, 0, 0, 0, 0, 0, 0]
+    assert [(command, scipy) for command, _, scipy in runs if scipy] == []
 
 
 def test_robustness_artifact_independent_of_blas_threads():

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vecmag.spin import EnsembleDims, FieldVector
-from vecmag.schemes import SchemeConfig
+from vecmag.spin import AXES, EnsembleDims, FieldVector
+from vecmag.schemes import PROBES, SchemeConfig, closed_form_delta_b
 from vecmag.estimation import (
+    _nelder_mead,
     AmbiguousSignError,
     FFTSpectrum,
     OutOfRegimeError,
@@ -266,3 +268,136 @@ def test_scaling_slopes_from_minimized_precision():
                            for n in ns])
         assert fit.slope == pytest.approx(target, abs=0.05)
         assert fit.r_squared >= 0.999
+
+
+@pytest.mark.parametrize("scheme", ["parallel", "sequential"])
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+def test_minimized_delta_b_refuses_invalid_durations(scheme, duration):
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
+        minimized_delta_b(scheme, "scs", 10, "x", duration=duration)
+
+
+# The options minimized_delta_b polished with when it called scipy.
+SCIPY_NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000}
+
+
+def scipy_minimized_delta_b(optimize, scheme, probe, n, axis, duration=1.0):
+    """minimized_delta_b as it was with scipy's Nelder-Mead: the oracle.
+
+    Its objective is the old one; test_scalar_phases_match_array_phases
+    checks that the scalar closed form it calls gives numpy's bits.
+    """
+    def delta_b(bx, by, bz):
+        return closed_form_delta_b(scheme, probe, n, axis, duration,
+                                   bx * duration, by * duration, bz * duration)
+
+    if scheme == "parallel":
+        return float(delta_b(0.0, 0.0, 0.0))
+    pts = max(24, 2 * n)
+    upper = math.pi / duration
+    grid = np.linspace(0.0, upper, pts + 2)[1:-1]
+    values = delta_b(*np.meshgrid(grid, grid, grid, indexing="ij", sparse=True))
+    ix, iy, iz = np.unravel_index(int(np.argmin(values)), values.shape)
+
+    def objective(b):
+        if np.any(b <= 0.0) or np.any(b >= upper):
+            return math.inf
+        return float(delta_b(b[0], b[1], b[2]))
+
+    result = optimize.minimize(objective, np.array([grid[ix], grid[iy], grid[iz]]),
+                               method="Nelder-Mead", options=SCIPY_NM_OPTIONS)
+    polished = float(result.fun) if np.isfinite(result.fun) else math.inf
+    return min(float(values[ix, iy, iz]), polished)
+
+
+def assert_matches_scipy(optimize, cases):
+    for case in cases:
+        got = minimized_delta_b("sequential", *case)
+        assert got.hex() == scipy_minimized_delta_b(optimize, "sequential", *case).hex(), case
+
+
+def test_minimized_delta_b_matches_scipy_on_criterion_9():
+    optimize = pytest.importorskip("scipy.optimize")
+    assert_matches_scipy(optimize, [(probe, n, axis, 1.0) for probe in PROBES
+                                    for axis in AXES for n in range(4, 41, 2)])
+
+
+def test_minimized_delta_b_matches_scipy_on_the_benchmark_grid():
+    optimize = pytest.importorskip("scipy.optimize")
+    assert_matches_scipy(optimize, [(probe, n, axis, duration)
+                                    for duration in (0.5, 1.0, 2.0)
+                                    for n in (4, 8, 12, 16)
+                                    for probe in PROBES for axis in AXES])
+
+
+@settings(derandomize=True, deadline=None)
+@given(probe=st.sampled_from(PROBES), n=st.integers(1, 40),
+       axis=st.sampled_from(AXES), duration=st.floats(0.05, 5.0))
+def test_minimized_delta_b_matches_scipy_anywhere(probe, n, axis, duration):
+    optimize = pytest.importorskip("scipy.optimize")
+    if probe == "ghz":
+        n += n % 2
+    assert_matches_scipy(optimize, [(probe, n, axis, duration)])
+
+
+def hashed(x):
+    # pseudo-random values: fatol is never met, so the budget runs out
+    return (hash(tuple(float(v) for v in x)) % 1000003) / 1000003.0
+
+
+def terraced(x):
+    # 2 on the start's terrace, 0 once y or z leaves it
+    return 2.0 if max(x[1], x[2]) <= 1.0 else float(math.floor(abs(x[0] - 0.3)))
+
+
+def boxed(probe, n, axis):
+    def objective(b):
+        if all(0.0 < v < math.pi for v in b):
+            return float(closed_form_delta_b("sequential", probe, n, axis, 1.0, *b))
+        return math.inf
+
+    return objective
+
+
+def scipy_and_ours(objective, start):
+    """scipy's Nelder-Mead result and the first simplex's values, after
+    checking that _nelder_mead evaluates the same points bit for bit (so the
+    same count) and returns the same value."""
+    optimize = pytest.importorskip("scipy.optimize")
+    theirs, ours = [], []
+
+    def recorded(calls):
+        def wrapped(x):
+            calls.append(tuple(float(v) for v in x))
+            return objective(x)
+        return wrapped
+
+    result = optimize.minimize(recorded(theirs), np.array(start), method="Nelder-Mead",
+                               options=SCIPY_NM_OPTIONS)
+    assert _nelder_mead(recorded(ours), start).hex() == float(result.fun).hex()
+    assert ours == theirs and len(ours) == result.nfev
+    return result, [objective(x) for x in ours[:4]]
+
+
+def test_nelder_mead_stops_at_scipys_budget():
+    result, _ = scipy_and_ours(hashed, [0.3, 0.5, 0.7])
+    assert result.status == 1 and result.nfev == 8000
+
+
+@pytest.mark.parametrize("probe,n,axis", [("scs", 10, "y"), ("ghz", 10, "z"),
+                                          ("scs", 16, "x")])
+def test_nelder_mead_matches_scipy_through_inf_ties_and_shrinks(probe, n, axis):
+    # start at the grid point nearest (pi, pi, pi): 1.05 x leaves the box
+    corner = float(np.linspace(0.0, math.pi, max(24, 2 * n) + 2)[-2])
+    result, first = scipy_and_ours(boxed(probe, n, axis), [corner] * 3)
+    assert first[1:] == [math.inf] * 3
+    # reflections and contractions spend at most 2 calls an iteration, so
+    # the excess was spent shrinking the simplex
+    assert result.nfev > 4 + 2 * (result.nit - 1)
+
+
+def test_nelder_mead_ranks_ties_as_np_argsort():
+    # (2, 2, 0, 0) is a tie pattern that np.argsort orders unlike a stable
+    # sort on AVX-512 builds; the points evaluated next depend on the order
+    _, first = scipy_and_ours(terraced, [1.0, 1.0, 1.0])
+    assert first == [2.0, 2.0, 0.0, 0.0]

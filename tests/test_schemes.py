@@ -18,6 +18,7 @@ from vecmag.schemes import (
     analytic_delta_b,
     analytic_jz,
     analytic_jz2,
+    closed_form_delta_b,
     closed_form_jz,
     closed_form_jz2,
     delta_b_numeric,
@@ -363,6 +364,69 @@ def test_closed_forms_match_simulation(half_n, field, durations, gamma, scheme,
             closed_form(scheme, "ghz", n - 1, *cfg.phases, which)
     with pytest.raises(AnalyticBranchError):
         analytic_delta_b(odd, axis)
+
+
+def phase_triples(count=400, seed=7):
+    rng = np.random.default_rng(seed)
+    half = math.pi / 2
+    special = [(0.0, 0.0, 0.0), (-0.0, half, 0.0), (half, half, half),
+               (1e-300, 2.0, -3.0), (100.0, -250.5, 1e6), (1e15, 3.0, 1e300)]
+    return special + [tuple(rng.uniform(-4.0, 4.0, 3).tolist()) for _ in range(count)]
+
+
+def squares_round_apart(scheme, probe, n, which):
+    """Phase triples at which S * S and S ** 2 round to different floats."""
+    found = []
+    for phases in phase_triples(count=20000, seed=11):
+        s, _ = signal_terms(scheme, probe, n, *phases, which)
+        if s * s != s ** 2:
+            found.append(phases)
+    return found
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).reshape(-1)[0].hex()
+
+
+@pytest.mark.parametrize("probe,n", [("scs", 7), ("scs", 10), ("ghz", 10), ("ghz", 12)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scalar_phases_match_array_phases(scheme, probe, n):
+    # Floats take math's sines and cosines and 1-element arrays numpy's; S and
+    # dS agree bit for bit across floats, 0-d arrays and 1-element arrays.
+    # delta B squares S with pow on scalars (0-d arrays give numpy scalars)
+    # and by multiplication on arrays, as numpy scalars and arrays do; the
+    # two roundings differ at about 1 point in 10^4.
+    gamma_t, root = 1.3, math.sqrt(n) if probe == "scs" else n
+    for axis in AXES:
+        which = axis if scheme == "parallel" else None
+        split = squares_round_apart(scheme, probe, n, which)
+        assert len(split) >= 5
+        for phases in phase_triples() + split:
+            variants = (phases, [np.asarray(p) for p in phases],
+                        [np.array([p]) for p in phases])
+            terms = [signal_terms(scheme, probe, n, *v, which) for v in variants]
+            dbs = [closed_form_delta_b(scheme, probe, n, axis, gamma_t, *v)
+                   for v in variants]
+            (s, ds), db = terms[0], dbs[0]
+            assert type(s) is float and type(db) is float
+            assert {bits(t[0]) for t in terms} == {s.hex()}, phases
+            assert {bits(t[1][axis]) for t in terms} == {ds[axis].hex()}, phases
+
+            def written(square):
+                if scheme == "parallel":
+                    return 1.0 / (root * gamma_t)
+                noise, slope = 1.0 - square, abs(ds[axis])
+                if noise <= 0.0 or slope < 1e-12:
+                    return math.inf
+                return (1.0 / (root * gamma_t)) * math.sqrt(noise) / slope
+
+            assert db.hex() == bits(dbs[1]) == written(s ** 2).hex(), phases
+            assert bits(dbs[2]) == written(s * s).hex(), phases
+            if scheme == "sequential":
+                for v, (_, full) in zip(variants, terms):
+                    _, only = signal_terms(scheme, probe, n, *v, axis)
+                    assert list(only) == [axis]
+                    assert bits(only[axis]) == bits(full[axis]), phases
 
 
 def test_derivatives_refuse_exact_evolution():
