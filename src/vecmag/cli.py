@@ -41,8 +41,6 @@ from .schemes import (
     SchemeConfig,
     closed_form_jz,
     precision_report,
-    qfi_analytic,
-    qfi_numeric,
     simulated_jz,
     to_json,
 )
@@ -213,6 +211,7 @@ def cmd_simulate(args) -> int:
     start, stop, points = args.grid
     if args.evolution != "analytic" and start < 0:
         parser.error(f"--evolution {args.evolution} needs a --grid start >= 0")
+    _require_finite_phases(args, [max(abs(start), abs(stop))] * 3, "--grid")
     times = np.linspace(start, stop, points)
     if args.evolution == "analytic":
         phases = [field.coupling(ax) * times for ax in AXES]
@@ -241,6 +240,7 @@ def cmd_spectrum(args) -> int:
             parser.error("--t-max is required when --B is all zero")
         # keep the largest line at a quarter of the Nyquist frequency
         t_max = math.pi * args.M / (4.0 * top)
+    _require_finite_phases(args, [t_max] * 3, "--t-max")
     cfg = SchemeConfig("sequential", args.probe, EnsembleDims(args.N), field,
                        (1.0, 1.0, 1.0))
     recovered, spectrum, peaks = recover_from_trace(
@@ -259,8 +259,17 @@ def _require_even_for_ghz(args) -> None:
         args.parser.error("the ghz probe needs even --N for closed-form analysis")
 
 
+def _require_finite_phases(args, times, flag: str) -> None:
+    """Refuse a run whose phases overflow: every phase a chain or a closed
+    form takes, m gamma B_a t (|m| <= N/2) or N gamma B_a t, is at most
+    N |B_a| t_a (gamma = 1 on the command line)."""
+    if not all(math.isfinite(args.N * abs(b * t)) for b, t in zip(args.B, times)):
+        args.parser.error(f"--B times {flag} overflows: N |B_a| t must be finite")
+
+
 def _config(args) -> SchemeConfig:
     _require_even_for_ghz(args)
+    _require_finite_phases(args, args.T, "--T")
     return SchemeConfig(args.scheme, args.probe, EnsembleDims(args.N),
                         FieldVector(*args.B), args.T)
 
@@ -271,41 +280,31 @@ def cmd_precision(args) -> int:
 
 
 def cmd_qfi(args) -> int:
-    cfg = _config(args)
-    table = {}
-    for axis in AXES:
-        variants = qfi_analytic(cfg, axis)
-        numeric = qfi_numeric(cfg, axis)
-        qcrb = 1.0 / math.sqrt(numeric) if numeric > 0 else math.inf
-        table[axis] = {**variants._asdict(), "numeric": numeric,
-                       "qcrb_single_shot": qcrb}
-    _emit(args, table)
+    report = precision_report(_config(args))
+    _emit(args, {entry.axis: {"main": entry.qfi_analytic_main,
+                              "appendix": entry.qfi_analytic_appendix,
+                              "numeric": entry.qfi_numeric,
+                              "qcrb_single_shot": entry.qcrb}
+                 for entry in report.axes})
     return 0
 
 
 def cmd_scaling(args) -> int:
     probes = ("scs", "ghz") if args.probe == "both" else (args.probe,)
-    results = []
+    rows, fits = [], {}
     for probe in probes:
+        points = {axis: [] for axis in AXES}
         for n in args.N:
             try:
                 values = [minimized_delta_b(args.scheme, probe, n, axis,
                                             duration=args.duration)
                           for axis in AXES]
-                results.append((probe, n, values, ""))
             except AnalyticBranchError as exc:  # odd-N cat probe
-                results.append((probe, n, None, f"skipped: {exc}"))
-    rows = []
-    for probe, n, values, note in results:
-        cols = [_fmt(v) for v in values] if values else ["", "", ""]
-        rows.append([str(n), probe, *cols, note])
-    fits = {}
-    for probe in probes:
-        points = {axis: [] for axis in AXES}
-        for row_probe, n, values, _ in results:
-            if row_probe == probe and values:
-                for axis, v in zip(AXES, values):
-                    points[axis].append((n, v))
+                rows.append([str(n), probe, "", "", "", f"skipped: {exc}"])
+                continue
+            rows.append([str(n), probe, *(_fmt(v) for v in values), ""])
+            for axis, v in zip(AXES, values):
+                points[axis].append((n, v))
         if all(len(pts) >= 3 for pts in points.values()):
             fits[probe] = {
                 axis: {"slope": fit.slope, "r_squared": fit.r_squared}

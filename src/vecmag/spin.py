@@ -81,7 +81,7 @@ class DickeState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.dims.dim},)")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise ValueError(f"state norm {norm} deviates from 1")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 

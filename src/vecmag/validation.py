@@ -20,14 +20,11 @@ from .estimation import minimized_delta_b, recover_from_trace, sample_signal, sc
 from .pulses import DDSchedule, NoiseModel, evolve_exact, fidelity_f1, fidelity_f2
 from .schemes import (
     SchemeConfig,
-    analytic_delta_b,
     analytic_jz,
     analytic_jz2,
-    delta_b_numeric,
     final_state,
     jz_moments,
-    qfi_analytic,
-    qfi_numeric,
+    precision_report,
 )
 from .spin import (
     AXES,
@@ -121,12 +118,12 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     for field in fields:
         for durations in ((1.0, 1.0, 1.0), (0.8, 1.0, 1.25)):
             for probe, floor in (("scs", math.sqrt(10)), ("ghz", 10.0)):
-                cfg = _parallel(probe, field, durations)
-                for axis, t_axis in zip(AXES, durations):
+                report = precision_report(_parallel(probe, field, durations))
+                for entry, t_axis in zip(report.axes, durations):
                     expected = 1.0 / (floor * t_axis)
-                    got = delta_b_numeric(cfg, axis)
+                    got = entry.delta_b_numeric
                     worst = max(worst, abs(got - expected) / expected)
-    reference = delta_b_numeric(_parallel("ghz", fields[0]), "x")
+    reference = precision_report(_parallel("ghz", fields[0])).axis("x").delta_b_numeric
     ok = worst <= 1e-6 and abs(reference - 0.1) <= 1e-9
     return _result(2, ok,
         f"max rel err vs {SQL} and {HEISENBERG} = {worst:.2e} over 5 fields x 2 "
@@ -139,20 +136,18 @@ def criterion_3() -> CriterionResult:
     floor = 1e-6 * (10.0 * 1.0) ** 2
     worst, skipped = 0.0, 0
     for point in product(grid, repeat=3):
-        cfg = _sequential("scs", FieldVector(*point))
-        for axis in AXES:
-            expected = qfi_analytic(cfg, axis).main
+        for entry in precision_report(_sequential("scs", FieldVector(*point))).axes:
+            expected = entry.qfi_analytic_main
             if expected < floor:
                 skipped += 1
                 continue
-            worst = max(worst, abs(qfi_numeric(cfg, axis) - expected) / expected)
+            worst = max(worst, abs(entry.qfi_numeric - expected) / expected)
     for g in grid:
         field = FieldVector(g, g, g)
         for probe in ("scs", "ghz"):
-            cfg = _parallel(probe, field)
-            for axis in AXES:
-                expected = qfi_analytic(cfg, axis).main
-                worst = max(worst, abs(qfi_numeric(cfg, axis) - expected) / expected)
+            for entry in precision_report(_parallel(probe, field)).axes:
+                expected = entry.qfi_analytic_main
+                worst = max(worst, abs(entry.qfi_numeric - expected) / expected)
     return _result(3, worst <= 1e-6,
         f"max rel err = {worst:.2e} over 125-point interleaved grid x 3 axes "
         f"plus parallel spot checks; {skipped} blind points excluded (tol 1e-6)")
@@ -175,14 +170,13 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     for _ in range(8):
         f = FieldVector(*rng.uniform(0.15, 1.35, 3))
         for probe in ("scs", "ghz"):
-            cfg = _sequential(probe, f)
-            for axis in AXES:
-                formula = analytic_delta_b(cfg, axis)
+            for entry in precision_report(_sequential(probe, f)).axes:
+                formula = entry.delta_b_analytic
                 if not math.isfinite(formula) or formula > 1e3:
                     skipped += 1  # blind spot or near-blind slope
                     continue
                 worst_db = max(worst_db,
-                               abs(delta_b_numeric(cfg, axis) - formula) / formula)
+                               abs(entry.delta_b_numeric - formula) / formula)
     ok = worst_moment <= 1e-10 and worst_db <= 1e-6
     return _result(4, ok,
         f"moments: max err {worst_moment:.2e} on 64-point duration grid at "
@@ -195,16 +189,14 @@ def criterion_5() -> CriterionResult:
     floor = 1e-6 * (10.0 * 1.0) ** 2
     err = {"main": 0.0, "appendix": 0.0}
     for point in product((0.3, 0.75, 1.2), repeat=3):
-        cfg = _sequential("ghz", FieldVector(*point))
-        for axis in AXES:
-            variants = qfi_analytic(cfg, axis)
-            numeric = qfi_numeric(cfg, axis)
-            if max(variants.main, variants.appendix, numeric) < floor:
+        for entry in precision_report(_sequential("ghz", FieldVector(*point))).axes:
+            main, appendix = entry.qfi_analytic_main, entry.qfi_analytic_appendix
+            numeric = entry.qfi_numeric
+            if max(main, appendix, numeric) < floor:
                 continue
             scale = max(numeric, floor)
-            err["main"] = max(err["main"], abs(variants.main - numeric) / scale)
-            err["appendix"] = max(err["appendix"],
-                                  abs(variants.appendix - numeric) / scale)
+            err["main"] = max(err["main"], abs(main - numeric) / scale)
+            err["appendix"] = max(err["appendix"], abs(appendix - numeric) / scale)
     agreeing = [name for name, e in err.items() if e <= 1e-6]
     ok = len(agreeing) == 1
     winner = agreeing[0] if ok else "none" if not agreeing else "both"

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,87 @@ def test_only_a_bound_violation_is_reported_as_one(capsys, monkeypatch):
         main(["precision", "--scheme", "sequential", "--probe", "scs",
               "--B", "1,0.8,1.2"])
     assert capsys.readouterr().err == ""
+
+
+FALSE_VIOLATIONS = (
+    # the z axis sits next to a QFI blind spot, where dB ~ 5e4
+    ("--scheme", "sequential", "--probe", "ghz", "--N", "20",
+     "--B", "0,0.07853986633974483,0"),
+    # closer still (N phi_y = pi/2 - 1e-9): dB ~ 1e8 misses even a relative
+    # 1e-9, and only skipping blind-spot axes passes it
+    ("--scheme", "sequential", "--probe", "ghz", "--N", "10",
+     "--B", "0,0.15707963257948965,0"),
+    # dB ~ 1e12 on x: an absolute 1e-9 asked for 1e-21 relative agreement
+    ("--scheme", "parallel", "--probe", "ghz", "--N", "10",
+     "--B", "1.1,0.4,0.5", "--T", "1e-13,1,1"),
+)
+
+
+@pytest.mark.parametrize("command", ["precision", "qfi"])
+@pytest.mark.parametrize("flags", FALSE_VIOLATIONS)
+def test_bound_check_is_relative_and_skips_blind_spots(capsys, command, flags):
+    code, out, err = run_cli(capsys, command, *flags)
+    assert code == 0, err
+    assert out.startswith("# ") and err == ""
+
+
+@pytest.mark.parametrize("command", ["precision", "qfi"])
+def test_a_precision_below_the_bound_exits_3(capsys, monkeypatch, command):
+    delta_b = schemes._delta_b
+
+    def halved(*args):  # half the precision beats the bound on every sighted axis
+        return delta_b(*args) / 2.0
+
+    monkeypatch.setattr(schemes, "_delta_b", halved)
+    code, out, err = run_cli(capsys, command, "--scheme", "sequential",
+                             "--probe", "scs", "--B", "1,0.8,1.2")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "bound-violation"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--scheme", "sequential", "--probe", "ghz", "--B", "1,0.8,1.2"),
+    ("--scheme", "parallel", "--probe", "scs", "--N", "7", "--B", "0.3,1.1,0.6",
+     "--T", "0.5,1,2"),
+    ("--scheme", "sequential", "--probe", "scs", "--B", "1,1,1", "--T", "1e300,1,1"),
+])
+def test_qfi_and_precision_share_their_figures(capsys, flags):
+    code, out, _ = run_cli(capsys, "qfi", *flags)
+    assert code == 0
+    qfi = json.loads("\n".join(split_artifact(out)[1]))
+    code, out, _ = run_cli(capsys, "precision", *flags)
+    assert code == 0
+    for entry in json.loads("\n".join(split_artifact(out)[1]))["axes"]:
+        row = qfi[entry["axis"]]
+        assert row == {"main": entry["qfi_analytic_main"],
+                       "appendix": entry["qfi_analytic_appendix"],
+                       "numeric": entry["qfi_numeric"],
+                       "qcrb_single_shot": entry["qcrb"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("precision", "--scheme", "sequential", "--probe", "scs", "--B", "1e10,1,1",
+     "--T", "1e300,1,1"),
+    ("qfi", "--scheme", "sequential", "--probe", "ghz", "--B", "1e10,1e10,1e10",
+     "--T", "1e300,1e300,1e300"),
+    ("precision", "--scheme", "parallel", "--probe", "ghz", "--B", "1e10,1,1",
+     "--T", "1e300,1,1"),
+    ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1e10,1,1",
+     "--grid", "0:1e300:4"),
+    ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1e10,1,1",
+     "--grid=-1e300:0:4"),
+    ("spectrum", "--probe", "scs", "--B", "10,6,2", "--t-max", "1e308"),
+    # finite B T, but the cat phases N B T overflow
+    ("qfi", "--scheme", "parallel", "--probe", "ghz", "--B", "1e300,1,1",
+     "--T", "1e8,1,1"),
+])
+def test_overflowing_phases_are_refused_by_the_parser(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "overflows" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_qfi_report_names_both_variants(capsys):

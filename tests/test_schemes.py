@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecmag import schemes
+from vecmag.cli import main
 from vecmag.spin import AXES, EnsembleDims, FieldVector
 from vecmag.schemes import (
     PROBES,
@@ -21,13 +22,11 @@ from vecmag.schemes import (
     closed_form_delta_b,
     closed_form_jz,
     closed_form_jz2,
-    delta_b_numeric,
     final_state,
     jz_moments,
     parallel_chain,
     precision_report,
     qfi_analytic,
-    qfi_numeric,
     run_chain,
     sequential_chain,
     signal_terms,
@@ -200,12 +199,14 @@ def test_parallel_precisions_are_flat_bounds():
     for field in (FIELD, FieldVector(1.1, 0.2, 0.8)):
         scs = config("parallel", "scs", field=field, durations=(1.0, 0.8, 1.2))
         ghz = config("parallel", "ghz", field=field, durations=(1.0, 0.8, 1.2))
+        scs_report, ghz_report = precision_report(scs), precision_report(ghz)
         for axis, t in zip("xyz", (1.0, 0.8, 1.2)):
             assert analytic_delta_b(scs, axis) == pytest.approx(1 / (math.sqrt(10) * t))
             assert analytic_delta_b(ghz, axis) == pytest.approx(1 / (10 * t))
-            assert delta_b_numeric(scs, axis) == pytest.approx(
+            assert scs_report.axis(axis).delta_b_numeric == pytest.approx(
                 1 / (math.sqrt(10) * t), rel=1e-6)
-            assert delta_b_numeric(ghz, axis) == pytest.approx(1 / (10 * t), rel=1e-6)
+            assert ghz_report.axis(axis).delta_b_numeric == pytest.approx(
+                1 / (10 * t), rel=1e-6)
 
 
 def test_sequential_precision_analytic_matches_numeric():
@@ -216,9 +217,10 @@ def test_sequential_precision_analytic_matches_numeric():
                 field = FieldVector(*rng.uniform(0.1, 1.2, 3), gamma=gamma)
                 cfg = config("sequential", probe, field=field,
                              durations=tuple(rng.uniform(0.4, 1.3, 3)))
+                report = precision_report(cfg)
                 for axis in "xyz":
                     ana = analytic_delta_b(cfg, axis)
-                    num = delta_b_numeric(cfg, axis)
+                    num = report.axis(axis).delta_b_numeric
                     if math.isinf(ana):
                         assert math.isinf(num) or num > 1e6
                     else:
@@ -229,25 +231,29 @@ def test_qfi_numeric_matches_analytic_and_prefers_appendix():
     for gamma in (1.0, 2.5):
         field = FieldVector(*FIELD.components, gamma=gamma)
         cfg = config("sequential", "ghz", field=field, durations=(1.0, 0.8, 1.2))
+        report = precision_report(cfg)
         for axis in "xyz":
             variants = qfi_analytic(cfg, axis)
-            assert qfi_numeric(cfg, axis) == pytest.approx(variants.appendix, rel=1e-7)
+            assert report.axis(axis).qfi_numeric == pytest.approx(
+                variants.appendix, rel=1e-7)
         # y and z separate the two candidate forms at this working point
         assert qfi_analytic(cfg, "y").main != pytest.approx(
             qfi_analytic(cfg, "y").appendix, rel=1e-3)
         for scheme, probe in (("parallel", "scs"), ("parallel", "ghz"),
                               ("sequential", "scs")):
             other = config(scheme, probe, field=field, durations=(1.0, 0.8, 1.2))
+            report = precision_report(other)
             for axis in "xyz":
                 variants = qfi_analytic(other, axis)
                 assert variants.main == variants.appendix
-                assert qfi_numeric(other, axis) == pytest.approx(
+                assert report.axis(axis).qfi_numeric == pytest.approx(
                     variants.appendix, rel=1e-7)
     # At zero field the sequential z QFI vanishes; round-off must not push
     # it below zero.
     zero = config("sequential", "scs", field=FieldVector(0.0, 0.0, 0.0))
+    report = precision_report(zero)
     for axis in "xyz":
-        value = qfi_numeric(zero, axis)
+        value = report.axis(axis).qfi_numeric
         assert value >= 0.0
         assert value == pytest.approx(qfi_analytic(zero, axis).appendix, abs=1e-12)
 
@@ -259,7 +265,8 @@ def test_qfi_for_x_never_depends_on_the_field():
                                  ("sequential", "ghz", 100.0)):
         for field in (FIELD, FieldVector(1.3, 0.05, 2.1)):
             cfg = config(scheme, probe, field=field)
-            assert qfi_numeric(cfg, "x") == pytest.approx(value, rel=1e-7)
+            assert precision_report(cfg).axis("x").qfi_numeric == pytest.approx(
+                value, rel=1e-7)
 
 
 def test_blind_spot_reported_as_infinite_precision():
@@ -281,7 +288,7 @@ def test_short_interrogation_is_not_a_blind_spot(probe):
                  durations=(1e-13, 1.0, 1.0))
     ana = analytic_delta_b(cfg, "x")
     assert math.isfinite(ana)
-    assert delta_b_numeric(cfg, "x") == pytest.approx(ana, rel=1e-6)
+    assert precision_report(cfg).axis("x").delta_b_numeric == pytest.approx(ana, rel=1e-6)
 
 
 def test_precision_report_respects_quantum_bound():
@@ -317,16 +324,18 @@ def test_exact_derivatives_match_finite_differences(n, field, durations, gamma,
     cfg = config(scheme, probe, dims=EnsembleDims(n),
                  field=FieldVector(*field, gamma=gamma), durations=durations)
     fd_dpsi, fd_slope, fd_qfi = central_difference(cfg, axis)
-    tangent = schemes._tangent(cfg, axis)[:, 1 + AXES.index(axis)]
+    block = schemes._tangent(cfg, axis)
+    tangent = block[:, 1 + AXES.index(axis)]
+    _, _, exact_delta_jz, slope, qfi = schemes._axis_figures(cfg, block, axis)
     # Absolute floors at the largest natural scales: gamma N T for d psi and
     # its square for the QFI and the slope.
     size = gamma * n * max(1.0, cfg.duration(axis))
     scale = size * size
     assert np.max(np.abs(tangent - fd_dpsi)) <= 1e-8 * size
-    assert qfi_numeric(cfg, axis) == pytest.approx(fd_qfi, rel=1e-6, abs=1e-9 * scale)
+    assert qfi == pytest.approx(fd_qfi, rel=1e-6, abs=1e-9 * scale)
     jz, jz2 = jz_moments(final_state(cfg, axis if scheme == "parallel" else None))
     delta_jz = math.sqrt(max(0.0, jz2 - jz * jz))
-    delta_b = delta_b_numeric(cfg, axis)
+    delta_b = schemes._delta_b(cfg, axis, exact_delta_jz, slope)
     if abs(fd_slope) > 1e-4 * scale:
         assert delta_b == pytest.approx(delta_jz / abs(fd_slope), rel=1e-6)
     else:  # near a blind spot: the exact slope is at most the oracle's
@@ -357,7 +366,7 @@ def test_closed_forms_match_simulation(half_n, field, durations, gamma, scheme,
     # scale their blind-spot floor with it.
     if abs(ds[axis]) >= 1e-3 and 1.0 - s**2 >= 1e-6 and gamma * cfg.duration(axis) > 0:
         assert analytic_delta_b(cfg, axis) == pytest.approx(
-            delta_b_numeric(cfg, axis), rel=1e-6)
+            precision_report(cfg).axis(axis).delta_b_numeric, rel=1e-6)
     odd = dataclasses.replace(cfg, probe="ghz", dims=EnsembleDims(n - 1))
     for closed_form in (signal_terms, closed_form_jz, closed_form_jz2):
         with pytest.raises(AnalyticBranchError):
@@ -432,14 +441,12 @@ def test_scalar_phases_match_array_phases(scheme, probe, n):
 def test_derivatives_refuse_exact_evolution():
     cfg = config("sequential", "scs", evolution="exact", tau=1e-2)
     with pytest.raises(ValueError, match="effective evolution"):
-        qfi_numeric(cfg, "x")
-    with pytest.raises(ValueError, match="effective evolution"):
-        delta_b_numeric(cfg, "y")
+        schemes._tangent(cfg, "x")
     with pytest.raises(ValueError, match="effective evolution"):
         precision_report(cfg)
 
 
-def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch):
+def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch, capsys):
     passes = []
     apply_chain = schemes._apply_chain
 
@@ -453,6 +460,40 @@ def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch):
     passes.clear()
     precision_report(config("parallel", "scs"))
     assert passes == [(DIMS.dim, 4)] * 3
+    # qfi is a view of the report, so it makes the same passes
+    for scheme, count in (("sequential", 1), ("parallel", 3)):
+        passes.clear()
+        assert main(["qfi", "--scheme", scheme, "--probe", "ghz", "--N", "10",
+                     "--B", "0.31,0.47,0.23"]) == 0
+        assert passes == [(DIMS.dim, 4)] * count
+    capsys.readouterr()
+
+
+def per_axis_oracle(cfg, axis):
+    """The per-axis path the report replaced: one tangent pass per axis, and
+    the qfi command's own single-shot bound rule."""
+    _, _, delta_jz, slope, qfi = schemes._axis_figures(cfg, schemes._tangent(cfg, axis),
+                                                       axis)
+    variants = qfi_analytic(cfg, axis)
+    return {"delta_b_numeric": schemes._delta_b(cfg, axis, delta_jz, slope),
+            "delta_b_analytic": analytic_delta_b(cfg, axis),
+            "qfi_numeric": qfi,
+            "qfi_analytic_main": variants.main,
+            "qfi_analytic_appendix": variants.appendix,
+            "qcrb": 1.0 / math.sqrt(qfi) if qfi > 0 else math.inf}
+
+
+def test_report_equals_the_per_axis_path_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        scheme, probe = SCHEMES[rng.integers(2)], PROBES[rng.integers(2)]
+        field = FieldVector(*rng.uniform(-2.0, 2.0, 3).tolist(),
+                            gamma=(1.0, 2.5)[rng.integers(2)])
+        cfg = config(scheme, probe, dims=EnsembleDims(2 * int(rng.integers(1, 11))),
+                     field=field, durations=rng.uniform(0.0, 2.0, 3).tolist())
+        for entry in precision_report(cfg).axes:
+            for name, value in per_axis_oracle(cfg, entry.axis).items():
+                assert getattr(entry, name).hex() == value.hex(), (cfg, entry.axis, name)
 
 
 def test_report_json_replaces_nonfinite_with_null():

@@ -225,6 +225,9 @@ def test_state_norm_enforced():
     dims = EnsembleDims(3)
     with pytest.raises(ValueError):
         DickeState(dims, np.ones(dims.dim))
+    # an overflowed phase gives NaN amplitudes, whose NaN norm must fail too
+    with pytest.raises(ValueError):
+        DickeState(dims, np.full(dims.dim, np.nan))
 
 
 def test_operator_hermiticity_enforced():
