@@ -122,23 +122,19 @@ def _grid(text: str) -> tuple[float, float, int]:
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
+        float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    except OverflowError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer that fits a float, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected positive integers, got {text!r}")
-    return values
+    return tuple(_positive_int(p) for p in text.split(","))
 
 
 def _angle_list(text: str) -> tuple[float, ...]:
@@ -315,6 +311,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    _require_finite_phases(args, (3 * 2 * args.pairs * args.tau,) * 3, "the last F2 time")
     dims = EnsembleDims(args.N)
     field = FieldVector(*args.B)
     modes = (("alternating", "identical") if args.mode == "both"

@@ -111,114 +111,50 @@ class SchemeConfig:
         return self.probe != "ghz" or self.dims.N % 2 == 0
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One factor of a readout chain.
-
-    kind "rot" applies e^{-i value J_axis}, kind "twist" applies
-    e^{-i value J_axis^2}, kind "free" evolves for time `value` (effective
-    single-axis or exact pulsed, per the configuration).
-    """
-
-    kind: str
-    axis: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("rot", "twist", "free"):
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        if self.axis not in AXES:
-            raise ValueError(f"unknown axis {self.axis!r}")
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Operator product in written order: steps[0] acts last."""
-
-    probe: str
-    steps: tuple[ChainStep, ...]
-
-
-def _rot(axis: str, value: float) -> ChainStep:
-    return ChainStep("rot", axis, value)
-
-
-def _twist(axis: str, value: float) -> ChainStep:
-    return ChainStep("twist", axis, value)
-
-
-def _free(axis: str, value: float) -> ChainStep:
-    return ChainStep("free", axis, value)
-
-
-def parallel_chain(probe: str, axis: str, durations, literal: bool = False) -> ChainSpec:
-    """Readout chain of the parallel-scheme device for one axis.
-
-    The default ghz x and y chains place the one-axis twist directly after
-    the free evolution, inside the basis-change sandwich; that ordering is
-    what maps the accumulated phase onto the z population.  literal=True
-    keeps the twist outside the sandwich instead, an ordering whose readout
-    signal vanishes identically (kept for comparison).
-    """
-    tx, ty, tz = (float(t) for t in durations)
-    if probe == "scs":
-        chains = {
-            "x": (_rot("x", -HALF_PI), _free("x", tx)),
-            "y": (_rot("y", -HALF_PI), _free("y", ty)),
-            "z": (_rot("x", HALF_PI), _free("z", tz), _rot("y", HALF_PI)),
-        }
-    elif probe == "ghz":
-        if literal:
-            chains = {
-                "x": (_twist("z", HALF_PI), _rot("y", -HALF_PI),
-                      _free("x", tx), _rot("y", HALF_PI)),
-                "y": (_twist("z", -HALF_PI), _rot("x", HALF_PI),
-                      _free("y", ty), _rot("x", HALF_PI)),
-                "z": (_rot("x", HALF_PI), _twist("z", -HALF_PI),
-                      _rot("x", -HALF_PI), _free("z", tz)),
-            }
-        else:
-            chains = {
-                "x": (_rot("y", -HALF_PI), _twist("z", HALF_PI),
-                      _free("x", tx), _rot("y", HALF_PI)),
-                "y": (_rot("x", HALF_PI), _twist("z", -HALF_PI),
-                      _free("y", ty), _rot("x", HALF_PI)),
-                "z": (_rot("x", HALF_PI), _twist("z", -HALF_PI),
-                      _rot("x", -HALF_PI), _free("z", tz)),
-            }
-    else:
-        raise ValueError(f"unknown probe {probe!r}")
-    if axis not in chains:
-        raise ValueError(f"unknown axis {axis!r}")
-    return ChainSpec(probe, chains[axis])
-
-
-def sequential_chain(probe: str, durations, literal: bool = False) -> ChainSpec:
-    """Single-device chain accumulating all three phases before readout.
-
-    The ghz chain expects the cat state prepared along x; the trailing
-    rotation performs that preparation from the z-basis cat.  literal=True
-    omits it and runs the chain on the bare z-basis cat.
-    """
-    tx, ty, tz = (float(t) for t in durations)
-    if probe == "scs":
-        steps = (_rot("y", HALF_PI), _free("z", tz), _free("y", ty), _free("x", tx))
-    elif probe == "ghz":
-        steps = (
-            _twist("x", -HALF_PI),
-            _free("z", tz),
-            _twist("x", -HALF_PI),
-            _rot("x", HALF_PI),
-            _free("y", ty),
-            _twist("z", -HALF_PI),
-            _rot("z", HALF_PI),
-            _free("x", tx),
-        )
-        if not literal:
-            steps = steps + (_rot("y", HALF_PI),)
-    else:
-        raise ValueError(f"unknown probe {probe!r}")
-    return ChainSpec(probe, steps)
+# Readout chains, keyed by (scheme, probe, literal) and, for the parallel
+# scheme, by device axis.  A chain is an operator product whose first step acts
+# last: ("rot" | "twist", a, theta) applies e^{-i theta J_a} or e^{-i theta J_a^2},
+# and ("free", a) evolves for the configuration's T_a (see _free_evolution).
+#
+# The default parallel ghz x and y chains place the one-axis twist directly
+# after the free evolution, inside the basis-change sandwich; that ordering is
+# what maps the accumulated phase onto the z population.  Their literal entries
+# keep the twist outside the sandwich, an ordering whose readout signal
+# vanishes identically (kept for comparison).  The sequential ghz chain expects
+# the cat state prepared along x; the trailing rotation performs that
+# preparation from the z-basis cat.  Its literal entry omits it and runs the
+# chain on the bare z-basis cat.
+_PARALLEL_GHZ_Z = (("rot", "x", HALF_PI), ("twist", "z", -HALF_PI),
+                   ("rot", "x", -HALF_PI), ("free", "z"))
+_SEQUENTIAL_GHZ_LITERAL = (
+    ("twist", "x", -HALF_PI), ("free", "z"), ("twist", "x", -HALF_PI),
+    ("rot", "x", HALF_PI), ("free", "y"), ("twist", "z", -HALF_PI),
+    ("rot", "z", HALF_PI), ("free", "x"))
+_CHAINS = {
+    ("parallel", "scs", False): {
+        "x": (("rot", "x", -HALF_PI), ("free", "x")),
+        "y": (("rot", "y", -HALF_PI), ("free", "y")),
+        "z": (("rot", "x", HALF_PI), ("free", "z"), ("rot", "y", HALF_PI)),
+    },
+    ("parallel", "ghz", False): {
+        "x": (("rot", "y", -HALF_PI), ("twist", "z", HALF_PI),
+              ("free", "x"), ("rot", "y", HALF_PI)),
+        "y": (("rot", "x", HALF_PI), ("twist", "z", -HALF_PI),
+              ("free", "y"), ("rot", "x", HALF_PI)),
+        "z": _PARALLEL_GHZ_Z,
+    },
+    ("parallel", "ghz", True): {
+        "x": (("twist", "z", HALF_PI), ("rot", "y", -HALF_PI),
+              ("free", "x"), ("rot", "y", HALF_PI)),
+        "y": (("twist", "z", -HALF_PI), ("rot", "x", HALF_PI),
+              ("free", "y"), ("rot", "x", HALF_PI)),
+        "z": _PARALLEL_GHZ_Z,
+    },
+    ("sequential", "scs", False): (("rot", "y", HALF_PI), ("free", "z"),
+                                   ("free", "y"), ("free", "x")),
+    ("sequential", "ghz", False): _SEQUENTIAL_GHZ_LITERAL + (("rot", "y", HALF_PI),),
+    ("sequential", "ghz", True): _SEQUENTIAL_GHZ_LITERAL,
+}
 
 
 def _free_evolution(config: SchemeConfig, axis: str, duration: float,
@@ -241,16 +177,21 @@ def _free_evolution(config: SchemeConfig, axis: str, duration: float,
     return evolve_exact(DickeState(config.dims, psi), config.field, [sched]).amplitudes
 
 
-def _apply_chain(config: SchemeConfig, chain: ChainSpec, psi: np.ndarray) -> np.ndarray:
+def _chain(config: SchemeConfig, axis: str | None, literal: bool = False):
+    """The sequential device's chain (`axis` ignored), or the parallel one's for `axis`."""
+    chain = _CHAINS[config.scheme, config.probe, bool(literal) and config.probe == "ghz"]
+    if config.scheme == "parallel" and axis not in chain:
+        raise ValueError(f"parallel scheme needs a device axis, got {axis!r}")
+    return chain[axis] if config.scheme == "parallel" else chain
+
+
+def _apply_chain(config: SchemeConfig, chain, psi: np.ndarray) -> np.ndarray:
     """Apply the chain right to left to a probe vector or a tangent block."""
-    if chain.probe != config.probe:
-        raise ValueError("chain probe does not match configuration")
-    for step in reversed(chain.steps):
-        if step.kind == "free":
-            psi = _free_evolution(config, step.axis, step.value, psi)
+    for kind, axis, *angle in reversed(chain):
+        if kind == "free":
+            psi = _free_evolution(config, axis, config.duration(axis), psi)
         else:
-            psi = propagate(config.dims, step.axis, step.value, psi,
-                            squared=step.kind == "twist")
+            psi = propagate(config.dims, axis, angle[0], psi, squared=kind == "twist")
     return psi
 
 
@@ -258,25 +199,11 @@ def _probe_amplitudes(config: SchemeConfig) -> np.ndarray:
     return (scs_state if config.probe == "scs" else ghz_state)(config.dims).amplitudes
 
 
-def run_chain(config: SchemeConfig, chain: ChainSpec) -> DickeState:
-    """Prepare the probe and apply the chain right to left."""
-    psi = _apply_chain(config, chain, _probe_amplitudes(config))
-    return DickeState(config.dims, psi / np.linalg.norm(psi))
-
-
-def _readout_chain(config: SchemeConfig, axis: str | None,
-                   literal: bool = False) -> ChainSpec:
-    if config.scheme == "parallel":
-        if axis is None:
-            raise ValueError("parallel scheme needs an axis")
-        return parallel_chain(config.probe, axis, config.durations, literal)
-    return sequential_chain(config.probe, config.durations, literal)
-
-
 def final_state(config: SchemeConfig, axis: str | None = None,
                 literal: bool = False) -> DickeState:
     """Dispatch to the per-axis device (parallel) or the single device."""
-    return run_chain(config, _readout_chain(config, axis, literal))
+    psi = _apply_chain(config, _chain(config, axis, literal), _probe_amplitudes(config))
+    return DickeState(config.dims, psi / np.linalg.norm(psi))
 
 
 def simulated_jz(config: SchemeConfig, times, axis: str | None = None) -> np.ndarray:
@@ -296,7 +223,7 @@ def _tangent(config: SchemeConfig, axis: str) -> np.ndarray:
                          f"got evolution={config.evolution!r}")
     block = np.zeros((config.dims.dim, 4), dtype=complex)
     block[:, 0] = _probe_amplitudes(config)
-    block = _apply_chain(config, _readout_chain(config, axis), block)
+    block = _apply_chain(config, _chain(config, axis), block)
     return block / np.linalg.norm(block[:, 0])
 
 
@@ -465,12 +392,13 @@ def to_json(value):
 
 
 def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
-    """<Jz>, <Jz^2>, dJz, slope and QFI for B_axis from a tangent block.
+    """<Jz>, <Jz^2>, dJz, slope, QFI F and sqrt(F) for B_axis from a tangent block.
 
     Each is taken about the state so that none cancels as |<Jz>| nears J or
     the QFI nears 0: dJz^2 = <(Jz - <Jz>)^2>, the slope 2 Re<psi|(Jz - <Jz>)|d psi>
     (the raw 2 Re<psi|Jz|d psi>, as Re<psi|d psi> = 0) and the QFI
     4 |d psi - psi <psi|d psi>|^2 (= 4 (|d psi|^2 - |<psi|d psi>|^2), never < 0).
+    Where F overflows it is inf, and sqrt(F) is taken from the rescaled norm.
     """
     psi, dpsi = block[:, 0], block[:, 1 + AXES.index(axis)]
     jz, jz2 = jz_moments(DickeState(config.dims, psi))
@@ -478,7 +406,11 @@ def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
     delta_jz = math.sqrt(np.vdot(psi, centred * centred * psi).real)
     slope = 2.0 * float(np.vdot(psi, centred * dpsi).real)
     perp = dpsi - psi * np.vdot(psi, dpsi)
-    return jz, jz2, delta_jz, slope, 4.0 * float(np.vdot(perp, perp).real)
+    qfi = 4.0 * float(np.vdot(perp, perp).real)
+    if math.isfinite(qfi):
+        return jz, jz2, delta_jz, slope, qfi, math.sqrt(qfi)
+    big = float(np.max(np.abs(perp)))
+    return jz, jz2, delta_jz, slope, math.inf, 2.0 * big * float(np.linalg.norm(perp / big))
 
 
 def _delta_b(config: SchemeConfig, axis: str, delta_jz: float, slope: float) -> float:
@@ -532,7 +464,8 @@ def precision_report(config: SchemeConfig, eta: int = 1) -> PrecisionReport:
 
     This is the one numeric per-axis path: one tangent pass for the
     sequential device, one per device for the parallel scheme.  eta is the
-    number of independent trials entering the Cramer-Rao bound 1/sqrt(eta F).
+    number of independent trials entering the Cramer-Rao bound 1/sqrt(eta F),
+    formed as 1/(sqrt(F) sqrt(eta)) so that no product overflows.
     On every axis that is not a blind spot the single-shot numeric precision
     must respect the single-trial bound to a relative 1e-9; a violation
     raises BoundViolationError.
@@ -544,16 +477,16 @@ def precision_report(config: SchemeConfig, eta: int = 1) -> PrecisionReport:
     for axis in AXES:
         if block is None or config.scheme == "parallel":
             block = _tangent(config, axis)
-        jz, jz2, delta_jz, slope, qfi_num = _axis_figures(config, block, axis)
+        jz, jz2, delta_jz, slope, qfi_num, root_qfi = _axis_figures(config, block, axis)
         db_num = _delta_b(config, axis, delta_jz, slope)
         variants = qfi_analytic(config, axis)
         db_ana = analytic_delta_b(config, axis)
-        qcrb = math.inf if qfi_num <= 0 else 1.0 / math.sqrt(eta * qfi_num)
+        qcrb = math.inf if root_qfi <= 0 else 1.0 / (root_qfi * math.sqrt(eta))
         gamma_t = config.field.gamma * config.duration(axis)
         qfi_scale = _square(config.dims.N * max(gamma_t, 1e-300))
         blind = math.isinf(db_ana) or qfi_num < BLIND_SPOT_QFI_FLOOR * qfi_scale
-        if not blind and qfi_num > 0:
-            bound = 1.0 / math.sqrt(qfi_num)
+        if not blind and root_qfi > 0:
+            bound = 1.0 / root_qfi
             if db_num < bound * (1.0 - 1e-9):
                 raise BoundViolationError(
                     f"precision beats the quantum bound on axis {axis}: "

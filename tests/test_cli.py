@@ -10,10 +10,12 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vecmag
 from vecmag import __version__, cli, schemes
 from vecmag.cli import main
 
@@ -137,10 +139,14 @@ def test_flag_grammar_rejections(capsys):
          "--grid=-1:1:4", "--evolution", "effective"),
         ("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,1,1",
          "--grid=-1:1:4", "--evolution", "exact", "--tau", "0.01"),
+        # a count that no float holds
+        ("precision", "--scheme", "parallel", "--probe", "scs", "--B", "1,1,1",
+         "--repetitions", "1" + "0" * 400),
     )
     for argv in bad:
-        code, _, _ = run_cli(capsys, *argv)
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
+        assert "Traceback" not in err, argv
 
 
 def test_spectrum_recovers_field_with_default_t_max(capsys):
@@ -253,6 +259,12 @@ def test_huge_duration_reports_null_instead_of_overflowing(capsys):
     assert [a["blind_spot"] for a in axes] == [False, False, False]
     for entry in axes[1:]:
         assert entry["delta_b_numeric"] >= entry["qcrb"] - 1e-9
+    # F ~ 1e601 is no float, but its root is: qcrb = 1/(sqrt(N) T) and the
+    # bound is checked on x as well
+    assert axes[0]["qfi_numeric"] is None
+    qcrb = 1.0 / (math.sqrt(10) * 1e300)
+    assert axes[0]["qcrb"] == pytest.approx(qcrb, rel=1e-12, abs=0.0)
+    assert axes[0]["delta_b_numeric"] >= axes[0]["qcrb"]
 
 
 def test_only_a_bound_violation_is_reported_as_one(capsys, monkeypatch):
@@ -291,15 +303,18 @@ def test_bound_check_is_relative_and_skips_blind_spots(capsys, command, flags):
 @pytest.mark.parametrize("command", ["precision", "qfi"])
 def test_a_precision_below_the_bound_exits_3(capsys, monkeypatch, command):
     delta_b = schemes._delta_b
-
-    def halved(*args):  # half the precision beats the bound on every sighted axis
-        return delta_b(*args) / 2.0
-
-    monkeypatch.setattr(schemes, "_delta_b", halved)
-    code, out, err = run_cli(capsys, command, "--scheme", "sequential",
-                             "--probe", "scs", "--B", "1,0.8,1.2")
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "bound-violation"
+    # Half the precision beats the bound on every sighted axis.  At T_x = 1e300,
+    # where F_x overflows, x reads 2.8 times its bound, and a quarter beats it
+    # there before any other axis is checked.
+    for flags, divisor in ((("--B", "1,0.8,1.2"), 2.0),
+                           (("--B", "1,1,1", "--T", "1e300,1,1"), 4.0)):
+        monkeypatch.setattr(schemes, "_delta_b", lambda *args: delta_b(*args) / divisor)
+        code, out, err = run_cli(capsys, command, "--scheme", "sequential",
+                                 "--probe", "scs", *flags)
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "bound-violation"
+        assert "on axis x:" in error["reason"], flags
 
 
 @pytest.mark.parametrize("flags", [
@@ -337,6 +352,8 @@ def test_qfi_and_precision_share_their_figures(capsys, flags):
     # finite B T, but the cat phases N B T overflow
     ("qfi", "--scheme", "parallel", "--probe", "ghz", "--B", "1e300,1,1",
      "--T", "1e8,1,1"),
+    # the last F2 time is 3 * 2 * pairs * tau
+    ("robustness", "--B", "1e300,1,1", "--tau", "1e10", "--pairs", "2", "--trials", "2"),
 ])
 def test_overflowing_phases_are_refused_by_the_parser(capsys, argv):
     with warnings.catch_warnings():
@@ -345,6 +362,18 @@ def test_overflowing_phases_are_refused_by_the_parser(capsys, argv):
     assert code == 2 and out == ""
     assert "overflows" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_repetitions_scale_the_bound(capsys):
+    flags = ("precision", "--scheme", "parallel", "--probe", "scs", "--B", "1,1,1")
+    qcrb = {}
+    for repetitions in ("1", "4"):
+        code, out, _ = run_cli(capsys, *flags, "--repetitions", repetitions)
+        assert code == 0
+        doc = json.loads("\n".join(split_artifact(out)[1]))
+        assert doc["eta"] == int(repetitions)
+        qcrb[repetitions] = [entry["qcrb"] for entry in doc["axes"]]
+    assert qcrb["4"] == [q / 2.0 for q in qcrb["1"]]
 
 
 def test_qfi_report_names_both_variants(capsys):
@@ -457,9 +486,16 @@ def test_csv_floats_round_trip_losslessly(capsys):
             assert repr(float(cell)) == cell
 
 
+def child_env(**extra):
+    """Environment of a child interpreter that imports the vecmag under test,
+    not an installed copy."""
+    return dict(os.environ, PYTHONPATH=str(Path(vecmag.__file__).resolve().parents[1]),
+                **extra)
+
+
 def test_module_entry_point():
     out = subprocess.run([sys.executable, "-m", "vecmag.cli", "validate",
-                          "--only", "2"], capture_output=True, text=True)
+                          "--only", "2"], capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     assert out.stdout.splitlines()[0].startswith("# ")
 
@@ -527,7 +563,7 @@ COMMAND_RUNS_SCRIPT = textwrap.dedent("""
 def test_no_command_imports_scipy():
     # A fresh interpreter: this process may already hold scipy.
     out = subprocess.run([sys.executable, "-c", COMMAND_RUNS_SCRIPT],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     runs = json.loads(out.stdout.splitlines()[-1])
     assert [code for _, code, _ in runs] == [0, 0, 0, 4, 0, 0, 0, 0, 0, 0]
@@ -541,7 +577,7 @@ def test_robustness_artifact_independent_of_blas_threads():
             "--trials", "3", "--pairs", "50"]
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = subprocess.run(argv, capture_output=True, env=env)
         assert out.returncode == 0, out.stderr
         outputs.append(out.stdout)

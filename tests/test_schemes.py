@@ -14,7 +14,6 @@ from vecmag.schemes import (
     PROBES,
     SCHEMES,
     AnalyticBranchError,
-    ChainStep,
     SchemeConfig,
     analytic_delta_b,
     analytic_jz,
@@ -24,11 +23,8 @@ from vecmag.schemes import (
     closed_form_jz2,
     final_state,
     jz_moments,
-    parallel_chain,
     precision_report,
     qfi_analytic,
-    run_chain,
-    sequential_chain,
     signal_terms,
     to_json,
 )
@@ -73,10 +69,6 @@ def test_config_validation():
         config("parallel", "scs", durations=(1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         config("parallel", "scs", evolution="exact")
-    with pytest.raises(ValueError):
-        ChainStep("spin", "x", 1.0)
-    with pytest.raises(ValueError):
-        ChainStep("rot", "w", 1.0)
 
 
 def test_phases_are_coupling_times_duration():
@@ -85,10 +77,40 @@ def test_phases_are_coupling_times_duration():
     assert cfg.phase("y") == pytest.approx(0.94)
 
 
-def test_run_chain_rejects_probe_mismatch():
-    cfg = config("parallel", "scs")
-    with pytest.raises(ValueError):
-        run_chain(cfg, parallel_chain("ghz", "x", UNIT_T))
+def test_parallel_final_state_needs_a_device_axis():
+    for probe in PROBES:
+        for literal in (False, True):
+            for axis in (None, "w"):
+                with pytest.raises(ValueError, match="device axis"):
+                    final_state(config("parallel", probe), axis, literal)
+            # the sequential device ignores the axis
+            seq = config("sequential", probe)
+            assert np.array_equal(final_state(seq, "w", literal).amplitudes,
+                                  final_state(seq, None, literal).amplitudes)
+
+
+def test_chain_table_structure():
+    # A free step finds its duration by its axis label, so a wrong label
+    # would silently read another axis's T.
+    assert set(schemes._CHAINS) == {(scheme, probe, literal) for scheme in SCHEMES
+                                    for probe in PROBES for literal in (False, True)
+                                    if probe == "ghz" or not literal}
+    for (scheme, probe, literal), chains in schemes._CHAINS.items():
+        if scheme == "parallel":
+            assert set(chains) == set(AXES)
+            frees = {device: [device] for device in AXES}
+        else:
+            chains, frees = {None: chains}, {None: list(AXES)}
+        for device, chain in chains.items():
+            free = sorted(axis for kind, axis, *_ in chain if kind == "free")
+            assert free == frees[device], (scheme, probe, literal, device)
+            for step in chain:
+                if step[0] == "free":
+                    assert len(step) == 2
+                else:
+                    kind, axis, angle = step
+                    assert kind in ("rot", "twist") and axis in AXES
+                    assert angle in (schemes.HALF_PI, -schemes.HALF_PI)
 
 
 def test_parallel_closed_forms_match_simulator():
@@ -307,6 +329,12 @@ def test_precision_report_eta_scales_qcrb():
     one = precision_report(cfg, eta=1).axis("x").qcrb
     many = precision_report(cfg, eta=100).axis("x").qcrb
     assert many == pytest.approx(one / 10.0)
+    # at T_x = 1e5 the product eta F overflows a float; the bound does not
+    long = config("parallel", "ghz", durations=(1e5, 1.0, 1.0))
+    one = precision_report(long).axis("x").qcrb
+    huge = precision_report(long, eta=10**300).axis("x").qcrb
+    assert one == pytest.approx(1e-6, rel=1e-9)
+    assert huge == pytest.approx(one / 1e150, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         precision_report(cfg, eta=0)
 
@@ -326,7 +354,7 @@ def test_exact_derivatives_match_finite_differences(n, field, durations, gamma,
     fd_dpsi, fd_slope, fd_qfi = central_difference(cfg, axis)
     block = schemes._tangent(cfg, axis)
     tangent = block[:, 1 + AXES.index(axis)]
-    _, _, exact_delta_jz, slope, qfi = schemes._axis_figures(cfg, block, axis)
+    _, _, exact_delta_jz, slope, qfi, _ = schemes._axis_figures(cfg, block, axis)
     # Absolute floors at the largest natural scales: gamma N T for d psi and
     # its square for the QFI and the slope.
     size = gamma * n * max(1.0, cfg.duration(axis))
@@ -472,8 +500,8 @@ def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch, capsys)
 def per_axis_oracle(cfg, axis):
     """The per-axis path the report replaced: one tangent pass per axis, and
     the qfi command's own single-shot bound rule."""
-    _, _, delta_jz, slope, qfi = schemes._axis_figures(cfg, schemes._tangent(cfg, axis),
-                                                       axis)
+    _, _, delta_jz, slope, qfi, _ = schemes._axis_figures(cfg, schemes._tangent(cfg, axis),
+                                                          axis)
     variants = qfi_analytic(cfg, axis)
     return {"delta_b_numeric": schemes._delta_b(cfg, axis, delta_jz, slope),
             "delta_b_analytic": analytic_delta_b(cfg, axis),
@@ -529,8 +557,14 @@ def test_to_json_encodes_nested_dataclasses():
 
 
 def test_sequential_chain_shapes():
-    scs = sequential_chain("scs", UNIT_T)
-    assert [s.kind for s in scs.steps] == ["rot", "free", "free", "free"]
-    ghz = sequential_chain("ghz", UNIT_T)
-    assert ghz.steps[-1].kind == "rot" and ghz.steps[-1].axis == "y"
-    assert len(sequential_chain("ghz", UNIT_T, literal=True).steps) == 8
+    def chain(probe, literal=False):
+        return schemes._chain(config("sequential", probe), None, literal)
+
+    assert [kind for kind, *_ in chain("scs")] == ["rot", "free", "free", "free"]
+    assert chain("scs", literal=True) == chain("scs")
+    assert chain("ghz")[-1][:2] == ("rot", "y")
+    assert len(chain("ghz", literal=True)) == 8
+    # literal=True changes nothing for the product probe
+    cfg = config("sequential", "scs")
+    assert np.array_equal(final_state(cfg, literal=True).amplitudes,
+                          final_state(cfg).amplitudes)

@@ -5,8 +5,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from vecmag import spin
-from vecmag.schemes import SchemeConfig, parallel_chain, run_chain, sequential_chain
+from vecmag import schemes, spin
+from vecmag.schemes import SchemeConfig, final_state
 from vecmag.spin import (
     AXES,
     CollectiveOperator,
@@ -291,14 +291,15 @@ def _reference_unitary(N, kind, axis, theta):
     return unitary_from_generator(gen, theta)
 
 
-def _reference_chain(config, chain):
-    """The chain applied step by step with spectral-decomposition unitaries."""
-    psi = (scs_state if chain.probe == "scs" else ghz_state)(config.dims).amplitudes
-    for step in reversed(chain.steps):
-        theta = step.value
-        if step.kind == "free":
-            theta *= config.field.coupling(step.axis)
-        psi = _reference_unitary(config.dims.N, step.kind, step.axis, theta) @ psi
+def _reference_chain(config, axis, literal):
+    """The chain of `config`, step by step, with spectral-decomposition unitaries."""
+    psi = (scs_state if config.probe == "scs" else ghz_state)(config.dims).amplitudes
+    for kind, step_axis, *angle in reversed(schemes._chain(config, axis, literal)):
+        if kind == "free":
+            theta = config.duration(step_axis) * config.field.coupling(step_axis)
+        else:
+            theta = angle[0]
+        psi = _reference_unitary(config.dims.N, kind, step_axis, theta) @ psi
     return psi
 
 
@@ -310,13 +311,12 @@ def test_every_chain_matches_the_spectral_reference(N):
     worst = 0.0
     for probe in ("scs", "ghz"):
         for literal in (False, True):
-            runs = [("sequential", sequential_chain(probe, durations, literal))]
-            runs += [("parallel", parallel_chain(probe, axis, durations, literal))
-                     for axis in AXES]
-            for scheme, chain in runs:
+            runs = [("sequential", None)] + [("parallel", axis) for axis in AXES]
+            for scheme, axis in runs:
                 cfg = SchemeConfig(scheme, probe, dims, field, durations)
-                got = run_chain(cfg, chain).amplitudes
-                worst = max(worst, np.max(np.abs(got - _reference_chain(cfg, chain))))
+                got = final_state(cfg, axis, literal).amplitudes
+                want = _reference_chain(cfg, axis, literal)
+                worst = max(worst, np.max(np.abs(got - want)))
     assert worst <= 1e-11
 
 
@@ -334,5 +334,5 @@ def test_chains_at_one_n_share_one_eigendecomposition(monkeypatch):
     for field in (FieldVector(0.3, 0.4, 0.5), FieldVector(1.1, -0.2, 0.7)):
         for probe in ("scs", "ghz"):
             cfg = SchemeConfig("sequential", probe, dims, field, (1.0, 1.0, 1.0))
-            run_chain(cfg, sequential_chain(probe, cfg.durations))
+            final_state(cfg)
     assert len(calls) <= 1
