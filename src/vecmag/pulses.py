@@ -3,30 +3,31 @@
 A block of rapid pi pulses about one axis cancels the transverse field
 components to first order in the pulse spacing tau, so the block behaves
 like free evolution under the selected component alone.  This module
-evolves states pulse by pulse (exactly), injects rotation-angle errors,
+evolves states through pulse blocks exactly, injects rotation-angle errors,
 and measures how well the idealization holds against the effective
-rotation e^{-i gamma B_a t J_a} from `spin.propagate`:
+rotation e^{-i gamma B_a t J_a}:
 
 * F1(t): overlap between the exact pulsed state and the effective state.
 * F2(t): overlap between the noiseless and error-perturbed pulsed states.
+
+All three run on one pulse-block kernel built on `spin.propagate`, with no
+eigendecomposition of the field Hamiltonian.  A block about axis a runs in
+the J_a eigenbasis, where every pulse is a diagonal phase and the free step
+e^{-i tau gamma B.J} (five kernel rotations, `_free_step`) is one matrix W
+(`_block_frame`).  With exact pi pulses every pair is the same P, so a
+block is P^L, by binary powering when that takes fewer flops than L steps
+(`_apply_pairs`).  F1 steps P once per pair; F2 with pulse errors steps
+each trial's own pulses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (
-    AXES,
-    DickeState,
-    EnsembleDims,
-    FieldVector,
-    field_hamiltonian,
-    propagate,
-    scs_state,
-    unitary_from_generator,
-)
+from .spin import AXES, DickeState, EnsembleDims, FieldVector, _jx_basis, propagate, scs_state
 
 __all__ = [
     "DDSchedule",
@@ -119,32 +120,89 @@ def _angle_table(schedules, noise: NoiseModel | None = None) -> np.ndarray:
 
 
 def evolve_exact(state: DickeState, field: FieldVector, schedules) -> DickeState:
-    """Pulse-by-pulse evolution through the listed DD blocks, exact pi pulses.
+    """Exact evolution through the listed DD blocks with exact pi pulses.
 
     Each pair applies free evolution, the first pi pulse, free evolution,
-    the second pi pulse (chronological order).
+    the second pi pulse (chronological order).  Every pair of a block is
+    the same unitary P, so the block is P^pairs (see `_apply_pairs`).
     """
     if not schedules:
         return state
-    angles = _angle_table(schedules)[:, :, 0].tolist()
-    for psi in _iter_pair_states(state.amplitudes, state.dims, field, schedules, angles):
-        pass
+    psi = state.amplitudes
+    for sched in schedules:
+        basis, ev, w = _block_frame(state.dims, field, sched)
+        c = _apply_pairs(_exact_pair(w, ev, sched.mode), basis.conj().T @ psi, sched.pairs)
+        psi = basis @ c
     return DickeState(state.dims, psi / np.linalg.norm(psi))
 
 
-def _iter_pair_states(psi, dims, field, schedules, angles):
-    """Yield the raw state after every pulse pair, block by block.
+def _free_step(dims: EnsembleDims, field: FieldVector, tau: float,
+               psi: np.ndarray) -> np.ndarray:
+    """e^{-i tau gamma B.J} psi from five kernel rotations, with no eigh of H_B.
 
-    psi is a (dim,) vector or a (dim, k) block; angles[i] holds pair i's
-    (first, second) angles, scalars or one per column (see _angle_table).
-    The free-evolution unitary is computed once per distinct tau.
+    Writing gamma B = |b| (sin t cos p, sin t sin p, cos t), the generator
+    is b.J = R_z(p) R_y(t) |b| J_z R_y(-t) R_z(-p), so the free step is
+    R_z(p) R_y(t) R_z(|b| tau) R_y(-t) R_z(-p); the rightmost acts first.
     """
-    h_b = field_hamiltonian(dims, field)
-    u_free = {t: unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
-    for sched, (a_first, a_second) in zip(_pair_plan(schedules), angles):
-        psi = propagate(dims, sched.axis, a_first, u_free[sched.tau] @ psi)
-        psi = propagate(dims, sched.axis, a_second, u_free[sched.tau] @ psi)
-        yield psi
+    bx, by, bz = (field.coupling(ax) for ax in AXES)
+    polar, azimuth = math.atan2(math.hypot(bx, by), bz), math.atan2(by, bx)
+    for axis, angle in (("z", -azimuth), ("y", -polar), ("z", math.hypot(bx, by, bz) * tau),
+                        ("y", polar), ("z", azimuth)):
+        psi = propagate(dims, axis, angle, psi)
+    return psi
+
+
+def _block_frame(dims: EnsembleDims, field: FieldVector, sched: DDSchedule):
+    """(B, ev, W) for one block about axis a.
+
+    B holds the J_a eigenvectors as columns (the identity for z, the
+    kernel's real basis V for x, diag(r) V for y; see `spin._jx_basis`) and
+    ev their eigenvalues, so a pulse e^{-i theta J_a} is the diagonal phase
+    e^{-i theta ev} in that basis.  W = B^dagger U B is the free step.
+    """
+    v, ev, m, r, _ = _jx_basis(dims.N)
+    if sched.axis == "z":
+        basis, ev = np.eye(dims.dim), m
+    else:
+        basis = v if sched.axis == "x" else r[:, None] * v
+    return basis, ev, basis.conj().T @ _free_step(dims, field, sched.tau, basis)
+
+
+def _exact_pair(w: np.ndarray, ev: np.ndarray, mode: str) -> np.ndarray:
+    """P = D(pi) W D(first) W with D(theta) = diag(e^{-i theta ev}): one
+    exact pulse pair in the block's eigenbasis, first = -pi when alternating."""
+    first = -np.pi if mode == "alternating" else np.pi
+    return (np.exp(-1j * np.pi * ev)[:, None] * w) @ (np.exp(-1j * first * ev)[:, None] * w)
+
+
+def _apply_pairs(p: np.ndarray, c: np.ndarray, pairs: int) -> np.ndarray:
+    """P^pairs c, by whichever branch does less arithmetic.
+
+    Binary powering costs about 2 ceil(log2 L) dense dim^3 products and
+    stepping L dim^2 matrix-vector products, so powering runs when
+    2 ceil(log2 L) dim < L.
+    """
+    if 2 * (pairs - 1).bit_length() * p.shape[0] < pairs:
+        return _powered(p, c, pairs)
+    return _stepped(p, c, pairs)
+
+
+def _powered(p: np.ndarray, c: np.ndarray, pairs: int) -> np.ndarray:
+    """P^pairs c by binary powering: P^(2^k) c for every set bit k."""
+    while True:
+        if pairs & 1:
+            c = p @ c
+        pairs >>= 1
+        if not pairs:
+            return c
+        p = p @ p
+
+
+def _stepped(p: np.ndarray, c: np.ndarray, pairs: int) -> np.ndarray:
+    """P^pairs c, one pair at a time."""
+    for _ in range(pairs):
+        c = p @ c
+    return c
 
 
 @dataclass(frozen=True)
@@ -181,15 +239,22 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
         tau = ratio * t_block
         pairs = L_per_axis if L_per_axis is not None else max(1, round(1.0 / (2.0 * ratio)))
         schedules = [DDSchedule(ax, pairs, tau) for ax in block_order]
-        phi = scs_state(dims).amplitudes
-        angles = _angle_table(schedules)[:, :, 0].tolist()
-        free_angle = {ax: field.coupling(ax) * 2.0 * tau for ax in block_order}
+        psi = phi = scs_state(dims).amplitudes
         values = []
-        for sched, psi in zip(_pair_plan(schedules),
-                              _iter_pair_states(phi, dims, field, schedules, angles)):
-            phi = propagate(dims, sched.axis, free_angle[sched.axis], phi)
-            values.append(abs(np.vdot(psi, phi)) ** 2)
-        curves.append(F1Curve(ratio, pairs, tau, _pair_times(schedules), np.array(values)))
+        for sched in schedules:
+            basis, ev, w = _block_frame(dims, field, sched)
+            p = _exact_pair(w, ev, sched.mode)
+            c, exact = basis.conj().T @ psi, np.empty((pairs, dims.dim), dtype=complex)
+            for k in range(pairs):
+                c = exact[k] = p @ c
+            angles = field.coupling(sched.axis) * 2.0 * tau * np.arange(1, pairs + 1)
+            effective = np.exp(-1j * angles[:, None] * ev) * (basis.conj().T @ phi)
+            # normalized so the raw vectors' machine-level norm drift cancels
+            overlap = np.einsum("kd,kd->k", exact.conj(), effective)
+            norm2 = [np.sum(a.real ** 2 + a.imag ** 2, axis=1) for a in (exact, effective)]
+            values.append((overlap.real ** 2 + overlap.imag ** 2) / (norm2[0] * norm2[1]))
+            psi, phi = basis @ c, basis @ effective[-1]
+        curves.append(F1Curve(ratio, pairs, tau, _pair_times(schedules), np.concatenate(values)))
     return curves
 
 
@@ -224,10 +289,42 @@ def fidelity_f2(dims: EnsembleDims, field: FieldVector, schedules,
     table = np.ones((noise.trials, times.size))
     if noise.eta > 0.0:
         block = np.repeat(scs_state(dims).amplitudes[:, None], 1 + noise.trials, 1)
-        angles = _angle_table(schedules, noise)
-        for i, psi in enumerate(_iter_pair_states(block, dims, field, schedules, angles)):
-            # normalized so the raw vectors' machine-level norm drift cancels
-            overlap = psi[:, 0].conj() @ psi[:, 1:]
-            norm2 = np.sum(psi.real ** 2 + psi.imag ** 2, axis=0)
-            table[:, i] = (overlap.real ** 2 + overlap.imag ** 2) / (norm2[0] * norm2[1:])
+        table = _f2_table(block, dims, field, schedules, _angle_table(schedules, noise))
     return F2Result(times, table.mean(axis=0), table.std(axis=0), table.min(axis=1))
+
+
+# complex entries in one chunk of F2 pulse phases (256 KiB)
+_CHUNK = 1 << 14
+
+
+def _f2_table(psi, dims, field, schedules, angles) -> np.ndarray:
+    """F2 of columns 1.. of the (dim, 1 + trials) block psi against column 0
+    after every pulse pair, shape (trials, pairs).
+
+    angles is the (pairs, 2, 1 + trials) table of `_angle_table`.  Each
+    block runs in its eigenbasis (see `_block_frame`), where a pair is two
+    products with W and two diagonal phases; the phases are built for a
+    chunk of pairs at a time, and the states of a chunk are kept to take
+    their overlaps and norms at once.
+    """
+    cols = psi.shape[1]
+    table = np.empty((cols - 1, len(angles)))
+    rows = max(1, _CHUNK // (2 * dims.dim * cols))
+    start = 0
+    for sched in schedules:
+        basis, ev, w = _block_frame(dims, field, sched)
+        c = basis.conj().T @ psi
+        for lo in range(start, start + sched.pairs, rows):
+            hi = min(lo + rows, start + sched.pairs)
+            phases = np.exp(-1j * angles[lo:hi, :, None, :] * ev[:, None])
+            states = np.empty((hi - lo, dims.dim, cols), dtype=complex)
+            for i, (first, second) in enumerate(phases):
+                c = states[i] = second * (w @ (first * (w @ c)))
+            # normalized so the raw vectors' machine-level norm drift cancels
+            overlap = np.einsum("id,idk->ik", states[:, :, 0].conj(), states[:, :, 1:])
+            norm2 = np.sum(states.real ** 2 + states.imag ** 2, axis=1)
+            table[:, lo:hi] = ((overlap.real ** 2 + overlap.imag ** 2)
+                               / (norm2[:, :1] * norm2[:, 1:])).T
+        psi = basis @ c
+        start += sched.pairs
+    return table

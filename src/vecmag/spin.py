@@ -3,9 +3,8 @@
 N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
-the collective operators, the probe states, the propagator kernel for
-rotations and twists about x, y and z, and unitaries from general
-Hermitian generators.
+the probe states and the propagator kernel for rotations and twists
+about x, y and z.
 """
 
 from __future__ import annotations
@@ -18,13 +17,8 @@ import numpy as np
 __all__ = [
     "EnsembleDims",
     "DickeState",
-    "CollectiveOperator",
     "FieldVector",
-    "collective_operator",
-    "squared_operator",
     "apply_collective",
-    "field_hamiltonian",
-    "unitary_from_generator",
     "propagate",
     "rotation",
     "twist",
@@ -35,7 +29,6 @@ __all__ = [
 AXES = ("x", "y", "z")
 
 _NORM_TOL = 1e-12
-_HERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,24 +83,6 @@ class DickeState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
-class CollectiveOperator:
-    """Hermitian matrix on the Dicke space with a descriptive label."""
-
-    dims: EnsembleDims
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.dims.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
-            raise ValueError(f"operator {self.label!r} is not Hermitian within {_HERM_TOL}")
-        object.__setattr__(self, "matrix", _frozen(mat))
-
-
 @dataclass(frozen=True)
 class FieldVector:
     """Static field (Bx, By, Bz) in angular-frequency units.
@@ -143,36 +118,6 @@ def _ladder(N: int) -> np.ndarray:
     return _frozen(np.sqrt(dims.J * (dims.J + 1) - m * (m + 1)))
 
 
-@lru_cache(maxsize=None)
-def _axis_matrix(N: int, axis: str) -> np.ndarray:
-    up = np.diag(_ladder(N), 1)
-    if axis == "x":
-        mat = (up + up.T) / 2.0
-    elif axis == "y":
-        mat = (up - up.T) / 2.0j
-    elif axis == "z":
-        mat = np.diag(EnsembleDims(N).m_values)
-    else:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _frozen(mat.astype(complex))
-
-
-def collective_operator(dims: EnsembleDims, axis: str) -> CollectiveOperator:
-    """Collective spin operator J_axis in the descending-m Dicke basis.
-
-    Parameters
-    ----------
-    dims : EnsembleDims
-    axis : {'x', 'y', 'z'}
-
-    Returns
-    -------
-    CollectiveOperator
-        J_x = (J+ + J-)/2, J_y = (J+ - J-)/(2i), or J_z = diag(m).
-    """
-    return CollectiveOperator(dims, _axis_matrix(dims.N, axis), label=f"J{axis}")
-
-
 def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray) -> np.ndarray:
     """J_axis psi for a (dim,) vector, from the ladder coefficients alone."""
     if axis == "z":
@@ -182,33 +127,6 @@ def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray) -> np.ndarr
     raised = np.append(_ladder(dims.N) * psi[1:], 0.0)  # J+ psi
     lowered = np.insert(_ladder(dims.N) * psi[:-1], 0, 0.0)  # J- psi
     return (raised + lowered) / 2.0 if axis == "x" else (raised - lowered) / 2.0j
-
-
-def squared_operator(dims: EnsembleDims, axis: str) -> CollectiveOperator:
-    """J_axis^2, the twist generator for the interaction-based readouts."""
-    m = _axis_matrix(dims.N, axis)
-    return CollectiveOperator(dims, m @ m, label=f"J{axis}^2")
-
-
-def field_hamiltonian(dims: EnsembleDims, fv: FieldVector) -> CollectiveOperator:
-    """H_B = gamma (Bx Jx + By Jy + Bz Jz)."""
-    mat = sum(fv.coupling(ax) * _axis_matrix(dims.N, ax) for ax in AXES)
-    return CollectiveOperator(dims, mat, label="H_B")
-
-
-def unitary_from_generator(gen: CollectiveOperator, t: float) -> np.ndarray:
-    """e^{-i G t} for Hermitian G, via spectral decomposition.
-
-    The generators here are small Hermitian matrices, so eigendecomposition
-    gives a unitary exact to eigensolver precision (no Pade scaling issues).
-    """
-    try:
-        w, v = np.linalg.eigh(gen.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"eigendecomposition failed for generator {gen.label!r} "
-            f"(dim {gen.dims.dim}): {exc}") from exc
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 @lru_cache(maxsize=None)

@@ -12,12 +12,24 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .estimation import minimized_delta_b, recover_from_trace, sample_signal, scaling_fit
-from .pulses import DDSchedule, NoiseModel, evolve_exact, fidelity_f1, fidelity_f2
+from .pulses import (
+    DDSchedule,
+    NoiseModel,
+    _block_frame,
+    _exact_pair,
+    _free_step,
+    _powered,
+    _stepped,
+    evolve_exact,
+    fidelity_f1,
+    fidelity_f2,
+)
 from .schemes import (
     SchemeConfig,
     analytic_jz,
@@ -30,13 +42,12 @@ from .spin import (
     AXES,
     EnsembleDims,
     FieldVector,
-    collective_operator,
+    _frozen,
+    _ladder,
     ghz_state,
     rotation,
     scs_state,
-    squared_operator,
     twist,
-    unitary_from_generator,
 )
 
 DEFAULT_SEED = 1234
@@ -280,17 +291,78 @@ def criterion_9() -> CriterionResult:
         "; ".join(details) + "; even N in [4, 40], r^2 >= 0.999 required")
 
 
+# Criterion 10's dense reference: J_a, J_a^2 and H_B as matrices, exponentiated
+# by eigendecomposition.  Nothing else in the package builds them.
+_HERM_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class _CollectiveOperator:
+    """Hermitian matrix on the Dicke space with a descriptive label."""
+
+    dims: EnsembleDims
+    matrix: np.ndarray
+    label: str = ""
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=complex)
+        d = self.dims.dim
+        if mat.shape != (d, d):
+            raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
+        if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
+            raise ValueError(f"operator {self.label!r} is not Hermitian within {_HERM_TOL}")
+        object.__setattr__(self, "matrix", _frozen(mat))
+
+
+@lru_cache(maxsize=None)
+def _axis_matrix(N: int, axis: str) -> np.ndarray:
+    up = np.diag(_ladder(N), 1)
+    if axis == "x":
+        mat = (up + up.T) / 2.0
+    elif axis == "y":
+        mat = (up - up.T) / 2.0j
+    elif axis == "z":
+        mat = np.diag(EnsembleDims(N).m_values)
+    else:
+        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    return _frozen(mat.astype(complex))
+
+
+def _collective_operator(dims: EnsembleDims, axis: str) -> _CollectiveOperator:
+    """J_x = (J+ + J-)/2, J_y = (J+ - J-)/(2i) or J_z = diag(m), descending m."""
+    return _CollectiveOperator(dims, _axis_matrix(dims.N, axis), label=f"J{axis}")
+
+
+def _squared_operator(dims: EnsembleDims, axis: str) -> _CollectiveOperator:
+    """J_axis^2, the twist generator."""
+    m = _axis_matrix(dims.N, axis)
+    return _CollectiveOperator(dims, m @ m, label=f"J{axis}^2")
+
+
+def _unitary_from_generator(gen: _CollectiveOperator, t: float) -> np.ndarray:
+    """e^{-i G t} for Hermitian G, via spectral decomposition."""
+    try:
+        w, v = np.linalg.eigh(gen.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            f"eigendecomposition failed for generator {gen.label!r} "
+            f"(dim {gen.dims.dim}): {exc}") from exc
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Operator algebra and unitarity hold for every supported ensemble size.
 
     Kernel rotations and twists must be unitary and match the spectral
-    decomposition of their generator.
+    decomposition of their generator; so must the free step of exact pulsed
+    evolution, and a pulse block by binary powering must match stepping.
     """
     rng = np.random.default_rng(seed + 3)
+    pulse_rng = np.random.default_rng(seed + 4)
     worst = 0.0
     for n in (*range(1, 13), 20, 30):
         dims = EnsembleDims(n)
-        ops = {ax: collective_operator(dims, ax).matrix for ax in AXES}
+        ops = {ax: _collective_operator(dims, ax).matrix for ax in AXES}
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             comm = ops[a] @ ops[b] - ops[b] @ ops[a] - 1j * ops[c]
             worst = max(worst, np.max(np.abs(comm)))
@@ -301,19 +373,30 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         for _ in range(3):
             axis = AXES[rng.integers(3)]
             theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-            for u, gen in ((rotation(dims, axis, theta), collective_operator(dims, axis)),
-                           (twist(dims, axis, theta), squared_operator(dims, axis))):
-                ref = unitary_from_generator(gen, theta)
+            for u, gen in ((rotation(dims, axis, theta), _collective_operator(dims, axis)),
+                           (twist(dims, axis, theta), _squared_operator(dims, axis))):
+                ref = _unitary_from_generator(gen, theta)
                 worst = max(worst, np.max(np.abs(u - ref)),
                             *(np.max(np.abs(w.conj().T @ w - eye)) for w in (u, ref)))
+        field = FieldVector(*pulse_rng.uniform(-6.0, 6.0, 3), gamma=(1.0, 2.5)[n % 2])
+        sched = DDSchedule(AXES[pulse_rng.integers(3)], int(pulse_rng.integers(2, 200)),
+                           pulse_rng.uniform(1e-3, 0.1), ("alternating", "identical")[n % 2])
+        h_b = sum(field.coupling(ax) * ops[ax] for ax in AXES)
+        ref = _unitary_from_generator(_CollectiveOperator(dims, h_b, "H_B"), sched.tau)
+        worst = max(worst, np.max(np.abs(_free_step(dims, field, sched.tau, eye) - ref)))
+        basis, ev, w = _block_frame(dims, field, sched)
+        pair = _exact_pair(w, ev, sched.mode)
+        c = basis.conj().T @ scs_state(dims).amplitudes
+        worst = max(worst, np.max(np.abs(_powered(pair, c, sched.pairs)
+                                         - _stepped(pair, c, sched.pairs))))
         for state in (scs_state(dims), ghz_state(dims)):
             worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0))
         evolved = evolve_exact(scs_state(dims), FieldVector(0.4, 0.5, 0.6),
                                [DDSchedule("x", 3, 0.01)])
         worst = max(worst, abs(np.linalg.norm(evolved.amplitudes) - 1.0))
     return _result(10, worst <= 1e-10,
-        f"max commutator/Casimir/unitarity/kernel/norm defect = {worst:.2e} for "
-        f"N in {{1..12, 20, 30}} (tol 1e-10)")
+        f"max commutator/Casimir/unitarity/kernel/free-step/block-power/norm defect = "
+        f"{worst:.2e} for N in {{1..12, 20, 30}} (tol 1e-10)")
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -1,31 +1,37 @@
 """Pulse-sequence evolution, the effective-rotation limit, and the F1/F2 fidelities."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecmag import pulses
 from vecmag.spin import (
+    AXES,
     DickeState,
     EnsembleDims,
     FieldVector,
-    collective_operator,
-    field_hamiltonian,
     ghz_state,
     propagate,
     scs_state,
-    unitary_from_generator,
 )
 from vecmag.pulses import (
     DDSchedule,
     NoiseModel,
     _angle_table,
-    _iter_pair_states,
+    _block_frame,
+    _exact_pair,
+    _f2_table,
+    _pair_plan,
+    _powered,
+    _stepped,
     evolve_exact,
     fidelity_f1,
     fidelity_f2,
 )
 from vecmag.schemes import SchemeConfig, final_state
+from vecmag.validation import _CollectiveOperator, _collective_operator, _unitary_from_generator
 
 DIMS = EnsembleDims(10)
 FIELD = FieldVector(4.0, 5.0, 6.0)
@@ -39,6 +45,29 @@ def expectation(state, op):
 def fidelity(a, b):
     """|<a|b>|^2."""
     return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+
+
+def dense_free_unitary(dims, field, tau):
+    """e^{-i tau H_B} from the eigendecomposition of the dense field Hamiltonian."""
+    h_b = sum(field.coupling(ax) * _collective_operator(dims, ax).matrix for ax in AXES)
+    return _unitary_from_generator(_CollectiveOperator(dims, h_b, "H_B"), tau)
+
+
+def pair_loop(psi, dims, field, schedules, angles):
+    """The pair-by-pair reference: a dense free step and two kernel pulses
+    per pair; yields the raw state after every pair.  angles[i] holds pair
+    i's (first, second) angles, scalars or one per column of a block psi."""
+    u_free = {t: dense_free_unitary(dims, field, t) for t in {s.tau for s in schedules}}
+    for sched, (a_first, a_second) in zip(_pair_plan(schedules), angles):
+        psi = propagate(dims, sched.axis, a_first, u_free[sched.tau] @ psi)
+        psi = propagate(dims, sched.axis, a_second, u_free[sched.tau] @ psi)
+        yield psi
+
+
+def block_pair(dims, field, sched):
+    """(B, P): the block's eigenbasis and its exact pair unitary."""
+    basis, ev, w = _block_frame(dims, field, sched)
+    return basis, _exact_pair(w, ev, sched.mode)
 
 
 def effective(state, blocks):
@@ -83,7 +112,7 @@ def test_zero_field_pulse_pairs_cancel():
 
 def test_single_pair_first_order_expansion():
     # one alternating x pair acts as 1 - 2i Bx Jx tau + O(tau^2)
-    jx = collective_operator(DIMS, "x").matrix
+    jx = _collective_operator(DIMS, "x").matrix
     psi0 = scs_state(DIMS).amplitudes
 
     def defect(tau):
@@ -98,7 +127,7 @@ def test_single_pair_first_order_expansion():
 
 def test_selective_accumulation_transverse_leakage_quadratic():
     # after an x block, sensitivity to By and Bz is O((B tau)^2)
-    jz = collective_operator(DIMS, "z")
+    jz = _collective_operator(DIMS, "z")
 
     def leakage(tau):
         pairs = int(round(1.0 / (2 * tau)))
@@ -136,7 +165,7 @@ def test_effective_segment_on_eigenstate_is_phase():
 
 
 def test_effective_x_segment_oscillates_at_coupling_frequency():
-    jz = collective_operator(DIMS, "z")
+    jz = _collective_operator(DIMS, "z")
     for t in (0.3, 0.8, 1.0):
         out = effective(scs_state(DIMS), [("x", t, 2.0)])
         assert expectation(out, jz) == pytest.approx(5 * np.cos(2 * t), abs=1e-10)
@@ -176,13 +205,84 @@ def test_identical_mode_converges_to_effective_as_tau_shrinks():
 
 
 def test_norm_preserved_over_many_pairs():
-    psi = scs_state(DIMS).amplitudes
-    scheds = [DDSchedule("x", 10000, 1e-4)]
-    last = psi
-    angles = _angle_table(scheds)[:, :, 0]
-    for last in _iter_pair_states(psi, DIMS, FIELD, scheds, angles):
-        pass
-    assert abs(np.linalg.norm(last) - 1.0) < 1e-10
+    # 10^4 raw pairs, stepped and powered, never renormalized
+    sched = DDSchedule("x", 10000, 1e-4)
+    basis, pair = block_pair(DIMS, FIELD, sched)
+    c = basis.conj().T @ scs_state(DIMS).amplitudes
+    for branch in (_stepped, _powered):
+        assert abs(np.linalg.norm(basis @ branch(pair, c, sched.pairs)) - 1.0) < 1e-10
+
+
+def test_fine_spacing_block_costs_no_per_pair_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-pair tables built for an exact block")
+
+    monkeypatch.setattr(pulses, "_pair_plan", refuse)
+    monkeypatch.setattr(pulses, "_angle_table", refuse)
+    sched = DDSchedule("x", 10**6, 1e-6)
+    start = time.perf_counter()
+    out = evolve_exact(scs_state(DIMS), FIELD, [sched])
+    assert time.perf_counter() - start < 1.0
+    eff = effective(scs_state(DIMS), [("x", sched.duration, FIELD.Bx)])
+    assert fidelity(out, eff) >= 1.0 - 1e-9
+
+
+def jz_and_overlap_gap(psi, reference, dims):
+    """|<Jz>(psi) - <Jz>(reference)| and 1 - |<reference|psi>|^2, both normalized."""
+    psi, reference = psi / np.linalg.norm(psi), reference / np.linalg.norm(reference)
+    jz = [dims.m_values @ np.abs(v) ** 2 for v in (psi, reference)]
+    return abs(jz[0] - jz[1]), 1.0 - abs(np.vdot(reference, psi)) ** 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 20),
+       mode=st.sampled_from(["alternating", "identical"]),
+       blocks=st.lists(st.tuples(st.sampled_from(AXES), st.integers(1, 300),
+                                 st.floats(1e-4, 0.1)), min_size=1, max_size=3),
+       field=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+       gamma=st.sampled_from([1.0, 2.5]),
+       ghz=st.booleans())
+def test_pulse_blocks_match_pair_loop(n, mode, blocks, field, gamma, ghz):
+    dims, fv = EnsembleDims(n), FieldVector(*field, gamma=gamma)
+    scheds = [DDSchedule(ax, pairs, tau, mode) for ax, pairs, tau in blocks]
+    probe = (ghz_state if ghz else scs_state)(dims)
+    states = list(pair_loop(probe.amplitudes, dims, fv, scheds, _angle_table(scheds)[:, :, 0]))
+    # each branch of the first block on its own
+    basis, pair = block_pair(dims, fv, scheds[0])
+    c = basis.conj().T @ probe.amplitudes
+    for branch in (_powered, _stepped):
+        jz_gap, overlap_gap = jz_and_overlap_gap(basis @ branch(pair, c, scheds[0].pairs),
+                                                 states[scheds[0].pairs - 1], dims)
+        assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
+    # all blocks through the cost rule
+    jz_gap, overlap_gap = jz_and_overlap_gap(evolve_exact(probe, fv, scheds).amplitudes,
+                                             states[-1], dims)
+    assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
+
+
+@pytest.mark.parametrize("n", [4, 30])
+def test_cost_rule_branches_at_the_crossover(monkeypatch, n):
+    dims, field = EnsembleDims(n), FieldVector(1.3, -2.2, 0.7)
+    # the smallest pair count for which 2 ceil(log2 L) dim < L selects powering
+    crossover = next(L for L in range(2, 10**4) if 2 * (L - 1).bit_length() * dims.dim < L)
+    scheds = [DDSchedule("y", crossover, 3e-3)]
+    states = list(pair_loop(scs_state(dims).amplitudes, dims, field, scheds,
+                            _angle_table(scheds)[:, :, 0]))
+    taken = []
+    for name in ("_powered", "_stepped"):
+        branch = getattr(pulses, name)
+        monkeypatch.setattr(pulses, name, lambda *args, name=name, branch=branch:
+                            taken.append(name) or branch(*args))
+    basis, pair = block_pair(dims, field, scheds[0])
+    c = basis.conj().T @ scs_state(dims).amplitudes
+    for pairs, expected in ((crossover - 1, "_stepped"), (crossover, "_powered")):
+        taken.clear()
+        out = evolve_exact(scs_state(dims), field, [DDSchedule("y", pairs, 3e-3)])
+        assert taken == [expected]
+        for psi in (out.amplitudes, basis @ _powered(pair, c, pairs),
+                    basis @ _stepped(pair, c, pairs)):
+            jz_gap, overlap_gap = jz_and_overlap_gap(psi, states[pairs - 1], dims)
+            assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
 
 
 def test_f1_rejects_bad_ratio():
@@ -203,6 +303,61 @@ def test_f1_curves_at_reference_ratios():
     assert by_ratio[0.005].minimum < by_ratio[0.002].minimum < by_ratio[0.0002].minimum
     # time grid spans the three blocks
     assert by_ratio[0.002].times[-1] == pytest.approx(6.0)
+
+
+def loop_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
+    """F1 at every pair boundary from the pair-loop reference, the effective
+    state stepped by one kernel rotation per pair."""
+    scheds = [DDSchedule(ax, pairs, tau) for ax in block_order]
+    phi, values = scs_state(dims).amplitudes, []
+    states = pair_loop(phi, dims, field, scheds, _angle_table(scheds)[:, :, 0])
+    for sched, psi in zip(_pair_plan(scheds), states):
+        phi = propagate(dims, sched.axis, field.coupling(sched.axis) * 2.0 * tau, phi)
+        values.append(abs(np.vdot(psi, phi)) ** 2)
+    return np.array(values)
+
+
+def extended_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
+    """The same F1 stepped in np.clongdouble, every unitary from a scaled and
+    squared Taylor series; the pulses turn by the program's angle np.pi."""
+    ld = np.longdouble
+    m = ld(dims.J) - np.arange(dims.dim, dtype=ld)
+    up = np.diag(np.sqrt(ld(dims.J) * (ld(dims.J) + 1) - m[1:] * (m[1:] + 1)), 1)
+    up = up.astype(np.clongdouble)
+    j = {"x": (up + up.T) / 2, "y": (up - up.T) * ld(-0.5) * 1j,
+         "z": np.diag(m).astype(np.clongdouble)}
+    eye = np.eye(dims.dim, dtype=np.clongdouble)
+
+    def expm(gen, t):
+        """e^{-i t gen}."""
+        a = gen * (ld(-t) * 1j)
+        squarings = 4 + max(0, int(np.log2(float(np.max(np.sum(np.abs(a), axis=0))) + 1.0)))
+        a = a / ld(2) ** squarings
+        term = result = eye
+        for k in range(1, 25):
+            term = term @ a / ld(k)
+            result = result + term
+        for _ in range(squarings):
+            result = result @ result
+        return result
+
+    u = expm(sum(j[ax] * ld(field.coupling(ax)) for ax in AXES), tau)
+    psi, phi, values = eye[:, 0], eye[:, 0], []
+    for ax in block_order:
+        pair = expm(j[ax], np.pi) @ u @ expm(j[ax], -np.pi) @ u
+        step = expm(j[ax], field.coupling(ax) * 2.0 * tau)
+        for _ in range(pairs):
+            psi, phi = pair @ psi, step @ phi
+            values.append(abs(np.sum(psi.conj() * phi)) ** 2)
+    return np.array(values, dtype=float)
+
+
+def test_f1_matches_extended_precision_stepping():
+    (curve,) = fidelity_f1(DIMS, FIELD, None, [0.0002])
+    assert curve.pairs_per_axis == 2500
+    assert np.max(np.abs(curve.values - extended_f1(DIMS, FIELD, 2500, curve.tau))) <= 1e-11
+    # the pair loop is itself about 2e-11 off the extended-precision values
+    assert np.max(np.abs(curve.values - loop_f1(DIMS, FIELD, 2500, curve.tau))) <= 1e-10
 
 
 def test_f1_explicit_pair_count_override():
@@ -257,12 +412,10 @@ def test_f2_reference_scenario_alternating_beats_identical():
 def scalar_f2(dims, field, schedules, noise):
     """Per-trial F2 oracle: one reference pass, then one scalar pass per
     trial drawing its errors pulse by pulse from the (seed, k) stream."""
-    h_b = field_hamiltonian(dims, field)
-
     def trajectory(rng):
         psi, states = scs_state(dims).amplitudes, []
         for sched in schedules:
-            u_free = unitary_from_generator(h_b, sched.tau)
+            u_free = dense_free_unitary(dims, field, sched.tau)
             for _ in range(sched.pairs):
                 if rng is None:
                     d1 = d2 = 0.0
@@ -315,9 +468,9 @@ def test_f2_runs_reference_and_trials_in_one_block_pass(monkeypatch):
 
     def counted(psi, *args):
         passes.append(psi.shape)
-        return _iter_pair_states(psi, *args)
+        return _f2_table(psi, *args)
 
-    monkeypatch.setattr(pulses, "_iter_pair_states", counted)
+    monkeypatch.setattr(pulses, "_f2_table", counted)
     scheds = [DDSchedule(ax, 20, 1e-3) for ax in "zyx"]
     fidelity_f2(DIMS, FIELD, scheds, NoiseModel(eta=0.1, trials=4, seed=2))
     assert passes == [(DIMS.dim, 5)]

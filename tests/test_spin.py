@@ -6,30 +6,43 @@ import numpy as np
 import pytest
 
 from vecmag import schemes, spin
+from vecmag.pulses import _free_step
 from vecmag.schemes import SchemeConfig, final_state
 from vecmag.spin import (
     AXES,
-    CollectiveOperator,
     DickeState,
     EnsembleDims,
     FieldVector,
     apply_collective,
-    collective_operator,
-    field_hamiltonian,
     ghz_state,
     propagate,
     rotation,
     scs_state,
-    squared_operator,
     twist,
-    unitary_from_generator,
+)
+from vecmag.validation import (
+    _CollectiveOperator,
+    _collective_operator,
+    _squared_operator,
+    _unitary_from_generator,
 )
 
 PROPERTY_NS = list(range(1, 13)) + [20, 30]
 
 
 def op(N, axis):
-    return collective_operator(EnsembleDims(N), axis)
+    return _collective_operator(EnsembleDims(N), axis)
+
+
+def field_hamiltonian(dims, fv):
+    """Dense H_B = gamma (Bx Jx + By Jy + Bz Jz), the free step's generator."""
+    mat = sum(fv.coupling(ax) * op(dims.N, ax).matrix for ax in AXES)
+    return _CollectiveOperator(dims, mat, label="H_B")
+
+
+def free_unitary(dims, fv, t):
+    """e^{-i t H_B} as the runtime builds it: five kernel rotations."""
+    return _free_step(dims, fv, t, np.eye(dims.dim))
 
 
 def expectation(state, operator):
@@ -97,9 +110,12 @@ def test_casimir(N):
 def test_unitarity_and_norm_preservation(N):
     dims = EnsembleDims(N)
     rng = np.random.default_rng(N)
-    fv = FieldVector(*rng.uniform(-3, 3, 3))
-    U = unitary_from_generator(field_hamiltonian(dims, fv), 0.7)
+    fv = FieldVector(*rng.uniform(-3, 3, 3), gamma=(1.0, 2.5)[N % 2])
+    U = free_unitary(dims, fv, 0.7)
     assert np.linalg.norm(U.conj().T @ U - np.eye(dims.dim)) < 1e-10
+    # the Euler-angle free step against the dense eigendecomposition
+    reference = _unitary_from_generator(field_hamiltonian(dims, fv), 0.7)
+    assert np.max(np.abs(U - reference)) < 1e-12
     amps = rng.normal(size=dims.dim) + 1j * rng.normal(size=dims.dim)
     amps /= np.linalg.norm(amps)
     assert abs(np.linalg.norm(U @ amps) - 1.0) < 1e-12
@@ -118,36 +134,40 @@ def test_apply_collective_matches_operator_matrix(N):
 
 
 def test_field_hamiltonian_reduces_to_jz():
-    h = field_hamiltonian(EnsembleDims(2), FieldVector(0, 0, 1))
-    assert np.allclose(h.matrix, np.diag([1.0, 0.0, -1.0]))
+    # a field along +z or -z generates e^{-+i t Jz}: the polar angle is 0 or pi
+    m = EnsembleDims(2).m_values
+    for bz in (1.0, -1.0):
+        U = free_unitary(EnsembleDims(2), FieldVector(0, 0, bz), 0.3)
+        assert np.max(np.abs(U - np.diag(np.exp(-1j * 0.3 * bz * m)))) < 1e-14
 
 
 def test_field_hamiltonian_zero_field():
-    h = field_hamiltonian(EnsembleDims(4), FieldVector(0, 0, 0))
-    assert np.max(np.abs(h.matrix)) == 0
+    U = free_unitary(EnsembleDims(4), FieldVector(0, 0, 0), 0.9)
+    assert np.max(np.abs(U - np.eye(5))) < 1e-14
 
 
 def test_field_hamiltonian_traceless_hermitian():
-    h = field_hamiltonian(EnsembleDims(10), FieldVector(4, 5, 6))
-    assert abs(np.trace(h.matrix)) < 1e-12
-    assert np.max(np.abs(h.matrix - h.matrix.conj().T)) < 1e-12
+    # a Hermitian generator gives a unitary step, a traceless one det U = 1
+    U = free_unitary(EnsembleDims(10), FieldVector(4, 5, 6), 0.37)
+    assert abs(np.linalg.det(U) - 1.0) < 1e-12
+    assert np.max(np.abs(U.conj().T @ U - np.eye(11))) < 1e-12
 
 
 def test_gamma_scales_coupling():
     dims = EnsembleDims(4)
-    a = field_hamiltonian(dims, FieldVector(1, 2, 3, gamma=2.0))
-    b = field_hamiltonian(dims, FieldVector(2, 4, 6))
-    assert np.allclose(a.matrix, b.matrix)
+    a = free_unitary(dims, FieldVector(1, 2, 3, gamma=2.0), 0.4)
+    b = free_unitary(dims, FieldVector(2, 4, 6), 0.4)
+    assert np.allclose(a, b, rtol=0, atol=1e-13)
 
 
 def test_unitary_t0_is_identity():
     dims = EnsembleDims(6)
-    U = unitary_from_generator(collective_operator(dims, "y"), 0.0)
+    U = _unitary_from_generator(_collective_operator(dims, "y"), 0.0)
     assert np.allclose(U, np.eye(dims.dim))
 
 
 def test_unitary_diagonal_generator():
-    U = unitary_from_generator(op(2, "z"), np.pi)
+    U = _unitary_from_generator(op(2, "z"), np.pi)
     assert np.allclose(U, np.diag([np.exp(-1j * np.pi), 1.0, np.exp(1j * np.pi)]))
 
 
@@ -160,10 +180,9 @@ def test_full_turn_parity():
 
 
 def test_exponential_matches_taylor_series():
-    dims = EnsembleDims(6)
-    g = field_hamiltonian(dims, FieldVector(0.3, -0.2, 0.45))
-    t = 0.2
-    U = unitary_from_generator(g, t)
+    dims, fv, t = EnsembleDims(6), FieldVector(0.3, -0.2, 0.45), 0.2
+    g = field_hamiltonian(dims, fv)
+    U = free_unitary(dims, fv, t)
     term = np.eye(dims.dim, dtype=complex)
     series = term.copy()
     for k in range(1, 21):
@@ -186,14 +205,14 @@ def test_ghz_state():
     assert np.allclose(g.amplitudes, [1 / np.sqrt(2), 0, 1 / np.sqrt(2)])
     g10 = ghz_state(EnsembleDims(10))
     assert expectation(g10, op(10, "z")) == pytest.approx(0.0, abs=1e-12)
-    jz2 = squared_operator(EnsembleDims(10), "z")
+    jz2 = _squared_operator(EnsembleDims(10), "z")
     assert expectation(g10, jz2) == pytest.approx(25.0)
 
 
 def test_variance_nonnegative_and_correct():
     def variance(state, axis):
-        return (expectation(state, squared_operator(state.dims, axis))
-                - expectation(state, collective_operator(state.dims, axis)) ** 2)
+        return (expectation(state, _squared_operator(state.dims, axis))
+                - expectation(state, _collective_operator(state.dims, axis)) ** 2)
 
     g = ghz_state(EnsembleDims(8))
     assert variance(g, "z") == pytest.approx(16.0)
@@ -207,7 +226,7 @@ def test_state_and_operator_reject_dimension_mismatch():
     with pytest.raises(ValueError):
         DickeState(EnsembleDims(6), scs_state(EnsembleDims(4)).amplitudes)
     with pytest.raises(ValueError):
-        CollectiveOperator(EnsembleDims(6), op(4, "z").matrix)
+        _CollectiveOperator(EnsembleDims(6), op(4, "z").matrix)
 
 
 def test_fidelity_basics():
@@ -234,7 +253,7 @@ def test_operator_hermiticity_enforced():
     dims = EnsembleDims(2)
     bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
     with pytest.raises(ValueError):
-        CollectiveOperator(dims, bad, label="bad")
+        _CollectiveOperator(dims, bad, label="bad")
 
 
 def test_values_are_immutable():
@@ -253,8 +272,8 @@ def test_kernel_matches_spectral_unitaries(N):
     block = rng.normal(size=(dims.dim, 3)) + 1j * rng.normal(size=(dims.dim, 3))
     for axis in AXES:
         for theta in (0.0, -np.pi / 2, 1.3):
-            for squared, make in ((False, collective_operator), (True, squared_operator)):
-                ref = unitary_from_generator(make(dims, axis), theta)
+            for squared, make in ((False, _collective_operator), (True, _squared_operator)):
+                ref = _unitary_from_generator(make(dims, axis), theta)
                 got = twist(dims, axis, theta) if squared else rotation(dims, axis, theta)
                 assert np.max(np.abs(got - ref)) < 1e-12
                 out = propagate(dims, axis, theta, block, squared=squared)
@@ -287,8 +306,8 @@ def test_per_column_angles_match_column_by_column_calls(N):
 @lru_cache(maxsize=None)
 def _reference_unitary(N, kind, axis, theta):
     dims = EnsembleDims(N)
-    gen = squared_operator(dims, axis) if kind == "twist" else collective_operator(dims, axis)
-    return unitary_from_generator(gen, theta)
+    gen = _squared_operator(dims, axis) if kind == "twist" else _collective_operator(dims, axis)
+    return _unitary_from_generator(gen, theta)
 
 
 def _reference_chain(config, axis, literal):
