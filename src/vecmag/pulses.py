@@ -15,9 +15,10 @@ eigendecomposition of the field Hamiltonian.  A block about axis a runs in
 the J_a eigenbasis, where every pulse is a diagonal phase and the free step
 e^{-i tau gamma B.J} (five kernel rotations, `_free_step`) is one matrix W
 (`_block_frame`).  With exact pi pulses every pair is the same P, so a
-block is P^L, by binary powering when that takes fewer flops than L steps
-(`_apply_pairs`).  F1 steps P once per pair; F2 with pulse errors steps
-each trial's own pulses.
+block is P^L, by binary powering from the measured crossover on and by
+stepping P below it (`_apply_pairs`).  F1 steps P once per pair; F2 with
+pulse errors steps each trial's own pulses.  Both take the states a chunk
+of pairs at a time, so their memory does not grow with the pair count.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _pair_plan(schedules) -> list[DDSchedule]:
 
 def _pair_times(schedules) -> np.ndarray:
     """Elapsed time at the end of every pulse pair: the F1 and F2 grid."""
-    return np.cumsum([2.0 * sched.tau for sched in _pair_plan(schedules)])
+    return np.cumsum(np.repeat([2.0 * s.tau for s in schedules], [s.pairs for s in schedules]))
 
 
 def _angle_table(schedules, noise: NoiseModel | None = None) -> np.ndarray:
@@ -176,15 +177,23 @@ def _exact_pair(w: np.ndarray, ev: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _apply_pairs(p: np.ndarray, c: np.ndarray, pairs: int) -> np.ndarray:
-    """P^pairs c, by whichever branch does less arithmetic.
-
-    Binary powering costs about 2 ceil(log2 L) dense dim^3 products and
-    stepping L dim^2 matrix-vector products, so powering runs when
-    2 ceil(log2 L) dim < L.
-    """
-    if 2 * (pairs - 1).bit_length() * p.shape[0] < pairs:
+    """P^pairs c, by binary powering once it pays (`_powering_pays`), else
+    by stepping P."""
+    if _powering_pays(p.shape[0], pairs):
         return _powered(p, c, pairs)
     return _stepped(p, c, pairs)
+
+
+def _powering_pays(dim: int, pairs: int) -> bool:
+    """Whether binary powering beats stepping for a block of L = pairs.
+
+    Powering takes about ceil(log2 L) dense dim x dim products and stepping
+    L matrix-vector products, but a product costs far less than dim times a
+    matrix-vector product.  Timing the two on one state vector (2-CPU box,
+    dim 3 to 401) put the crossover at L / ceil(log2 L) of about dim / 4:
+    L = 10, 22, 130, 203, 563 and 1732 at dim 11, 21, 51, 101, 201 and 401.
+    """
+    return (pairs - 1).bit_length() * dim < 4 * pairs
 
 
 def _powered(p: np.ndarray, c: np.ndarray, pairs: int) -> np.ndarray:
@@ -228,7 +237,8 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
     duration T_block = 2, applied in block_order.  For each ratio r in
     tau_over_T the spacing is tau = r * T_block and the pair count is
     L = round(1 / (2 r)) unless L_per_axis overrides it.  The exact and the
-    effective state are compared at every pair boundary.
+    effective state are compared at every pair boundary, a chunk of pairs
+    at a time, so memory beyond the returned curves does not grow with L.
     """
     ratios = [float(r) for r in np.atleast_1d(tau_over_T)]
     if any(r <= 0 for r in ratios):
@@ -240,22 +250,29 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
         pairs = L_per_axis if L_per_axis is not None else max(1, round(1.0 / (2.0 * ratio)))
         schedules = [DDSchedule(ax, pairs, tau) for ax in block_order]
         psi = phi = scs_state(dims).amplitudes
-        values = []
+        values, rows = [], max(1, _CHUNK // dims.dim)
         for sched in schedules:
             basis, ev, w = _block_frame(dims, field, sched)
             p = _exact_pair(w, ev, sched.mode)
-            c, exact = basis.conj().T @ psi, np.empty((pairs, dims.dim), dtype=complex)
-            for k in range(pairs):
-                c = exact[k] = p @ c
-            angles = field.coupling(sched.axis) * 2.0 * tau * np.arange(1, pairs + 1)
-            effective = np.exp(-1j * angles[:, None] * ev) * (basis.conj().T @ phi)
-            # normalized so the raw vectors' machine-level norm drift cancels
-            overlap = np.einsum("kd,kd->k", exact.conj(), effective)
-            norm2 = [np.sum(a.real ** 2 + a.imag ** 2, axis=1) for a in (exact, effective)]
-            values.append((overlap.real ** 2 + overlap.imag ** 2) / (norm2[0] * norm2[1]))
+            c, c_eff = basis.conj().T @ psi, basis.conj().T @ phi
+            rate = field.coupling(sched.axis) * 2.0 * tau
+            for lo in range(0, pairs, rows):
+                exact = np.empty((min(rows, pairs - lo), dims.dim), dtype=complex)
+                for k in range(len(exact)):
+                    c = exact[k] = p @ c
+                angles = rate * np.arange(lo + 1, lo + 1 + len(exact))
+                effective = np.exp(-1j * angles[:, None] * ev) * c_eff
+                # normalized so the raw vectors' machine-level norm drift cancels
+                overlap = np.einsum("kd,kd->k", exact.conj(), effective)
+                norm2 = [np.sum(a.real ** 2 + a.imag ** 2, axis=1) for a in (exact, effective)]
+                values.append((overlap.real ** 2 + overlap.imag ** 2) / (norm2[0] * norm2[1]))
             psi, phi = basis @ c, basis @ effective[-1]
         curves.append(F1Curve(ratio, pairs, tau, _pair_times(schedules), np.concatenate(values)))
     return curves
+
+
+# complex entries in one chunk of F1 states or F2 pulse phases (256 KiB)
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -291,10 +308,6 @@ def fidelity_f2(dims: EnsembleDims, field: FieldVector, schedules,
         block = np.repeat(scs_state(dims).amplitudes[:, None], 1 + noise.trials, 1)
         table = _f2_table(block, dims, field, schedules, _angle_table(schedules, noise))
     return F2Result(times, table.mean(axis=0), table.std(axis=0), table.min(axis=1))
-
-
-# complex entries in one chunk of F2 pulse phases (256 KiB)
-_CHUNK = 1 << 14
 
 
 def _f2_table(psi, dims, field, schedules, angles) -> np.ndarray:

@@ -339,6 +339,12 @@ def _squared_operator(dims: EnsembleDims, axis: str) -> _CollectiveOperator:
     return _CollectiveOperator(dims, m @ m, label=f"J{axis}^2")
 
 
+def _field_hamiltonian(dims: EnsembleDims, field: FieldVector) -> _CollectiveOperator:
+    """Dense H_B = gamma (Bx Jx + By Jy + Bz Jz), the free step's generator."""
+    h_b = sum(field.coupling(ax) * _axis_matrix(dims.N, ax) for ax in AXES)
+    return _CollectiveOperator(dims, h_b, label="H_B")
+
+
 def _unitary_from_generator(gen: _CollectiveOperator, t: float) -> np.ndarray:
     """e^{-i G t} for Hermitian G, via spectral decomposition."""
     try:
@@ -381,8 +387,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         field = FieldVector(*pulse_rng.uniform(-6.0, 6.0, 3), gamma=(1.0, 2.5)[n % 2])
         sched = DDSchedule(AXES[pulse_rng.integers(3)], int(pulse_rng.integers(2, 200)),
                            pulse_rng.uniform(1e-3, 0.1), ("alternating", "identical")[n % 2])
-        h_b = sum(field.coupling(ax) * ops[ax] for ax in AXES)
-        ref = _unitary_from_generator(_CollectiveOperator(dims, h_b, "H_B"), sched.tau)
+        ref = _unitary_from_generator(_field_hamiltonian(dims, field), sched.tau)
         worst = max(worst, np.max(np.abs(_free_step(dims, field, sched.tau, eye) - ref)))
         basis, ev, w = _block_frame(dims, field, sched)
         pair = _exact_pair(w, ev, sched.mode)

@@ -31,7 +31,7 @@ from vecmag.pulses import (
     fidelity_f2,
 )
 from vecmag.schemes import SchemeConfig, final_state
-from vecmag.validation import _CollectiveOperator, _collective_operator, _unitary_from_generator
+from vecmag.validation import _collective_operator, _field_hamiltonian, _unitary_from_generator
 
 DIMS = EnsembleDims(10)
 FIELD = FieldVector(4.0, 5.0, 6.0)
@@ -47,17 +47,12 @@ def fidelity(a, b):
     return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
-def dense_free_unitary(dims, field, tau):
-    """e^{-i tau H_B} from the eigendecomposition of the dense field Hamiltonian."""
-    h_b = sum(field.coupling(ax) * _collective_operator(dims, ax).matrix for ax in AXES)
-    return _unitary_from_generator(_CollectiveOperator(dims, h_b, "H_B"), tau)
-
-
 def pair_loop(psi, dims, field, schedules, angles):
     """The pair-by-pair reference: a dense free step and two kernel pulses
     per pair; yields the raw state after every pair.  angles[i] holds pair
     i's (first, second) angles, scalars or one per column of a block psi."""
-    u_free = {t: dense_free_unitary(dims, field, t) for t in {s.tau for s in schedules}}
+    h_b = _field_hamiltonian(dims, field)
+    u_free = {t: _unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
     for sched, (a_first, a_second) in zip(_pair_plan(schedules), angles):
         psi = propagate(dims, sched.axis, a_first, u_free[sched.tau] @ psi)
         psi = propagate(dims, sched.axis, a_second, u_free[sched.tau] @ psi)
@@ -260,11 +255,13 @@ def test_pulse_blocks_match_pair_loop(n, mode, blocks, field, gamma, ghz):
     assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
 
 
-@pytest.mark.parametrize("n", [4, 30])
+@pytest.mark.parametrize("n", [10, 30])
 def test_cost_rule_branches_at_the_crossover(monkeypatch, n):
     dims, field = EnsembleDims(n), FieldVector(1.3, -2.2, 0.7)
-    # the smallest pair count for which 2 ceil(log2 L) dim < L selects powering
-    crossover = next(L for L in range(2, 10**4) if 2 * (L - 1).bit_length() * dims.dim < L)
+    # the smallest pair count from which the rule selects powering
+    crossover = next(L for L in range(2, 10**4) if pulses._powering_pays(dims.dim, L))
+    assert 2 < crossover and all(pulses._powering_pays(dims.dim, L)
+                                 for L in range(crossover, 4 * crossover))
     scheds = [DDSchedule("y", crossover, 3e-3)]
     states = list(pair_loop(scs_state(dims).amplitudes, dims, field, scheds,
                             _angle_table(scheds)[:, :, 0]))
@@ -415,7 +412,7 @@ def scalar_f2(dims, field, schedules, noise):
     def trajectory(rng):
         psi, states = scs_state(dims).amplitudes, []
         for sched in schedules:
-            u_free = dense_free_unitary(dims, field, sched.tau)
+            u_free = _unitary_from_generator(_field_hamiltonian(dims, field), sched.tau)
             for _ in range(sched.pairs):
                 if rng is None:
                     d1 = d2 = 0.0

@@ -23,6 +23,7 @@ from vecmag.spin import (
 from vecmag.validation import (
     _CollectiveOperator,
     _collective_operator,
+    _field_hamiltonian,
     _squared_operator,
     _unitary_from_generator,
 )
@@ -32,12 +33,6 @@ PROPERTY_NS = list(range(1, 13)) + [20, 30]
 
 def op(N, axis):
     return _collective_operator(EnsembleDims(N), axis)
-
-
-def field_hamiltonian(dims, fv):
-    """Dense H_B = gamma (Bx Jx + By Jy + Bz Jz), the free step's generator."""
-    mat = sum(fv.coupling(ax) * op(dims.N, ax).matrix for ax in AXES)
-    return _CollectiveOperator(dims, mat, label="H_B")
 
 
 def free_unitary(dims, fv, t):
@@ -114,7 +109,7 @@ def test_unitarity_and_norm_preservation(N):
     U = free_unitary(dims, fv, 0.7)
     assert np.linalg.norm(U.conj().T @ U - np.eye(dims.dim)) < 1e-10
     # the Euler-angle free step against the dense eigendecomposition
-    reference = _unitary_from_generator(field_hamiltonian(dims, fv), 0.7)
+    reference = _unitary_from_generator(_field_hamiltonian(dims, fv), 0.7)
     assert np.max(np.abs(U - reference)) < 1e-12
     amps = rng.normal(size=dims.dim) + 1j * rng.normal(size=dims.dim)
     amps /= np.linalg.norm(amps)
@@ -181,7 +176,7 @@ def test_full_turn_parity():
 
 def test_exponential_matches_taylor_series():
     dims, fv, t = EnsembleDims(6), FieldVector(0.3, -0.2, 0.45), 0.2
-    g = field_hamiltonian(dims, fv)
+    g = _field_hamiltonian(dims, fv)
     U = free_unitary(dims, fv, t)
     term = np.eye(dims.dim, dtype=complex)
     series = term.copy()
