@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pulses import _CHUNK
 from .schemes import (
     SchemeConfig,
     closed_form_delta_b,
@@ -366,8 +367,8 @@ def _nelder_mead(objective, start) -> float:
         calls += 1
         return objective(x)
 
-    def ranked(sim, fsim):
-        order = np.argsort(fsim)
+    def ranked(sim, fsim):  # sorted orders distinct values as np.argsort does
+        order = np.argsort(fsim) if len(set(fsim)) < 4 else sorted(range(4), key=fsim.__getitem__)
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     def toward(a, b):  # a xbar - b worst, read at call time
@@ -427,10 +428,14 @@ def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
     pts = max(24, 2 * n)
     upper = math.pi / duration
     grid = np.linspace(0.0, upper, pts + 2)[1:-1]
-    values = delta_b(*np.meshgrid(grid, grid, grid, indexing="ij", sparse=True))
-    best = np.unravel_index(int(np.argmin(values)), values.shape)
+    rows, low, best = max(1, _CHUNK // (pts * pts)), math.inf, (0, 0, 0)
+    for lo in range(0, pts, rows):  # strictly lower slab minima: the cube's first argmin
+        values = delta_b(grid[lo:lo + rows, None, None], grid[:, None], grid)
+        i = int(np.argmin(values))
+        if values.flat[i] < low:
+            low, best = float(values.flat[i]), np.unravel_index(lo * pts * pts + i, (pts,) * 3)
 
     def objective(b):
         return delta_b(*b) if 0.0 < min(b) and max(b) < upper else math.inf
 
-    return min(float(values[best]), _nelder_mead(objective, grid[list(best)].tolist()))
+    return min(low, _nelder_mead(objective, grid[list(best)].tolist()))

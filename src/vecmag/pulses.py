@@ -320,7 +320,7 @@ def _f2_table(psi, dims, field, schedules, angles) -> np.ndarray:
     chunk of pairs at a time, and the states of a chunk are kept to take
     their overlaps and norms at once.
     """
-    cols = psi.shape[1]
+    cols, half = psi.shape[1], (dims.dim + 1) // 2
     table = np.empty((cols - 1, len(angles)))
     rows = max(1, _CHUNK // (2 * dims.dim * cols))
     start = 0
@@ -329,7 +329,9 @@ def _f2_table(psi, dims, field, schedules, angles) -> np.ndarray:
         c = basis.conj().T @ psi
         for lo in range(start, start + sched.pairs, rows):
             hi = min(lo + rows, start + sched.pairs)
-            phases = np.exp(-1j * angles[lo:hi, :, None, :] * ev[:, None])
+            # ev[-1 - k] = -ev[k] exactly, so the upper half are conjugates
+            phases = np.exp(-1j * angles[lo:hi, :, None, :] * ev[:half, None])
+            phases = np.concatenate([phases, phases[:, :, dims.dim // 2 - 1::-1].conj()], 2)
             states = np.empty((hi - lo, dims.dim, cols), dtype=complex)
             for i, (first, second) in enumerate(phases):
                 c = states[i] = second * (w @ (first * (w @ c)))

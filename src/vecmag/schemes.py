@@ -235,27 +235,46 @@ def jz_moments(state: DickeState) -> tuple[float, float]:
     return float(prob @ m), float(prob @ (m * m))
 
 
+# Sequential S and dS[a] by probe, from the k-scaled phases' sines, cosines and parity s
+_SEQUENTIAL_TERMS = {
+    "scs": {"S": lambda sa, ca, sb, cb, sc, cc, s: -(ca * sb * cc + sa * sc),
+            "x": lambda sa, ca, sb, cb, sc, cc, s: sa * sb * cc - ca * sc,
+            "y": lambda sa, ca, sb, cb, sc, cc, s: -ca * cb * cc,
+            "z": lambda sa, ca, sb, cb, sc, cc, s: ca * sb * sc - sa * cc},
+    "ghz": {"S": lambda sa, ca, sb, cb, sc, cc, s: ca * cb * sc - s * sa * cc,
+            "x": lambda sa, ca, sb, cb, sc, cc, s: -sa * cb * sc - s * ca * cc,
+            "y": lambda sa, ca, sb, cb, sc, cc, s: -ca * sb * sc,
+            "z": lambda sa, ca, sb, cb, sc, cc, s: ca * cb * cc + s * sa * sc},
+}
+
+
 def signal_terms(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
                  axis: str | None = None):
     """Normalized closed-form signal S, <Jz> = (N/2) S, and dS[a] = dS/d(k phi_a).
 
     k is 1 for the product probe and N for the cat probe, the phase the
     precision prefactors 1/(sqrt(N) gamma T) and 1/(N gamma T) expect.  This
-    is the one home of the readout-sign table of docs/conventions.md: the
-    parity s = (-1)^J, the minus of the sequential product probe and the -s
-    of the parallel cat-probe x readout.  For the parallel scheme `axis`
-    selects the device and only its phase enters; a given `axis` is dS's one
-    key.  The cat probe needs even N.  Sines and cosines come from math for
-    finite float phases (np.float64 too), else from numpy, which broadcasts;
-    test_schemes checks that both give the same bits.  On a machine where
-    they do not, scalars should take numpy as well.
+    and _SEQUENTIAL_TERMS are the one home of the readout-sign table of
+    docs/conventions.md: the parity s = (-1)^J, the minus of the sequential
+    product probe and the -s of the parallel cat-probe x readout.  For the
+    parallel scheme `axis` selects the device and only its phase enters; a
+    given `axis` is dS's one key.  The cat probe needs even N.  Sines and
+    cosines come from math for finite float phases (np.float64 too), else
+    from numpy, which broadcasts; test_schemes checks that both give the same
+    bits.  On a machine where they do not, scalars should take numpy as well.
     """
+    keys = AXES if axis is None and scheme == "sequential" else (axis,)
+    s, *ds = _terms(scheme, probe, n, (phase_x, phase_y, phase_z), axis, ("S",) + keys)
+    return s, dict(zip(keys, ds))
+
+
+def _terms(scheme, probe, n, phases, axis, keys) -> list:
+    """S for the key "S" and dS[key] for an axis, for each key (see signal_terms)."""
     if probe not in PROBES:
         raise ValueError(f"unknown probe {probe!r}")
     if probe == "ghz" and n % 2:
         raise AnalyticBranchError(f"ghz closed forms need even N, got N={n}")
     parity = -1.0 if (n // 2) % 2 else 1.0
-    phases = (phase_x, phase_y, phase_z)
     if probe == "ghz":
         phases = [n * (p if isinstance(p, float) else np.asarray(p, dtype=float))
                   for p in phases]
@@ -265,29 +284,19 @@ def signal_terms(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
             raise ValueError("parallel closed form needs an axis")
         phase = phases[AXES.index(axis)]
         sign = -parity if probe == "ghz" and axis == "x" else 1.0
-        return sign * xp.sin(phase), {axis: sign * xp.cos(phase)}
+        return [sign * (xp.sin(phase) if key == "S" else xp.cos(phase)) for key in keys]
     if scheme != "sequential":
         raise ValueError(f"unknown scheme {scheme!r}")
     a, b, c = phases
-    sa, ca, sb, cb = xp.sin(a), xp.cos(a), xp.sin(b), xp.cos(b)
-    sc, cc = xp.sin(c), xp.cos(c)
-    if probe == "scs":
-        s = -(ca * sb * cc + sa * sc)
-        terms = {"x": lambda: sa * sb * cc - ca * sc,
-                 "y": lambda: -ca * cb * cc,
-                 "z": lambda: ca * sb * sc - sa * cc}
-    else:
-        s = ca * cb * sc - parity * sa * cc
-        terms = {"x": lambda: -sa * cb * sc - parity * ca * cc,
-                 "y": lambda: -ca * sb * sc,
-                 "z": lambda: ca * cb * cc + parity * sa * sc}
-    return s, {ax: term() for ax, term in terms.items() if axis in (None, ax)}
+    terms = _SEQUENTIAL_TERMS[probe]
+    trig = xp.sin(a), xp.cos(a), xp.sin(b), xp.cos(b), xp.sin(c), xp.cos(c), parity
+    return [terms[key](*trig) for key in keys]
 
 
 def closed_form_jz(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
                    axis: str | None = None):
     """Vectorized closed-form <Jz> = (N/2) S (see signal_terms)."""
-    s, _ = signal_terms(scheme, probe, n, phase_x, phase_y, phase_z, axis)
+    s, = _terms(scheme, probe, n, (phase_x, phase_y, phase_z), axis, ("S",))
     return (n / 2.0) * s
 
 
@@ -295,7 +304,7 @@ def closed_form_jz2(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
                     axis: str | None = None):
     """Vectorized closed-form <Jz^2>: N/4 + N(N-1)/4 S^2 for the product
     probe, exactly N^2/4 for the cat probe."""
-    s, _ = signal_terms(scheme, probe, n, phase_x, phase_y, phase_z, axis)
+    s, = _terms(scheme, probe, n, (phase_x, phase_y, phase_z), axis, ("S",))
     if probe == "scs":
         return n / 4.0 + (n * (n - 1) / 4.0) * s**2
     return (n * n / 4.0) * np.ones_like(s)
@@ -312,10 +321,10 @@ def closed_form_delta_b(scheme: str, probe: str, n: int, axis: str, gamma_t,
     and points where 1 - S^2 rounds to 0, which leaves no noise to propagate,
     are inf.  A float comes back where signal_terms took the scalar path.
     """
-    s, ds = signal_terms(scheme, probe, n, phase_x, phase_y, phase_z, axis)
+    s, ds = _terms(scheme, probe, n, (phase_x, phase_y, phase_z), axis, ("S", axis))
     scale = (math.sqrt(n) if probe == "scs" else n) * gamma_t
     if isinstance(s, float):
-        noise, slope = (1.0, 1.0) if scheme == "parallel" else (1.0 - s**2, abs(ds[axis]))
+        noise, slope = (1.0, 1.0) if scheme == "parallel" else (1.0 - s**2, abs(ds))
         ok = scale > 0.0 and slope >= 1e-12 and noise > 0.0
         db = (1.0 / scale) * math.sqrt(noise) / slope if ok else math.inf
         return db if 0.0 < db < math.inf else math.inf
@@ -324,7 +333,7 @@ def closed_form_delta_b(scheme: str, probe: str, n: int, axis: str, gamma_t,
         if scheme == "parallel":
             db, slope = prefactor * np.ones_like(s), 1.0
         else:
-            slope = np.abs(ds[axis])
+            slope = np.abs(ds)
             db = prefactor * np.sqrt(np.maximum(1.0 - s**2, 0.0)) / slope
     return np.where(np.isfinite(db) & (db > 0.0) & (slope >= 1e-12), db, np.inf)
 

@@ -9,7 +9,7 @@ about x, y and z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,8 +27,6 @@ __all__ = [
 ]
 
 AXES = ("x", "y", "z")
-
-_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

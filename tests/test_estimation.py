@@ -1,11 +1,13 @@
 """Signal sampling, FFT peak extraction, field recovery, scaling fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vecmag import estimation
 from vecmag.spin import AXES, EnsembleDims, FieldVector
 from vecmag.schemes import PROBES, SchemeConfig, closed_form_delta_b
 from vecmag.estimation import (
@@ -275,6 +277,72 @@ def test_scaling_slopes_from_minimized_precision():
 def test_minimized_delta_b_refuses_invalid_durations(scheme, duration):
     with pytest.raises(ValueError, match="duration must be finite and > 0"):
         minimized_delta_b(scheme, "scs", 10, "x", duration=duration)
+
+
+def full_cube_start(delta_b, probe, n, axis, duration=1.0):
+    """The grid point and value minimized_delta_b starts its polish from,
+    found on the whole (pts, pts, pts) cube at once: np.argmin's first
+    occurrence in C order."""
+    pts = max(24, 2 * n)
+    grid = np.linspace(0.0, math.pi / duration, pts + 2)[1:-1]
+    cube = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
+    values = delta_b("sequential", probe, n, axis, duration, *(g * duration for g in cube))
+    i = int(np.argmin(values))
+    return grid[list(np.unravel_index(i, values.shape))].tolist(), float(values.flat[i])
+
+
+def slab_start(monkeypatch, probe, n, axis, duration=1.0):
+    """The start and grid value minimized_delta_b reaches, its polish skipped."""
+    starts = []
+
+    def polish(objective, start):
+        starts.append(start)
+        return math.inf
+
+    monkeypatch.setattr(estimation, "_nelder_mead", polish)
+    value = minimized_delta_b("sequential", probe, n, axis, duration)
+    return starts[0], value
+
+
+def assert_same_start(monkeypatch, delta_b, probe, n, axis, duration=1.0):
+    start, value = slab_start(monkeypatch, probe, n, axis, duration)
+    want_start, want_value = full_cube_start(delta_b, probe, n, axis, duration)
+    assert [v.hex() for v in start] == [v.hex() for v in want_start], (probe, n, axis)
+    assert value.hex() == want_value.hex(), (probe, n, axis)
+
+
+def test_grid_slabs_find_the_full_cube_argmin(monkeypatch):
+    # criterion 9's 114 points; from N = 14 on the grid spans several slabs
+    for probe in PROBES:
+        for axis in AXES:
+            for n in range(4, 41, 2):
+                assert_same_start(monkeypatch, closed_form_delta_b, probe, n, axis)
+    assert_same_start(monkeypatch, closed_form_delta_b, "ghz", 40, "x", duration=0.7)
+
+
+def test_grid_slabs_keep_the_first_of_tied_minima(monkeypatch):
+    # blind in B_x, so every x row ties with the first and the minimum recurs
+    # across every slab boundary; only the first occurrence may win
+    def x_blind(scheme, probe, n, axis, gamma_t, phase_x, phase_y, phase_z):
+        return (phase_y - 1.0) ** 2 + (phase_z - 2.0) ** 2 + 0.0 * phase_x
+
+    monkeypatch.setattr(estimation, "closed_form_delta_b", x_blind)
+    for n in (12, 13, 40):  # one, two and forty slabs
+        assert_same_start(monkeypatch, x_blind, "scs", n, "x")
+        start, _ = slab_start(monkeypatch, "scs", n, "x")
+        assert start[0] == np.linspace(0.0, math.pi, max(24, 2 * n) + 2)[1]
+
+
+def test_minimized_delta_b_grid_memory_stays_slab_sized():
+    minimized_delta_b("sequential", "ghz", 40, "x")  # warm imports and caches
+    tracemalloc.start()
+    try:
+        minimized_delta_b("sequential", "ghz", 40, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 80^3 grid took 20 MiB; one slab of temporaries takes about 1
+    assert peak < 2 * 2**20
 
 
 # The options minimized_delta_b polished with when it called scipy.

@@ -460,6 +460,23 @@ def test_f2_block_matches_per_trial_oracle(n, mode, paired, eta, trials, blocks,
     assert np.max(np.abs(res.trial_minima - minima)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 12, 31])
+def test_f2_phases_mirror_as_exact_conjugates(n):
+    # _f2_table exponentiates the first half of the J_a eigenvalues and takes
+    # the rest as conjugates; that is the full exp bit for bit because ev is
+    # exactly antisymmetric and numpy's complex exp is odd in the phase
+    dims = EnsembleDims(n)
+    scheds = [DDSchedule(ax, 200, 1e-3, mode) for ax, mode in
+              zip("zyx", ["alternating", "identical", "alternating"])]
+    angles = _angle_table(scheds, NoiseModel(eta=0.4, trials=5, seed=n))
+    for ev in (dims.m_values, dims.m_values[::-1]):
+        assert np.array_equal(ev[::-1], -ev)
+        full = np.exp(-1j * angles[:, :, None, :] * ev[:, None])
+        upper = full[:, :, dims.dim - dims.dim // 2:]
+        mirrored = full[:, :, dims.dim // 2 - 1::-1].conj()
+        assert np.array_equal(upper.view(np.uint64), mirrored.view(np.uint64))
+
+
 def test_f2_runs_reference_and_trials_in_one_block_pass(monkeypatch):
     passes = []
 
