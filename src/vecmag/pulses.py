@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import AXES, DickeState, EnsembleDims, FieldVector, _jx_basis, propagate, scs_state
+from .spin import (AXES, DickeState, EnsembleDims, FieldVector, _jx_eigenbasis, _jx_sectors,
+                   propagate, scs_state)
 
 __all__ = [
     "DDSchedule",
@@ -156,15 +157,17 @@ def _free_step(dims: EnsembleDims, field: FieldVector, tau: float,
 def _block_frame(dims: EnsembleDims, field: FieldVector, sched: DDSchedule):
     """(B, ev, W) for one block about axis a.
 
-    B holds the J_a eigenvectors as columns (the identity for z, the
-    kernel's real basis V for x, diag(r) V for y; see `spin._jx_basis`) and
-    ev their eigenvalues, so a pulse e^{-i theta J_a} is the diagonal phase
-    e^{-i theta ev} in that basis.  W = B^dagger U B is the free step.
+    B holds the J_a eigenvectors as columns (the identity for z, the sorted
+    real eigenbasis V of J_x for x, diag(r) V for y; see
+    `spin._jx_eigenbasis`) and ev their eigenvalues, so a pulse
+    e^{-i theta J_a} is the diagonal phase e^{-i theta ev} in that basis.
+    W = B^dagger U B is the free step.
     """
-    v, ev, m, r, _ = _jx_basis(dims.N)
+    _, _, _, m, r, _ = _jx_sectors(dims.N)
     if sched.axis == "z":
         basis, ev = np.eye(dims.dim), m
     else:
+        v, ev = _jx_eigenbasis(dims.N)
         basis = v if sched.axis == "x" else r[:, None] * v
     return basis, ev, basis.conj().T @ _free_step(dims, field, sched.tau, basis)
 

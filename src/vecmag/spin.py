@@ -128,35 +128,58 @@ def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _jx_basis(N: int):
-    """(V, ev, m, r, r*) for the propagator kernel, built once per N.
+def _jx_sectors(N: int):
+    """(A, B, ev, m, r, r*) for the propagator kernel, built once per N.
 
-    V holds the real orthogonal eigenvectors of the real symmetric J_x,
-    column k for the exact eigenvalue ev[k] = k - J; the eigenvalues eigh
-    returns are discarded.  m is the descending Dicke ladder J, ..., -J
-    (the diagonal of J_z) and r = e^{-i pi m / 2} the diagonal of
-    R_z(pi/2), which maps J_x onto J_y = R_z(pi/2) J_x R_z(pi/2)^dagger.
+    J_x commutes with the flip |J, m> -> |J, -m>, so in the folded
+    coordinates (e_i +- e_{dim-1-i})/sqrt(2), i < h = dim // 2, it splits
+    into two tridiagonal sectors with the off-diagonals ladder/2: the even
+    one, which also holds the middle vector e_h when dim is odd, and the
+    odd one (docs/conventions.md gives their last entries).  Each is
+    diagonalized once.  A (ceil(dim/2) rows) and B (h rows) hold the top
+    halves of their eigenvectors in the Dicke basis, the bottom halves
+    being the flipped top halves, times -1 for B; A's middle row is stored
+    halved.  ev is A's then B's exact eigenvalues as a column (eigh's are
+    discarded): -J has flip parity (-1)^N and the parities alternate
+    upward.  m is the descending Dicke ladder J, ..., -J (the diagonal of
+    J_z) and r = e^{-i pi m / 2} the diagonal of R_z(pi/2), which maps J_x
+    onto J_y = R_z(pi/2) J_x R_z(pi/2)^dagger.
     """
-    half = _ladder(N) / 2.0
-    _, v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
+    dim, h = N + 1, (N + 1) // 2
+    half = _ladder(N)[:h] / 2.0
+    # eigh reads only the lower triangle
+    even, odd = np.diag(half[:dim - h - 1], -1), np.diag(half[:h - 1], -1)
+    if dim % 2:
+        even[h, h - 1] *= np.sqrt(2.0)
+    else:
+        even[-1, -1], odd[-1, -1] = half[-1], -half[-1]
+    a = np.linalg.eigh(even)[1]
+    a[:h] /= np.sqrt(2.0)
+    a[h:] /= 2.0  # the fold adds the middle row to itself
+    b = np.linalg.eigh(odd)[1] / np.sqrt(2.0)
     m = EnsembleDims(N).m_values
     r = np.exp(-0.5j * np.pi * m)
-    return tuple(_frozen(a) for a in (v, m[::-1], m, r, r.conj()))
+    ev = m[::-1]
+    ev = np.concatenate((ev[N % 2::2], ev[1 - N % 2::2]))[:, None]
+    return tuple(_frozen(x) for x in (a, b, ev, m, r, r.conj()))
 
 
-def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for real a and complex z.
+@lru_cache(maxsize=None)
+def _jx_eigenbasis(N: int):
+    """(V, ev): the sorted real orthogonal eigenbasis of J_x, with no eigh.
 
-    numpy promotes a to a complex copy first, which is the cheapest route
-    only for a single short vector.  Otherwise the real and imaginary
-    parts of z enter one real product as the columns of a float view of
-    z, and a is never copied.
+    Column k of V, assembled from the kernel's flip sectors, belongs to the
+    exact eigenvalue ev[k] = k - J.  Pulse blocks use it; chains never
+    build it.
     """
-    if z.ndim == 1 and a.shape[0] <= 32:
-        return np.dot(a, z)
-    z = np.ascontiguousarray(z)
-    out = a @ z.view(np.float64).reshape(z.shape[0], -1)
-    return out.view(complex).reshape(z.shape)
+    a, b, sector_ev = _jx_sectors(N)[:3]
+    dim, h = N + 1, (N + 1) // 2
+    v, ev = np.zeros((dim, dim)), np.empty(dim)
+    even, odd = v[:, N % 2::2], v[:, 1 - N % 2::2]
+    even[:h], even[h:dim - h], even[dim - h:] = a[:h], 2.0 * a[h:], a[h - 1::-1]
+    odd[:h], odd[dim - h:] = b, -b[::-1]
+    ev[N % 2::2], ev[1 - N % 2::2] = sector_ev[:dim - h, 0], sector_ev[dim - h:, 0]
+    return _frozen(v), _frozen(ev)
 
 
 def propagate(dims: EnsembleDims, axis: str, theta: float | np.ndarray,
@@ -165,28 +188,38 @@ def propagate(dims: EnsembleDims, axis: str, theta: float | np.ndarray,
 
     psi is a (dim,) amplitude vector or a (dim, k) block of columns; theta
     is one angle, or for a block a (k,) array of one angle per column.  J_z
-    is diagonal.  J_x acts through its cached real eigenbasis with the
-    exact eigenvalues -J, ..., J (squared for a twist), and J_y reuses that
-    basis between the two diagonal factors of R_z(pi/2), so every axis
-    costs at most two real matrix products.
+    is diagonal.  J_x acts through its cached flip sectors (`_jx_sectors`)
+    with the exact eigenvalues -J, ..., J (squared for a twist): psi is
+    folded into its flip-even and flip-odd parts, each goes through one
+    half-size real product each way, and the two are unfolded.  J_y reuses
+    that basis between the two diagonal factors of R_z(pi/2).
     """
-    v, ev, m, r, r_conj = _jx_basis(dims.N)
-    psi = np.asarray(psi, dtype=complex)
+    a, b, ev, m, r, r_conj = _jx_sectors(dims.N)
+    psi = np.ascontiguousarray(psi, dtype=complex)
     if isinstance(theta, np.ndarray) and theta.ndim and (
             psi.ndim != 2 or theta.shape != psi.shape[1:]):
         raise ValueError(f"per-column angles of shape {theta.shape} "
                          f"do not match a block of shape {psi.shape}")
     if psi.ndim == 2:
-        ev, m, r, r_conj = ev[:, None], m[:, None], r[:, None], r_conj[:, None]
+        m, r, r_conj = m[:, None], r[:, None], r_conj[:, None]
     if axis == "z":
         return np.exp(-1j * theta * (m * m if squared else m)) * psi
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     if axis == "y":
         psi = r_conj * psi
-    coeff = _real_matmul(v.T, psi)
+    h, c, shape = b.shape[0], a.shape[0], psi.shape
+    psi = psi.reshape(dims.dim, -1)
+    top, bottom = psi[:c], psi[:-c - 1:-1]
+    # real and imaginary parts enter each real product as columns
+    coeff = np.empty_like(psi)
+    real = coeff.view(np.float64)
+    np.dot(a.T, (top + bottom).view(np.float64), out=real[:c])
+    np.dot(b.T, (top[:h] - bottom[:h]).view(np.float64), out=real[c:])
     coeff *= np.exp(-1j * theta * (ev * ev if squared else ev))
-    psi = _real_matmul(v, coeff)
+    x, y = np.dot(a, real[:c]), np.dot(b, real[c:])
+    psi = np.concatenate((x[:h] + y, 2.0 * x[h:], (x[:h] - y)[::-1]))
+    psi = psi.view(complex).reshape(shape)
     return r * psi if axis == "y" else psi
 
 

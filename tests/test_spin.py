@@ -1,5 +1,6 @@
 """Operator algebra, probe states, unitary construction and the propagator kernel."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -342,11 +343,88 @@ def test_chains_at_one_n_share_one_eigendecomposition(monkeypatch):
         calls.append(args[0].shape)
         return eigh(*args, **kwargs)
 
-    spin._jx_basis.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    dims = EnsembleDims(14)
-    for field in (FieldVector(0.3, 0.4, 0.5), FieldVector(1.1, -0.2, 0.7)):
-        for probe in ("scs", "ghz"):
-            cfg = SchemeConfig("sequential", probe, dims, field, (1.0, 1.0, 1.0))
-            final_state(cfg)
-    assert len(calls) <= 1
+    for N in (13, 14):
+        for cache in (spin._ladder, spin._jx_sectors, spin._jx_eigenbasis):
+            cache.cache_clear()
+        calls.clear()
+        dims = EnsembleDims(N)
+        for field in (FieldVector(0.3, 0.4, 0.5), FieldVector(1.1, -0.2, 0.7)):
+            for probe in ("scs", "ghz"):
+                cfg = SchemeConfig("sequential", probe, dims, field, (1.0, 1.0, 1.0))
+                final_state(cfg)
+        # one eigh per flip sector, of sizes ceil(dim/2) and floor(dim/2)
+        half = dims.dim // 2
+        assert sorted(calls) == [(half, half), (dims.dim - half, dims.dim - half)]
+
+
+@pytest.mark.parametrize("N", range(1, 42))
+def test_flip_sector_kernel_matches_spectral_unitaries(N):
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(200 + N)
+    block = rng.normal(size=(dims.dim, 3)) + 1j * rng.normal(size=(dims.dim, 3))
+    thetas = np.array([0.7, -np.pi, 2.9])
+    # the reference's own rounding grows with the largest phase, theta J^2
+    tol = 1e-12 * max(1.0, dims.J)
+    for axis in AXES:
+        for make in (_collective_operator, _squared_operator):
+            squared = make is _squared_operator
+            refs = [_unitary_from_generator(make(dims, axis), t) for t in thetas]
+            cols = propagate(dims, axis, thetas, block, squared=squared)
+            for k, ref in enumerate(refs):
+                out = propagate(dims, axis, thetas[k], block, squared=squared)
+                vec = propagate(dims, axis, thetas[k], block[:, k], squared=squared)
+                assert np.max(np.abs(out - ref @ block)) < tol
+                assert np.max(np.abs(vec - ref @ block[:, k])) < tol
+                assert np.max(np.abs(cols[:, k] - ref @ block[:, k])) < tol
+
+
+def _full_eigh_kernel(dims, axis, theta, psi, squared):
+    """The one-basis kernel: eigh of the whole J_x, exact eigenvalues k - J."""
+    half = spin._ladder(dims.N) / 2.0
+    v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))[1]
+    ev = dims.m_values[::-1][:, None]
+    r = np.exp(-0.5j * np.pi * dims.m_values)[:, None]
+    if axis == "y":
+        psi = r.conj() * psi
+    psi = v @ (np.exp(-1j * theta * (ev * ev if squared else ev)) * (v.T @ psi))
+    return r * psi if axis == "y" else psi
+
+
+@pytest.mark.parametrize("N", [400, 401])
+def test_flip_sector_kernel_matches_the_full_eigenbasis_at_large_n(N):
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(N)
+    block = rng.normal(size=(dims.dim, 2)) + 1j * rng.normal(size=(dims.dim, 2))
+    block /= np.linalg.norm(block, axis=0)
+    for axis in ("x", "y"):
+        for squared, theta in ((False, 1.3), (True, 0.011)):
+            want = _full_eigh_kernel(dims, axis, theta, block, squared)
+            got = propagate(dims, axis, theta, block, squared=squared)
+            assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 9, 10, 40, 41, 400, 401])
+def test_assembled_eigenbasis_diagonalizes_jx(N):
+    dims = EnsembleDims(N)
+    v, ev = spin._jx_eigenbasis(N)
+    assert np.array_equal(ev, np.arange(dims.dim) - dims.J)
+    assert np.max(np.abs(v.T @ v - np.eye(dims.dim))) < 1e-12
+    jx = op(N, "x").matrix.real
+    assert np.max(np.abs(jx @ v - v * ev)) < 1e-12 * dims.J
+
+
+def test_first_large_chain_stays_within_half_the_dense_basis_memory():
+    # the dense J_x eigenbasis at N = 1000 alone is 7.6 MiB
+    for cache in (spin._ladder, spin._jx_sectors, spin._jx_eigenbasis):
+        cache.cache_clear()
+    cfg = SchemeConfig("sequential", "scs", EnsembleDims(1000),
+                       FieldVector(0.3, 0.4, 0.5), (1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        final_state(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert spin._jx_eigenbasis.cache_info().currsize == 0
