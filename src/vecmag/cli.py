@@ -21,31 +21,22 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from . import __version__
-from .estimation import (
+from . import (
     AmbiguousSignError,
-    OutOfRegimeError,
-    UnderResolvedError,
-    minimized_delta_b,
-    recover_from_trace,
-    sample_signal,
-    scaling_fit,
-)
-from .pulses import DDSchedule, NoiseModel, fidelity_f2
-from .schemes import (
     AnalyticBranchError,
     BoundViolationError,
-    SchemeConfig,
-    closed_form_jz,
-    precision_report,
-    simulated_jz,
-    to_json,
+    OutOfRegimeError,
+    UnderResolvedError,
+    __version__,
 )
 from .spin import AXES, EnsembleDims, FieldVector
-from .validation import CRITERION_NAMES, DEFAULT_SEED, run_all
+
+# Each command imports the modules it runs (schemes, estimation, pulses or
+# validation) when it runs, so a cold process loads only those.
 
 # Typed failures: exit code and the `error` kind written to stderr as JSON.
 FAILURES = {
@@ -119,6 +110,16 @@ def _grid(text: str) -> tuple[float, float, int]:
     return start, stop, points
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a seed >= 0, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -133,8 +134,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(_positive_int(p) for p in text.split(","))
+def _sizes(text: str) -> tuple[int, ...]:
+    values = tuple(_positive_int(p) for p in text.split(","))
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"ensemble sizes must be distinct, got {text!r}")
+    return values
 
 
 def _angle_list(text: str) -> tuple[float, ...]:
@@ -157,6 +161,21 @@ def _csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def to_json(value):
+    """JSON-ready copy of a result: dataclass fields become keys, tuples
+    become lists and non-finite floats become None; ints, bools and
+    strings pass through unchanged."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    return value
 
 
 def _json_text(doc) -> str:
@@ -209,6 +228,8 @@ def cmd_simulate(args) -> int:
         parser.error(f"--evolution {args.evolution} needs a --grid start >= 0")
     _require_finite_phases(args, [max(abs(start), abs(stop))] * 3, "--grid")
     times = np.linspace(start, stop, points)
+    from .schemes import SchemeConfig, closed_form_jz, simulated_jz
+
     if args.evolution == "analytic":
         phases = [field.coupling(ax) * times for ax in AXES]
         values = np.asarray(closed_form_jz(args.scheme, args.probe, args.N,
@@ -237,6 +258,9 @@ def cmd_spectrum(args) -> int:
         # keep the largest line at a quarter of the Nyquist frequency
         t_max = math.pi * args.M / (4.0 * top)
     _require_finite_phases(args, [t_max] * 3, "--t-max")
+    from .estimation import recover_from_trace, sample_signal
+    from .schemes import SchemeConfig
+
     cfg = SchemeConfig("sequential", args.probe, EnsembleDims(args.N), field,
                        (1.0, 1.0, 1.0))
     recovered, spectrum, peaks = recover_from_trace(
@@ -263,7 +287,9 @@ def _require_finite_phases(args, times, flag: str) -> None:
         args.parser.error(f"--B times {flag} overflows: N |B_a| t must be finite")
 
 
-def _config(args) -> SchemeConfig:
+def _config(args):
+    from .schemes import SchemeConfig
+
     _require_even_for_ghz(args)
     _require_finite_phases(args, args.T, "--T")
     return SchemeConfig(args.scheme, args.probe, EnsembleDims(args.N),
@@ -271,11 +297,15 @@ def _config(args) -> SchemeConfig:
 
 
 def cmd_precision(args) -> int:
+    from .schemes import precision_report
+
     _emit(args, precision_report(_config(args), eta=args.repetitions))
     return 0
 
 
 def cmd_qfi(args) -> int:
+    from .schemes import precision_report
+
     report = precision_report(_config(args))
     _emit(args, {entry.axis: {"main": entry.qfi_analytic_main,
                               "appendix": entry.qfi_analytic_appendix,
@@ -286,15 +316,15 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    from .estimation import minimized_delta_b, scaling_fit
+
     probes = ("scs", "ghz") if args.probe == "both" else (args.probe,)
     rows, fits = [], {}
     for probe in probes:
         points = {axis: [] for axis in AXES}
         for n in args.N:
             try:
-                values = [minimized_delta_b(args.scheme, probe, n, axis,
-                                            duration=args.duration)
-                          for axis in AXES]
+                values = minimized_delta_b(args.scheme, probe, n, duration=args.duration)
             except AnalyticBranchError as exc:  # odd-N cat probe
                 rows.append([str(n), probe, "", "", "", f"skipped: {exc}"])
                 continue
@@ -311,6 +341,8 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    from .pulses import DDSchedule, NoiseModel, fidelity_f2
+
     _require_finite_phases(args, (3 * 2 * args.pairs * args.tau,) * 3, "the last F2 time")
     dims = EnsembleDims(args.N)
     field = FieldVector(*args.B)
@@ -335,6 +367,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validation import CRITERION_NAMES, DEFAULT_SEED, run_all
+
     parser = args.parser
     indices = None
     if args.only:
@@ -354,13 +388,16 @@ def cmd_validate(args) -> int:
                     if not matches:
                         parser.error(f"--only {part!r} matches no criterion name")
                     wanted.update(matches)
+        if not wanted:
+            parser.error("--only selects no criterion")
         indices = sorted(wanted)
-    results = run_all(only=indices, seed=args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_all(only=indices, seed=seed)
     rows = [[str(r.index), r.name, "true" if r.passed else "false", r.detail]
             for r in results]
     all_passed = all(r.passed for r in results)
     _emit(args, _csv_text(["index", "name", "passed", "detail"], rows),
-          resolved={"only": indices}, all_passed=all_passed)
+          resolved={"only": indices, "seed": seed}, all_passed=all_passed)
     return 0 if all_passed else 3
 
 
@@ -437,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="sequential", help="readout scheme")
     scal.add_argument("--probe", choices=("scs", "ghz", "both"),
                       default="both", help="probe sweep (default both)")
-    scal.add_argument("--N", type=_int_list,
+    scal.add_argument("--N", type=_sizes,
                       default=tuple(range(4, 41, 2)),
                       help="comma-separated ensemble sizes (default evens 4..40)")
     scal.add_argument("--duration", type=_positive_angle, default=1.0,
@@ -461,14 +498,15 @@ def _build_parser() -> argparse.ArgumentParser:
     rob.add_argument("--error-draws", dest="error_draws",
                      choices=("paired", "independent"), default="paired",
                      help="one draw per pulse pair, or per pulse")
-    rob.add_argument("--seed", type=int, default=7)
+    rob.add_argument("--seed", type=_seed, default=7)
     rob.add_argument("--output", "-o", default=None)
     rob.set_defaults(func=cmd_robustness, parser=rob)
 
     val = subs.add_parser("validate", help="run the acceptance suite")
     val.add_argument("--only", action="append", default=None,
                      help="criterion index or name fragment; repeatable")
-    val.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    val.add_argument("--seed", type=_seed, default=None,
+                     help="seed of the seeded criteria (default: validation.DEFAULT_SEED)")
     val.add_argument("--output", "-o", default=None)
     val.set_defaults(func=cmd_validate, parser=val)
 

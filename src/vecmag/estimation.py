@@ -20,42 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import _CHUNK
+from . import AmbiguousSignError, OutOfRegimeError, UnderResolvedError
 from .schemes import (
     SchemeConfig,
+    _delta_b_arrays,
+    _delta_b_kernel,
     closed_form_delta_b,
     closed_form_jz,
     simulated_jz,
 )
-from .spin import AXES, _frozen
+from .spin import AXES, _CHUNK, _frozen
 
 SIGN_CHOICES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 # Local maxima below this fraction of the strongest one are treated as
 # window sidelobes (first rectangular sidelobe is ~0.22), not signals.
 PEAK_FLOOR = 0.25
-
-
-class UnderResolvedError(ValueError):
-    """Fewer resolvable spectral peaks than requested (degenerate field)."""
-
-    def __init__(self, requested: int, found: int):
-        super().__init__(f"needed {requested} spectral peaks, resolved {found}")
-        self.requested = requested
-        self.found = found
-
-
-class OutOfRegimeError(ValueError):
-    """Recovered components violate the positive-frequency regime."""
-
-
-class AmbiguousSignError(ValueError):
-    """Sign fit has tied residuals; the trace cannot decide."""
-
-    def __init__(self, assignments):
-        tied = ", ".join(f"({sy:+.0f},{sz:+.0f})" for sy, sz in assignments)
-        super().__init__(f"sign assignments tie within 1e-9: {tied}")
-        self.assignments = tuple(assignments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,10 +309,11 @@ class ScalingFit:
 
 
 def scaling_fit(points) -> ScalingFit:
-    """Fit ln(dB) = slope*ln(N) + intercept over (N, dB) pairs."""
+    """Fit ln(dB) = slope*ln(N) + intercept over (N, dB) pairs, at least
+    three distinct N: fewer leave the line undetermined."""
     points = list(points)
-    if len(points) < 3:
-        raise ValueError("scaling fit needs at least 3 points")
+    if len({n for n, _ in points}) < 3:
+        raise ValueError("scaling fit needs at least 3 distinct N")
     if any(n <= 0 or db <= 0 for n, db in points):
         raise ValueError("scaling fit needs positive N and dB")
     x = np.log([n for n, _ in points])
@@ -408,34 +389,43 @@ def _nelder_mead(objective, start) -> float:
     return min(fsim)
 
 
-def minimized_delta_b(scheme: str, probe: str, n: int, axis: str,
-                      duration: float = 1.0) -> float:
-    """Best achievable closed-form dB_axis over B in (0, pi/T)^3, T finite > 0.
+def minimized_delta_b(scheme: str, probe: str, n: int,
+                      duration: float = 1.0) -> tuple[float, float, float]:
+    """Best achievable closed-form (dB_x, dB_y, dB_z), each over B in (0, pi/T)^3,
+    T finite > 0.
 
     Parallel devices have field-independent precision, read at one point.
     Sequential readouts are minimized on a coarse grid (max(24, 2N) points per
-    axis, for the cat probe's N-fold fringes), then polished by _nelder_mead.
+    axis, for the cat probe's N-fold fringes), all three axes in one pass of
+    _delta_b_arrays per slab, then each axis is polished by _nelder_mead from
+    its own best grid point on the scalar _delta_b_kernel.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
-
-    def delta_b(bx, by, bz):
-        return closed_form_delta_b(scheme, probe, n, axis, duration,
-                                   bx * duration, by * duration, bz * duration)
-
     if scheme == "parallel":
-        return float(delta_b(0.0, 0.0, 0.0))
+        return tuple(closed_form_delta_b(scheme, probe, n, axis, duration, 0.0, 0.0, 0.0)
+                     for axis in AXES)
     pts = max(24, 2 * n)
     upper = math.pi / duration
     grid = np.linspace(0.0, upper, pts + 2)[1:-1]
-    rows, low, best = max(1, _CHUNK // (pts * pts)), math.inf, (0, 0, 0)
+    phases = grid * duration
+    rows, low, best = max(1, _CHUNK // (pts * pts)), [math.inf] * 3, [(0, 0, 0)] * 3
     for lo in range(0, pts, rows):  # strictly lower slab minima: the cube's first argmin
-        values = delta_b(grid[lo:lo + rows, None, None], grid[:, None], grid)
-        i = int(np.argmin(values))
-        if values.flat[i] < low:
-            low, best = float(values.flat[i]), np.unravel_index(lo * pts * pts + i, (pts,) * 3)
+        slab = (phases[lo:lo + rows, None, None], phases[:, None], phases)
+        for a, values in enumerate(_delta_b_arrays(scheme, probe, n, duration, slab, AXES)):
+            i = int(np.argmin(values))
+            if values.flat[i] < low[a]:
+                low[a] = float(values.flat[i])
+                best[a] = np.unravel_index(lo * pts * pts + i, (pts,) * 3)
+    minima = []
+    for a, axis in enumerate(AXES):
+        kernel = _delta_b_kernel(scheme, probe, n, axis, duration)
 
-    def objective(b):
-        return delta_b(*b) if 0.0 < min(b) and max(b) < upper else math.inf
+        def objective(b, kernel=kernel):
+            bx, by, bz = b
+            if 0.0 < bx < upper and 0.0 < by < upper and 0.0 < bz < upper:
+                return kernel(bx * duration, by * duration, bz * duration)
+            return math.inf
 
-    return min(low, _nelder_mead(objective, grid[list(best)].tolist()))
+        minima.append(min(low[a], _nelder_mead(objective, grid[list(best[a])].tolist())))
+    return tuple(minima)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (AXES, DickeState, EnsembleDims, FieldVector, _jx_eigenbasis, _jx_sectors,
-                   propagate, scs_state)
+from .spin import (AXES, _CHUNK, DickeState, EnsembleDims, FieldVector, _jx_eigenbasis,
+                   _jx_sectors, propagate, scs_state)
 
 __all__ = [
     "DDSchedule",
@@ -272,10 +272,6 @@ def fidelity_f1(dims: EnsembleDims, field: FieldVector, L_per_axis: int | None,
             psi, phi = basis @ c, basis @ effective[-1]
         curves.append(F1Curve(ratio, pairs, tau, _pair_times(schedules), np.concatenate(values)))
     return curves
-
-
-# complex entries in one chunk of F1 states or F2 pulse phases (256 KiB)
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ functions refuse rather than return garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .pulses import DDSchedule, evolve_exact
+from . import AnalyticBranchError, BoundViolationError
 from .spin import (
     AXES,
     DickeState,
@@ -41,14 +41,6 @@ HALF_PI = math.pi / 2.0
 
 # Relative QFI floor below which an axis is reported as a blind spot.
 BLIND_SPOT_QFI_FLOOR = 1e-6
-
-
-class AnalyticBranchError(ValueError):
-    """No closed form exists for the requested configuration."""
-
-
-class BoundViolationError(ArithmeticError):
-    """A simulated precision beats the quantum Cramer-Rao bound."""
 
 
 class QFIVariants(NamedTuple):
@@ -172,6 +164,8 @@ def _free_evolution(config: SchemeConfig, axis: str, duration: float,
             tap = apply_collective(config.dims, axis, psi[:, 0])
             psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
         return psi
+    from .pulses import DDSchedule, evolve_exact
+
     pairs = max(1, round(duration / (2.0 * config.tau)))
     sched = DDSchedule(axis=axis, pairs=pairs, tau=duration / (2.0 * pairs))
     return evolve_exact(DickeState(config.dims, psi), config.field, [sched]).amplitudes
@@ -268,25 +262,30 @@ def signal_terms(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
     return s, dict(zip(keys, ds))
 
 
-def _terms(scheme, probe, n, phases, axis, keys) -> list:
-    """S for the key "S" and dS[key] for an axis, for each key (see signal_terms)."""
+def _parity(scheme, probe, n, axis) -> float:
+    """(-1)^J of a configuration that has closed forms; refuses the others."""
     if probe not in PROBES:
         raise ValueError(f"unknown probe {probe!r}")
     if probe == "ghz" and n % 2:
         raise AnalyticBranchError(f"ghz closed forms need even N, got N={n}")
-    parity = -1.0 if (n // 2) % 2 else 1.0
+    if scheme == "parallel" and axis not in AXES:
+        raise ValueError("parallel closed form needs an axis")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return -1.0 if (n // 2) % 2 else 1.0
+
+
+def _terms(scheme, probe, n, phases, axis, keys) -> list:
+    """S for the key "S" and dS[key] for an axis, for each key (see signal_terms)."""
+    parity = _parity(scheme, probe, n, axis)
     if probe == "ghz":
         phases = [n * (p if isinstance(p, float) else np.asarray(p, dtype=float))
                   for p in phases]
     xp = math if all(isinstance(p, float) and math.isfinite(p) for p in phases) else np
     if scheme == "parallel":
-        if axis not in AXES:
-            raise ValueError("parallel closed form needs an axis")
         phase = phases[AXES.index(axis)]
         sign = -parity if probe == "ghz" and axis == "x" else 1.0
         return [sign * (xp.sin(phase) if key == "S" else xp.cos(phase)) for key in keys]
-    if scheme != "sequential":
-        raise ValueError(f"unknown scheme {scheme!r}")
     a, b, c = phases
     terms = _SEQUENTIAL_TERMS[probe]
     trig = xp.sin(a), xp.cos(a), xp.sin(b), xp.cos(b), xp.sin(c), xp.cos(c), parity
@@ -319,23 +318,88 @@ def closed_form_delta_b(scheme: str, probe: str, n: int, axis: str, gamma_t,
     the slope cancelling; the sequential readout gives that prefactor times
     sqrt(1 - S^2) / |dS_axis|.  Sequential blind spots (|dS| < 1e-12), T = 0
     and points where 1 - S^2 rounds to 0, which leaves no noise to propagate,
-    are inf.  A float comes back where signal_terms took the scalar path.
+    are inf.  Scalar phases take _delta_b_kernel and give a float; arrays
+    take _delta_b_arrays, or the flat bound for the parallel scheme.
     """
-    s, ds = _terms(scheme, probe, n, (phase_x, phase_y, phase_z), axis, ("S", axis))
-    scale = (math.sqrt(n) if probe == "scs" else n) * gamma_t
-    if isinstance(s, float):
-        noise, slope = (1.0, 1.0) if scheme == "parallel" else (1.0 - s**2, abs(ds))
-        ok = scale > 0.0 and slope >= 1e-12 and noise > 0.0
-        db = (1.0 / scale) * math.sqrt(noise) / slope if ok else math.inf
-        return db if 0.0 < db < math.inf else math.inf
+    phases = (phase_x, phase_y, phase_z)
+    if all(isinstance(p, float) or np.ndim(p) == 0 for p in phases):
+        return _delta_b_kernel(scheme, probe, n, axis, gamma_t)(*phases)
+    if scheme != "parallel":
+        db, = _delta_b_arrays(scheme, probe, n, gamma_t, phases, (axis,))
+        return db
+    s, = _terms(scheme, probe, n, phases, axis, ("S",))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prefactor = 1.0 / np.float64(scale)
-        if scheme == "parallel":
-            db, slope = prefactor * np.ones_like(s), 1.0
-        else:
-            slope = np.abs(ds)
-            db = prefactor * np.sqrt(np.maximum(1.0 - s**2, 0.0)) / slope
-    return np.where(np.isfinite(db) & (db > 0.0) & (slope >= 1e-12), db, np.inf)
+        db = (1.0 / np.float64(_precision_scale(probe, n, gamma_t))) * np.ones_like(s)
+    return np.where(db > 0.0, db, np.inf)
+
+
+def _precision_scale(probe: str, n: int, gamma_t):
+    """sqrt(N) gamma T (product probe) or N gamma T (cat probe): 1 / the flat bound."""
+    return (math.sqrt(n) if probe == "scs" else n) * gamma_t
+
+
+def _delta_b_arrays(scheme, probe, n, gamma_t, phases, axes) -> list:
+    """Sequential dB_a at array phases, for each axis a in `axes`.
+
+    One _terms call gives S and every dS_a; prefactor sqrt(1 - S^2) is formed
+    once and divided by each |dS_a|, so every axis gets the bits a call for it
+    alone would.  minimized_delta_b runs its grid through here, all three axes
+    in one pass.  The steps run in place on the fresh S and dS arrays, which
+    keeps a grid slab's temporaries few enough to stay in cache.  A dB that is
+    NaN or not > 0 becomes inf, as does one below the |dS| floor; that covers
+    1 - S^2 <= 0 (sqrt gives NaN or 0), and an inf dB stays inf, so neither a
+    clamp nor a finiteness test is needed.
+    """
+    s, *ds = _terms(scheme, probe, n, phases, None, ("S", *axes))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        noise = np.square(s, out=s)
+        np.subtract(1.0, noise, out=noise)
+        np.sqrt(noise, out=noise)
+        np.multiply(1.0 / np.float64(_precision_scale(probe, n, gamma_t)), noise, out=noise)
+        out = []
+        for d in ds:
+            slope = np.abs(d, out=d)
+            ok = slope >= 1e-12
+            db = np.divide(noise, slope, out=slope)
+            ok &= db > 0.0
+            out.append(np.where(ok, db, np.inf))
+    return out
+
+
+def _delta_b_kernel(scheme: str, probe: str, n: int, axis: str, gamma_t):
+    """closed_form_delta_b for one (probe, N, axis, gamma T) as a function of
+    three scalar phases, the one scalar path.
+
+    It holds the parity, k, the S and dS_axis entries of _SEQUENTIAL_TERMS and
+    1/scale, and takes math's sines and cosines of the k-scaled phases, so
+    minimized_delta_b's polish builds it once per axis and calls it directly.
+    An infinite phase, whose S is NaN, gives inf.
+    """
+    parity = _parity(scheme, probe, n, axis)
+    scale = _precision_scale(probe, n, gamma_t)
+    inverse = 1.0 / scale if scale > 0.0 else 0.0  # 0 makes every dB inf
+    if scheme == "parallel":
+        flat = inverse if inverse > 0.0 else math.inf
+        return lambda *phases: flat
+    s_of, ds_of = _SEQUENTIAL_TERMS[probe]["S"], _SEQUENTIAL_TERMS[probe][axis]
+    k = n if probe == "ghz" else 1
+    sin, cos, sqrt, inf = math.sin, math.cos, math.sqrt, math.inf
+
+    def kernel(phase_x, phase_y, phase_z):
+        a, b, c = k * phase_x, k * phase_y, k * phase_z
+        try:
+            trig = sin(a), cos(a), sin(b), cos(b), sin(c), cos(c), parity
+        except ValueError:
+            return inf
+        s, slope = s_of(*trig), abs(ds_of(*trig))
+        noise = 1.0 - s**2
+        if slope >= 1e-12 and noise > 0.0:
+            db = inverse * sqrt(noise) / slope
+            if db > 0.0:
+                return db
+        return inf
+
+    return kernel
 
 
 def analytic_jz(config: SchemeConfig, axis: str | None = None) -> float:
@@ -383,21 +447,6 @@ def _square(x: float) -> float:
     """x**2, saturating to inf where the float power would raise OverflowError."""
     with np.errstate(over="ignore"):
         return float(np.float64(x) ** 2)
-
-
-def to_json(value):
-    """JSON-ready copy of a result: dataclass fields become keys, tuples
-    become lists and non-finite floats become None; ints, bools and
-    strings pass through unchanged."""
-    if is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in fields(value)}
-    if isinstance(value, dict):
-        return {key: to_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json(item) for item in value]
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    return value
 
 
 def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):

@@ -28,6 +28,10 @@ __all__ = [
 
 AXES = ("x", "y", "z")
 
+# elements in one chunk of F1 states, F2 pulse phases or minimized_delta_b's
+# grid (256 KiB of complex, 128 KiB of float)
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class EnsembleDims:

@@ -277,12 +277,14 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Minimized precision scales as N^-1/2 (SCS) and N^-1 (GHZ)."""
     ns = range(4, 41, 2)
+    targets = (("scs", -0.5), ("ghz", -1.0))
+    minima = {(probe, n): minimized_delta_b("sequential", probe, n)
+              for n in ns for probe, _ in targets}
     details, ok = [], True
-    for probe, target in (("scs", -0.5), ("ghz", -1.0)):
+    for probe, target in targets:
         slopes = []
-        for axis in AXES:
-            fit = scaling_fit([(n, minimized_delta_b("sequential", probe, n, axis))
-                               for n in ns])
+        for per_axis in zip(*(minima[probe, n] for n in ns)):
+            fit = scaling_fit(zip(ns, per_axis))
             slopes.append(fit.slope)
             ok = ok and abs(fit.slope - target) <= 0.05 and fit.r_squared >= 0.999
         details.append(f"{probe} slopes ({', '.join(f'{s:.4f}' for s in slopes)}) "

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import vecmag
-from vecmag import __version__, cli, schemes
+from vecmag import __version__, cli, estimation, schemes
 from vecmag.cli import main
 
 
@@ -423,9 +423,16 @@ def test_scaling_skips_only_missing_closed_forms(monkeypatch):
     def fail(*_, **__):
         raise ValueError("not a closed-form gap")
 
-    monkeypatch.setattr(cli, "minimized_delta_b", fail)
+    monkeypatch.setattr(estimation, "minimized_delta_b", fail)
     with pytest.raises(ValueError, match="not a closed-form gap"):
         main(["scaling", "--N", "4,6,8", "--probe", "scs"])
+
+
+def test_scaling_refuses_repeated_sizes(capsys):
+    # one distinct N fits any slope with r^2 = 1; the sweep must not run
+    code, out, err = run_cli(capsys, "scaling", "--N", "4,4,4", "--probe", "scs")
+    assert code == 2 and out == ""
+    assert "distinct" in err and "Traceback" not in err
 
 
 def test_robustness_zero_error_column_is_exactly_one(capsys):
@@ -467,6 +474,31 @@ def test_validate_subset_and_filtering(capsys):
     assert parse_csv(lines)[1][0] == "10"
     code, _, _ = run_cli(capsys, "validate", "--only", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("only", [",", " ", ""])
+def test_validate_refuses_an_empty_selection(capsys, only):
+    code, out, err = run_cli(capsys, "validate", "--only", only)
+    assert code == 2 and out == ""
+    assert "selects no criterion" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--seed", "-1", "--only", "1"),
+    ("robustness", "--seed", "-1", "--pairs", "10", "--trials", "2"),
+])
+def test_negative_seeds_are_refused_by_the_parser(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--seed" in err and "Traceback" not in err
+
+
+def test_validate_echoes_its_default_seed(capsys):
+    from vecmag.validation import DEFAULT_SEED
+
+    code, out, _ = run_cli(capsys, "validate", "--only", "10")
+    assert code == 0
+    assert split_artifact(out)[0]["params"]["seed"] == DEFAULT_SEED
 
 
 def test_validate_reports_are_byte_identical(capsys):
@@ -568,6 +600,48 @@ def test_no_command_imports_scipy():
     runs = json.loads(out.stdout.splitlines()[-1])
     assert [code for _, code, _ in runs] == [0, 0, 0, 4, 0, 0, 0, 0, 0, 0]
     assert [(command, scipy) for command, _, scipy in runs if scipy] == []
+
+
+LOADED_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from vecmag.cli import main
+
+    code = 0
+    if len(sys.argv) > 1:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(sys.argv[1:])
+    print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("vecmag."))]))
+""")
+
+RUN_MODULES = ("schemes", "estimation", "pulses", "validation")
+
+# Per command: the modules it must not load.  Importing the CLI loads none.
+LOADED_RUNS = (
+    ((), RUN_MODULES),
+    (("precision", "--scheme", "sequential", "--probe", "scs", "--B", "1,0.8,1.2"),
+     ("estimation", "pulses", "validation")),
+    (("qfi", "--scheme", "parallel", "--probe", "ghz", "--B", "1,0.8,1.2"),
+     ("estimation", "pulses", "validation")),
+    (("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,0.6,0.2",
+      "--grid", "0:1:4"), ("estimation", "pulses", "validation")),
+    (("robustness", "--pairs", "10", "--trials", "2"),
+     ("schemes", "estimation", "validation")),
+    (("spectrum", "--probe", "scs", "--B", "10,6,2", "--M", "1024"),
+     ("pulses", "validation")),
+    (("scaling", "--N", "4,6,8", "--probe", "scs"), ("pulses", "validation")),
+)
+
+
+def test_each_command_loads_only_what_it_runs():
+    # One fresh interpreter per command: this process has loaded everything.
+    for argv, absent in LOADED_RUNS:
+        out = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *argv],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, (argv, out.stderr)
+        code, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert code == 0, argv
+        assert not {f"vecmag.{name}" for name in absent} & set(loaded), (argv, loaded)
+        assert argv or loaded == ["vecmag.cli", "vecmag.spin"], loaded
 
 
 def test_robustness_artifact_independent_of_blas_threads():

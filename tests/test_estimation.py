@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from vecmag import estimation
 from vecmag.spin import AXES, EnsembleDims, FieldVector
-from vecmag.schemes import PROBES, SchemeConfig, closed_form_delta_b
+from vecmag.schemes import PROBES, SchemeConfig, _delta_b_arrays, closed_form_delta_b
 from vecmag.estimation import (
     _nelder_mead,
     AmbiguousSignError,
@@ -234,21 +234,26 @@ def test_scaling_fit_exact_power_laws():
     assert heis.slope == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValueError):
         scaling_fit([(4, 0.5), (6, 0.4)])
+    # repeated N leave a line through fewer than three distinct abscissae
+    with pytest.raises(ValueError, match="3 distinct N"):
+        scaling_fit([(4, 0.5), (4, 0.5), (4, 0.5)])
+    with pytest.raises(ValueError, match="3 distinct N"):
+        scaling_fit([(4, 0.5), (6, 0.4), (6, 0.41), (4, 0.52)])
     with pytest.raises(ValueError):
         scaling_fit([(4, 0.5), (6, -0.4), (8, 0.3)])
 
 
 def test_minimized_precision_reaches_the_limits():
-    assert minimized_delta_b("parallel", "scs", 10, "x") == pytest.approx(1 / math.sqrt(10))
-    assert minimized_delta_b("parallel", "ghz", 10, "x") == pytest.approx(0.1)
+    assert minimized_delta_b("parallel", "scs", 10)[0] == pytest.approx(1 / math.sqrt(10))
+    assert minimized_delta_b("parallel", "ghz", 10)[0] == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        minimized_delta_b("parallel", "ghz", 9, "x")
+        minimized_delta_b("parallel", "ghz", 9)
     for n in (4, 10):
-        best = minimized_delta_b("sequential", "ghz", n, "z")
+        best = minimized_delta_b("sequential", "ghz", n)[2]
         # grid + polish lands on the 1/n floor; (1 - S^2) cancellation
         # near |S| = 1 limits agreement to ~1e-8
         assert best == pytest.approx(1.0 / n, abs=1e-7)
-    scs_best = minimized_delta_b("sequential", "scs", 10, "y")
+    scs_best = minimized_delta_b("sequential", "scs", 10)[1]
     assert 1.0 / math.sqrt(10) - 1e-12 <= scs_best <= 1.001 / math.sqrt(10)
 
 
@@ -257,16 +262,15 @@ def test_minimized_precision_never_beats_the_parallel_floor():
         for n in range(4, 17, 2):
             for probe, floor in (("scs", 1.0 / (math.sqrt(n) * duration)),
                                  ("ghz", 1.0 / (n * duration))):
-                for axis in "xyz":
-                    best = minimized_delta_b("sequential", probe, n, axis,
-                                             duration=duration)
+                minima = minimized_delta_b("sequential", probe, n, duration=duration)
+                for axis, best in zip(AXES, minima):
                     assert best >= floor * (1 - 1e-6), (duration, n, probe, axis)
 
 
 def test_scaling_slopes_from_minimized_precision():
     ns = range(4, 17, 2)
     for probe, target in (("scs", -0.5), ("ghz", -1.0)):
-        fit = scaling_fit([(n, minimized_delta_b("sequential", probe, n, "x"))
+        fit = scaling_fit([(n, minimized_delta_b("sequential", probe, n)[0])
                            for n in ns])
         assert fit.slope == pytest.approx(target, abs=0.05)
         assert fit.r_squared >= 0.999
@@ -276,23 +280,25 @@ def test_scaling_slopes_from_minimized_precision():
 @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
 def test_minimized_delta_b_refuses_invalid_durations(scheme, duration):
     with pytest.raises(ValueError, match="duration must be finite and > 0"):
-        minimized_delta_b(scheme, "scs", 10, "x", duration=duration)
+        minimized_delta_b(scheme, "scs", 10, duration=duration)
 
 
-def full_cube_start(delta_b, probe, n, axis, duration=1.0):
+def full_cube_start(delta_b_arrays, probe, n, axis, duration=1.0):
     """The grid point and value minimized_delta_b starts its polish from,
     found on the whole (pts, pts, pts) cube at once: np.argmin's first
     occurrence in C order."""
     pts = max(24, 2 * n)
     grid = np.linspace(0.0, math.pi / duration, pts + 2)[1:-1]
     cube = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-    values = delta_b("sequential", probe, n, axis, duration, *(g * duration for g in cube))
+    values, = delta_b_arrays("sequential", probe, n, duration,
+                             tuple(g * duration for g in cube), (axis,))
     i = int(np.argmin(values))
     return grid[list(np.unravel_index(i, values.shape))].tolist(), float(values.flat[i])
 
 
 def slab_start(monkeypatch, probe, n, axis, duration=1.0):
-    """The start and grid value minimized_delta_b reaches, its polish skipped."""
+    """The start and grid value minimized_delta_b reaches for `axis`, its
+    polish skipped."""
     starts = []
 
     def polish(objective, start):
@@ -300,13 +306,13 @@ def slab_start(monkeypatch, probe, n, axis, duration=1.0):
         return math.inf
 
     monkeypatch.setattr(estimation, "_nelder_mead", polish)
-    value = minimized_delta_b("sequential", probe, n, axis, duration)
-    return starts[0], value
+    values = minimized_delta_b("sequential", probe, n, duration)
+    return starts[AXES.index(axis)], values[AXES.index(axis)]
 
 
-def assert_same_start(monkeypatch, delta_b, probe, n, axis, duration=1.0):
+def assert_same_start(monkeypatch, delta_b_arrays, probe, n, axis, duration=1.0):
     start, value = slab_start(monkeypatch, probe, n, axis, duration)
-    want_start, want_value = full_cube_start(delta_b, probe, n, axis, duration)
+    want_start, want_value = full_cube_start(delta_b_arrays, probe, n, axis, duration)
     assert [v.hex() for v in start] == [v.hex() for v in want_start], (probe, n, axis)
     assert value.hex() == want_value.hex(), (probe, n, axis)
 
@@ -316,17 +322,18 @@ def test_grid_slabs_find_the_full_cube_argmin(monkeypatch):
     for probe in PROBES:
         for axis in AXES:
             for n in range(4, 41, 2):
-                assert_same_start(monkeypatch, closed_form_delta_b, probe, n, axis)
-    assert_same_start(monkeypatch, closed_form_delta_b, "ghz", 40, "x", duration=0.7)
+                assert_same_start(monkeypatch, _delta_b_arrays, probe, n, axis)
+    assert_same_start(monkeypatch, _delta_b_arrays, "ghz", 40, "x", duration=0.7)
 
 
 def test_grid_slabs_keep_the_first_of_tied_minima(monkeypatch):
     # blind in B_x, so every x row ties with the first and the minimum recurs
     # across every slab boundary; only the first occurrence may win
-    def x_blind(scheme, probe, n, axis, gamma_t, phase_x, phase_y, phase_z):
-        return (phase_y - 1.0) ** 2 + (phase_z - 2.0) ** 2 + 0.0 * phase_x
+    def x_blind(scheme, probe, n, gamma_t, phases, axes):
+        phase_x, phase_y, phase_z = phases
+        return [(phase_y - 1.0) ** 2 + (phase_z - 2.0) ** 2 + 0.0 * phase_x for _ in axes]
 
-    monkeypatch.setattr(estimation, "closed_form_delta_b", x_blind)
+    monkeypatch.setattr(estimation, "_delta_b_arrays", x_blind)
     for n in (12, 13, 40):  # one, two and forty slabs
         assert_same_start(monkeypatch, x_blind, "scs", n, "x")
         start, _ = slab_start(monkeypatch, "scs", n, "x")
@@ -334,10 +341,10 @@ def test_grid_slabs_keep_the_first_of_tied_minima(monkeypatch):
 
 
 def test_minimized_delta_b_grid_memory_stays_slab_sized():
-    minimized_delta_b("sequential", "ghz", 40, "x")  # warm imports and caches
+    minimized_delta_b("sequential", "ghz", 40)  # warm imports and caches
     tracemalloc.start()
     try:
-        minimized_delta_b("sequential", "ghz", 40, "x")
+        minimized_delta_b("sequential", "ghz", 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,7 +387,8 @@ def scipy_minimized_delta_b(optimize, scheme, probe, n, axis, duration=1.0):
 
 def assert_matches_scipy(optimize, cases):
     for case in cases:
-        got = minimized_delta_b("sequential", *case)
+        probe, n, axis, duration = case
+        got = minimized_delta_b("sequential", probe, n, duration)[AXES.index(axis)]
         assert got.hex() == scipy_minimized_delta_b(optimize, "sequential", *case).hex(), case
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecmag import schemes
-from vecmag.cli import main
+from vecmag.cli import main, to_json
 from vecmag.spin import AXES, EnsembleDims, FieldVector
 from vecmag.schemes import (
     PROBES,
@@ -26,7 +26,6 @@ from vecmag.schemes import (
     precision_report,
     qfi_analytic,
     signal_terms,
-    to_json,
 )
 
 DIMS = EnsembleDims(10)
@@ -464,6 +463,41 @@ def test_scalar_phases_match_array_phases(scheme, probe, n):
                     _, only = signal_terms(scheme, probe, n, *v, axis)
                     assert list(only) == [axis]
                     assert bits(only[axis]) == bits(full[axis]), phases
+
+
+@pytest.mark.parametrize("probe,n", [("scs", 7), ("ghz", 10)])
+def test_three_axis_pass_matches_one_axis_calls(probe, n):
+    # minimized_delta_b's grid takes all three axes from one S; each must
+    # keep the bits of its own call, blind spots and |S| = 1 points included
+    grid = np.linspace(0.0, math.pi, 27)  # 0 and pi/2 give blind spots
+    phases = (grid[:, None, None], grid[:, None], grid * 0.7)
+    together = schemes._delta_b_arrays("sequential", probe, n, 1.3, phases, AXES)
+    for axis, values in zip(AXES, together):
+        alone = closed_form_delta_b("sequential", probe, n, axis, 1.3, *phases)
+        assert np.array_equal(values, alone) and np.isinf(values).any()
+
+
+def test_no_noise_or_no_time_gives_inf():
+    # S rounds to -1 while |dS_x| = 1e-9 clears the blind-spot floor: no noise
+    # to propagate, so no precision, on the scalar and the array path alike;
+    # nor is there one after T = 0
+    phases = (1e-9, math.pi / 2, 0.0)
+    s, ds = signal_terms("sequential", "scs", 10, *phases)
+    assert s == -1.0 and abs(ds["x"]) >= 1e-12
+    for scheme, gamma_t, at in (("sequential", 1.0, phases), ("sequential", 0.0, (0.3, 0.4, 0.5)),
+                                ("parallel", 0.0, (0.3, 0.4, 0.5))):
+        assert closed_form_delta_b(scheme, "scs", 10, "x", gamma_t, *at) == math.inf
+        arrays = [np.array([p, 0.5]) for p in at]
+        assert closed_form_delta_b(scheme, "scs", 10, "x", gamma_t, *arrays)[0] == math.inf
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_nonfinite_scalar_phases_give_inf(probe):
+    # the cat probe's N-fold phase of 1e308 overflows to inf; NaN passes the trig
+    overflow = (1e308, 0.1, 0.2) if probe == "ghz" else (math.inf, 0.1, 0.2)
+    for phases in (overflow, (0.1, -math.inf, 0.2), (0.1, 0.2, math.nan)):
+        for axis in AXES:
+            assert closed_form_delta_b("sequential", probe, 10, axis, 1.0, *phases) == math.inf
 
 
 def test_derivatives_refuse_exact_evolution():
