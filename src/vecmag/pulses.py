@@ -13,7 +13,7 @@ rotation e^{-i gamma B_a t J_a}:
 All three run on one pulse-block kernel built on `spin.propagate`, with no
 eigendecomposition of the field Hamiltonian.  A block about axis a runs in
 the J_a eigenbasis, where every pulse is a diagonal phase and the free step
-e^{-i tau gamma B.J} (five kernel rotations, `_free_step`) is one matrix W
+e^{-i tau gamma B.J} (one SU(2) rotation, `_free_step`) is one matrix W
 (`_block_frame`).  With exact pi pulses every pair is the same P, so a
 block is P^L, by binary powering from the measured crossover on and by
 stepping P below it (`_apply_pairs`).  F1 steps P once per pair; F2 with
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin import (AXES, _CHUNK, DickeState, EnsembleDims, FieldVector, _jx_eigenbasis,
-                   _jx_sectors, propagate, scs_state)
+                   _jx_sectors, rotate, scs_state)
 
 __all__ = [
     "DDSchedule",
@@ -140,18 +140,18 @@ def evolve_exact(state: DickeState, field: FieldVector, schedules) -> DickeState
 
 def _free_step(dims: EnsembleDims, field: FieldVector, tau: float,
                psi: np.ndarray) -> np.ndarray:
-    """e^{-i tau gamma B.J} psi from five kernel rotations, with no eigh of H_B.
+    """e^{-i tau gamma B.J} psi by one `spin.rotate`, with no eigh of H_B.
 
-    Writing gamma B = |b| (sin t cos p, sin t sin p, cos t), the generator
-    is b.J = R_z(p) R_y(t) |b| J_z R_y(-t) R_z(-p), so the free step is
-    R_z(p) R_y(t) R_z(|b| tau) R_y(-t) R_z(-p); the rightmost acts first.
+    With b = gamma B, e^{-i tau b.sigma/2} is the SU(2) element
+    a = cos(|b| tau/2) - i (b_z/|b|) sin(|b| tau/2),
+    b = -(i b_x + b_y)/|b| sin(|b| tau/2); |b| = 0 is the identity.
     """
     bx, by, bz = (field.coupling(ax) for ax in AXES)
-    polar, azimuth = math.atan2(math.hypot(bx, by), bz), math.atan2(by, bx)
-    for axis, angle in (("z", -azimuth), ("y", -polar), ("z", math.hypot(bx, by, bz) * tau),
-                        ("y", polar), ("z", azimuth)):
-        psi = propagate(dims, axis, angle, psi)
-    return psi
+    norm = math.hypot(bx, by, bz)
+    if norm == 0.0:
+        return psi
+    c, s = math.cos(norm * tau / 2.0), math.sin(norm * tau / 2.0) / norm
+    return rotate(dims, (complex(c, -bz * s), complex(-by * s, -bx * s)), psi)
 
 
 def _block_frame(dims: EnsembleDims, field: FieldVector, sched: DDSchedule):

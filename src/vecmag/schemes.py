@@ -27,9 +27,12 @@ from .spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
+    _compose,
+    _su2,
     apply_collective,
     ghz_state,
     propagate,
+    rotate,
     scs_state,
 )
 
@@ -106,7 +109,7 @@ class SchemeConfig:
 # Readout chains, keyed by (scheme, probe, literal) and, for the parallel
 # scheme, by device axis.  A chain is an operator product whose first step acts
 # last: ("rot" | "twist", a, theta) applies e^{-i theta J_a} or e^{-i theta J_a^2},
-# and ("free", a) evolves for the configuration's T_a (see _free_evolution).
+# and ("free", a) evolves for the configuration's T_a (see _apply_chain).
 #
 # The default parallel ghz x and y chains place the one-axis twist directly
 # after the free evolution, inside the basis-change sandwich; that ordering is
@@ -149,21 +152,9 @@ _CHAINS = {
 }
 
 
-def _free_evolution(config: SchemeConfig, axis: str, duration: float,
-                    psi: np.ndarray) -> np.ndarray:
-    """One free step on a (dim,) vector or a (dim, 4) tangent block (see _tangent).
-
-    B_axis enters only here and J_axis commutes with the step, so its
-    derivative is the tap -i gamma T J_axis on the propagated state.
-    """
-    if duration == 0.0:
-        return psi
-    if config.evolution == "effective":
-        psi = propagate(config.dims, axis, config.field.coupling(axis) * duration, psi)
-        if psi.ndim == 2:
-            tap = apply_collective(config.dims, axis, psi[:, 0])
-            psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
-        return psi
+def _exact_free_evolution(config: SchemeConfig, axis: str, duration: float,
+                          psi: np.ndarray) -> np.ndarray:
+    """One pulsed free step (see pulses.evolve_exact) on a (dim,) vector."""
     from .pulses import DDSchedule, evolve_exact
 
     pairs = max(1, round(duration / (2.0 * config.tau)))
@@ -180,13 +171,50 @@ def _chain(config: SchemeConfig, axis: str | None, literal: bool = False):
 
 
 def _apply_chain(config: SchemeConfig, chain, psi: np.ndarray) -> np.ndarray:
-    """Apply the chain right to left to a probe vector or a tangent block."""
+    """Apply the chain right to left to a probe vector or a (dim, 4) tangent
+    block (see _tangent).
+
+    A free step of T_a > 0 evolves by e^{-i gamma B_a T_a J_a}, exact
+    evolution by pulse blocks.  Each run of rotations and effective free
+    steps is one SU(2) element, applied by one `spin.rotate`; a twist, an
+    exact free step and the end of the chain close a run.  On a tangent
+    block each free step closes its run too: B_a enters only that step and
+    J_a commutes with it, so the derivative is the tap -i gamma T_a J_a on
+    the state right after it.
+    """
+    run = []
     for kind, axis, *angle in reversed(chain):
+        if kind == "rot":
+            run.append((axis, angle[0]))
+            continue
         if kind == "free":
-            psi = _free_evolution(config, axis, config.duration(axis), psi)
+            duration = config.duration(axis)
+            if duration == 0.0:
+                continue
+            if config.evolution == "effective":
+                run.append((axis, config.field.coupling(axis) * duration))
+                if psi.ndim == 2:
+                    psi, run = _apply_run(config.dims, run, psi), []
+                    tap = apply_collective(config.dims, axis, psi[:, 0])
+                    psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
+                continue
+        psi, run = _apply_run(config.dims, run, psi), []
+        if kind == "twist":
+            psi = propagate(config.dims, axis, angle[0], psi, squared=True)
         else:
-            psi = propagate(config.dims, axis, angle[0], psi, squared=kind == "twist")
-    return psi
+            psi = _exact_free_evolution(config, axis, duration, psi)
+    return _apply_run(config.dims, run, psi)
+
+
+def _apply_run(dims: EnsembleDims, run, psi: np.ndarray) -> np.ndarray:
+    """Apply a run of (axis, angle) rotations, first one first: one step by
+    its own `propagate`, more as their composed SU(2) element."""
+    if len(run) < 2:
+        return propagate(dims, *run[0], psi) if run else psi
+    u = _su2(*run[0])
+    for step in run[1:]:
+        u = _compose(_su2(*step), u)
+    return rotate(dims, u, psi)
 
 
 def _probe_amplitudes(config: SchemeConfig) -> np.ndarray:

@@ -4,11 +4,13 @@ N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
 the probe states and the propagator kernel for rotations and twists
-about x, y and z.
+about x, y and z, and applies any SU(2) element, such as a composed run
+of rotations, as one x pass between two z phases (`rotate`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +22,7 @@ __all__ = [
     "FieldVector",
     "apply_collective",
     "propagate",
+    "rotate",
     "rotation",
     "twist",
     "scs_state",
@@ -186,12 +189,11 @@ def _jx_eigenbasis(N: int):
     return _frozen(v), _frozen(ev)
 
 
-def propagate(dims: EnsembleDims, axis: str, theta: float | np.ndarray,
+def propagate(dims: EnsembleDims, axis: str, theta: float,
               psi: np.ndarray, squared: bool = False) -> np.ndarray:
     """e^{-i theta J_axis} psi, or e^{-i theta J_axis^2} psi when squared.
 
-    psi is a (dim,) amplitude vector or a (dim, k) block of columns; theta
-    is one angle, or for a block a (k,) array of one angle per column.  J_z
+    psi is a (dim,) amplitude vector or a (dim, k) block of columns.  J_z
     is diagonal.  J_x acts through its cached flip sectors (`_jx_sectors`)
     with the exact eigenvalues -J, ..., J (squared for a twist): psi is
     folded into its flip-even and flip-odd parts, each goes through one
@@ -200,10 +202,6 @@ def propagate(dims: EnsembleDims, axis: str, theta: float | np.ndarray,
     """
     a, b, ev, m, r, r_conj = _jx_sectors(dims.N)
     psi = np.ascontiguousarray(psi, dtype=complex)
-    if isinstance(theta, np.ndarray) and theta.ndim and (
-            psi.ndim != 2 or theta.shape != psi.shape[1:]):
-        raise ValueError(f"per-column angles of shape {theta.shape} "
-                         f"do not match a block of shape {psi.shape}")
     if psi.ndim == 2:
         m, r, r_conj = m[:, None], r[:, None], r_conj[:, None]
     if axis == "z":
@@ -225,6 +223,43 @@ def propagate(dims: EnsembleDims, axis: str, theta: float | np.ndarray,
     psi = np.concatenate((x[:h] + y, 2.0 * x[h:], (x[:h] - y)[::-1]))
     psi = psi.view(complex).reshape(shape)
     return r * psi if axis == "y" else psi
+
+
+def _su2(axis: str, theta: float) -> tuple[complex, complex]:
+    """The pair (a, b) of e^{-i theta sigma_axis / 2} = [[a, b], [-b*, a*]]."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    if axis == "z":
+        return complex(c, -s), 0j
+    return complex(c), (complex(0.0, -s) if axis == "x" else complex(-s))
+
+
+def _compose(u: tuple[complex, complex], v: tuple[complex, complex]) -> tuple[complex, complex]:
+    """The pair of the SU(2) product u v (v acts first)."""
+    (a, b), (c, d) = u, v
+    return a * c - b * d.conjugate(), a * d + b * c.conjugate()
+
+
+def rotate(dims: EnsembleDims, u: tuple[complex, complex], psi: np.ndarray) -> np.ndarray:
+    """The spin-J image of the SU(2) element U = [[a, b], [-b*, a*]], u = (a, b), on psi.
+
+    U = R_z(alpha) R_x(beta) R_z(gamma) with alpha = -arg a - arg(ib),
+    beta = 2 atan2(|b|, |a|) and gamma = -arg a + arg(ib), where R_a(t) =
+    e^{-i t sigma_a / 2}; taken from the half-angle phases this product is U
+    itself, not -U, so e^{-i alpha J_z} e^{-i beta J_x} e^{-i gamma J_z} is
+    U's image, global phase included, for half-integer J too.  One x pass of
+    the kernel, between z phases; a zero z angle is skipped, and b = 0 is
+    the one z phase -2 arg a.
+    """
+    a, b = u
+    arg_a = math.atan2(a.imag, a.real)
+    if b == 0:
+        return propagate(dims, "z", -2.0 * arg_a, psi) if arg_a else psi
+    arg_ib = math.atan2(b.real, -b.imag)
+    alpha, gamma = -arg_a - arg_ib, -arg_a + arg_ib
+    if gamma:
+        psi = propagate(dims, "z", gamma, psi)
+    psi = propagate(dims, "x", 2.0 * math.atan2(abs(b), abs(a)), psi)
+    return propagate(dims, "z", alpha, psi) if alpha else psi
 
 
 def rotation(dims: EnsembleDims, axis: str, theta: float) -> np.ndarray:

@@ -102,6 +102,13 @@ def test_simulate_flag_conflicts(capsys):
         (*base, "--scheme", "sequential", "--tau", "1e-3"),  # tau without exact
         ("simulate", "--scheme", "parallel", "--probe", "ghz", "--N", "9",
          "--B", "1,1,1", "--axis", "x", "--grid", "0:6:16"),
+        # odd N leaves the twist readout inert: the effective trace is flat at
+        # round-off (about 1e-15) and the exact one holds pulse residue alone
+        ("simulate", "--scheme", "sequential", "--probe", "ghz", "--N", "9",
+         "--B", "0.3,0.7,1.1", "--grid", "0:6:8", "--evolution", "effective"),
+        ("simulate", "--scheme", "parallel", "--probe", "ghz", "--N", "9",
+         "--B", "0.3,0.7,1.1", "--axis", "y", "--grid", "0:6:8",
+         "--evolution", "exact", "--tau", "0.01"),
     )
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

@@ -50,7 +50,7 @@ def fidelity(a, b):
 def pair_loop(psi, dims, field, schedules, angles):
     """The pair-by-pair reference: a dense free step and two kernel pulses
     per pair; yields the raw state after every pair.  angles[i] holds pair
-    i's (first, second) angles, scalars or one per column of a block psi."""
+    i's (first, second) angles."""
     h_b = _field_hamiltonian(dims, field)
     u_free = {t: _unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
     for sched, (a_first, a_second) in zip(_pair_plan(schedules), angles):

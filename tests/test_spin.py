@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from vecmag import schemes, spin
+from vecmag import pulses, schemes, spin
 from vecmag.pulses import _free_step
 from vecmag.schemes import SchemeConfig, final_state
 from vecmag.spin import (
@@ -37,7 +37,7 @@ def op(N, axis):
 
 
 def free_unitary(dims, fv, t):
-    """e^{-i t H_B} as the runtime builds it: five kernel rotations."""
+    """e^{-i t H_B} as the runtime builds it: one SU(2) rotation."""
     return _free_step(dims, fv, t, np.eye(dims.dim))
 
 
@@ -280,25 +280,6 @@ def test_kernel_matches_spectral_unitaries(N):
         propagate(dims, "w", 1.0, block)
 
 
-@pytest.mark.parametrize("N", [1, 2, 5, 10, 31])
-def test_per_column_angles_match_column_by_column_calls(N):
-    dims = EnsembleDims(N)
-    rng = np.random.default_rng(100 + N)
-    block = rng.normal(size=(dims.dim, 4)) + 1j * rng.normal(size=(dims.dim, 4))
-    thetas = np.array([0.0, -np.pi, 1.3, 7.9])
-    for axis in AXES:
-        for squared in (False, True):
-            out = propagate(dims, axis, thetas, block, squared=squared)
-            for k, theta in enumerate(thetas):
-                col = propagate(dims, axis, theta, block[:, k], squared=squared)
-                assert np.max(np.abs(out[:, k] - col)) <= 1e-13
-    for bad in (thetas[:3], thetas[:, None]):
-        with pytest.raises(ValueError):
-            propagate(dims, "x", bad, block)
-    with pytest.raises(ValueError):
-        propagate(dims, "z", thetas, block[:, 0])
-
-
 @lru_cache(maxsize=None)
 def _reference_unitary(N, kind, axis, theta):
     dims = EnsembleDims(N)
@@ -370,13 +351,67 @@ def test_flip_sector_kernel_matches_spectral_unitaries(N):
         for make in (_collective_operator, _squared_operator):
             squared = make is _squared_operator
             refs = [_unitary_from_generator(make(dims, axis), t) for t in thetas]
-            cols = propagate(dims, axis, thetas, block, squared=squared)
             for k, ref in enumerate(refs):
                 out = propagate(dims, axis, thetas[k], block, squared=squared)
                 vec = propagate(dims, axis, thetas[k], block[:, k], squared=squared)
                 assert np.max(np.abs(out - ref @ block)) < tol
                 assert np.max(np.abs(vec - ref @ block[:, k])) < tol
-                assert np.max(np.abs(cols[:, k] - ref @ block[:, k])) < tol
+
+
+@pytest.mark.parametrize("N", [*range(1, 42), 400, 401])
+def test_rotate_equals_its_rotations_one_by_one(N):
+    # a sign slip in the composed angles (U against -U) shows at half-integer J
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(300 + N)
+    block = rng.normal(size=(dims.dim, 2)) + 1j * rng.normal(size=(dims.dim, 2))
+    block /= np.linalg.norm(block, axis=0)
+    tol = 1e-12 * max(1.0, dims.J)
+    cases = [[(str(rng.choice(list(AXES))), rng.uniform(-4 * np.pi, 4 * np.pi))
+              for _ in range(rng.integers(1, 7))] for _ in range(4)]
+    cases += [[("z", 0.7), ("z", -2.9)],  # b = 0
+              [("x", np.pi / 2), ("x", -np.pi / 2)],  # identity
+              [("y", np.pi)], [("x", -np.pi), ("z", 1.1)]]  # beta = pi
+    for steps in cases:
+        u, want = (1 + 0j, 0j), block
+        for axis, theta in steps:
+            u = spin._compose(spin._su2(axis, theta), u)
+            want = propagate(dims, axis, theta, want)
+        assert np.max(np.abs(spin.rotate(dims, u, block) - want)) <= tol
+        assert np.max(np.abs(spin.rotate(dims, u, block[:, 0]) - want[:, 0])) <= tol
+    # |a| = 0 exactly: R_y(pi) = [[0, -1], [1, 0]]
+    want = propagate(dims, "y", np.pi, block)
+    assert np.max(np.abs(spin.rotate(dims, (0j, -1 + 0j), block) - want)) <= tol
+
+
+def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
+    passes = []
+    kernel = spin.propagate
+
+    def counting(dims, axis, *args, **kwargs):
+        passes.append(axis)
+        return kernel(dims, axis, *args, **kwargs)
+
+    for module in (spin, schemes, pulses):
+        if hasattr(module, "propagate"):
+            monkeypatch.setattr(module, "propagate", counting)
+
+    def xy_passes(run, *args):
+        passes.clear()
+        run(*args)
+        return sum(axis != "z" for axis in passes)
+
+    dims, field = EnsembleDims(10), FieldVector(0.31, -0.47, 0.23)
+    cfg = {(scheme, probe): SchemeConfig(scheme, probe, dims, field, (1.0, 0.8, 1.2))
+           for scheme in ("parallel", "sequential") for probe in ("scs", "ghz")}
+    assert xy_passes(final_state, cfg["sequential", "scs"]) == 1
+    assert xy_passes(final_state, cfg["sequential", "ghz"]) == 4
+    for axis in AXES:
+        assert xy_passes(final_state, cfg["parallel", "scs"], axis) == 1
+        assert xy_passes(final_state, cfg["parallel", "ghz"], axis) == 2
+    assert xy_passes(_free_step, dims, field, 0.01, np.eye(dims.dim)) == 1
+    # a tangent block closes its run right after each free step, for the tap
+    assert xy_passes(schemes._tangent, cfg["sequential", "scs"], "x") == 3
+    assert xy_passes(schemes._tangent, cfg["sequential", "ghz"], "x") == 5
 
 
 def _full_eigh_kernel(dims, axis, theta, psi, squared):
