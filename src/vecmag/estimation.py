@@ -119,9 +119,9 @@ class RecoveredField:
 def sample_signal(config: SchemeConfig, t_max: float, m: int) -> SignalTrace:
     """Sample the sequential <Jz>(T) on the FFT grid T_k = k*t_max/m.
 
-    Closed forms are used whenever they exist; otherwise (odd-N cat probe,
-    or exact pulsed evolution) each grid point is simulated, which is slow
-    and meant for spot checks.
+    Effective evolution takes the closed form, so an odd-N cat probe (inert
+    twist readout) raises AnalyticBranchError; exact pulsed evolution
+    simulates each grid point, which is slow and meant for spot checks.
     """
     if config.scheme != "sequential":
         raise ValueError("signal traces are defined for the sequential scheme")
@@ -130,13 +130,13 @@ def sample_signal(config: SchemeConfig, t_max: float, m: int) -> SignalTrace:
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     times = np.arange(m) * (t_max / m)
-    if config.evolution == "effective" and config.analytic_supported:
+    if config.evolution == "exact":
+        values = simulated_jz(config, times)
+    else:
         couplings = [config.field.coupling(ax) for ax in AXES]
         values = closed_form_jz("sequential", config.probe, config.dims.N,
                                 couplings[0] * times, couplings[1] * times,
                                 couplings[2] * times)
-    else:
-        values = simulated_jz(config, times)
     return SignalTrace(times, values, config.probe, config.dims.N)
 
 

@@ -101,10 +101,6 @@ class SchemeConfig:
     def phases(self) -> tuple[float, float, float]:
         return tuple(self.phase(ax) for ax in AXES)
 
-    @property
-    def analytic_supported(self) -> bool:
-        return self.probe != "ghz" or self.dims.N % 2 == 0
-
 
 # Readout chains, keyed by (scheme, probe, literal) and, for the parallel
 # scheme, by device axis.  A chain is an operator product whose first step acts
@@ -281,9 +277,7 @@ def signal_terms(scheme: str, probe: str, n: int, phase_x, phase_y, phase_z,
     product probe and the -s of the parallel cat-probe x readout.  For the
     parallel scheme `axis` selects the device and only its phase enters; a
     given `axis` is dS's one key.  The cat probe needs even N.  Sines and
-    cosines come from math for finite float phases (np.float64 too), else
-    from numpy, which broadcasts; test_schemes checks that both give the same
-    bits.  On a machine where they do not, scalars should take numpy as well.
+    cosines come from numpy, which broadcasts; scalar phases give np.float64.
     """
     keys = AXES if axis is None and scheme == "sequential" else (axis,)
     s, *ds = _terms(scheme, probe, n, (phase_x, phase_y, phase_z), axis, ("S",) + keys)
@@ -306,17 +300,16 @@ def _parity(scheme, probe, n, axis) -> float:
 def _terms(scheme, probe, n, phases, axis, keys) -> list:
     """S for the key "S" and dS[key] for an axis, for each key (see signal_terms)."""
     parity = _parity(scheme, probe, n, axis)
+    phases = [np.asarray(p, dtype=float) for p in phases]
     if probe == "ghz":
-        phases = [n * (p if isinstance(p, float) else np.asarray(p, dtype=float))
-                  for p in phases]
-    xp = math if all(isinstance(p, float) and math.isfinite(p) for p in phases) else np
+        phases = [n * p for p in phases]
     if scheme == "parallel":
         phase = phases[AXES.index(axis)]
         sign = -parity if probe == "ghz" and axis == "x" else 1.0
-        return [sign * (xp.sin(phase) if key == "S" else xp.cos(phase)) for key in keys]
+        return [sign * (np.sin(phase) if key == "S" else np.cos(phase)) for key in keys]
     a, b, c = phases
     terms = _SEQUENTIAL_TERMS[probe]
-    trig = xp.sin(a), xp.cos(a), xp.sin(b), xp.cos(b), xp.sin(c), xp.cos(c), parity
+    trig = np.sin(a), np.cos(a), np.sin(b), np.cos(b), np.sin(c), np.cos(c), parity
     return [terms[key](*trig) for key in keys]
 
 
@@ -456,7 +449,7 @@ def qfi_analytic(config: SchemeConfig, axis: str) -> QFIVariants:
     `.appendix`.
     """
     n = config.dims.N
-    signal_terms(config.scheme, config.probe, n, *config.phases, axis)  # odd-N cat refuses
+    _parity(config.scheme, config.probe, n, axis)  # odd-N cat refuses
     px, py, _ = config.phases
     gamma_t_sq = _square(config.field.gamma * config.duration(axis))
     scale = (n if config.probe == "scs" else n * n) * gamma_t_sq

@@ -4,8 +4,9 @@ N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
 the probe states and the propagator kernel for rotations and twists
-about x, y and z, and applies any SU(2) element, such as a composed run
-of rotations, as one x pass between two z phases (`rotate`).
+about x, y and z (`propagate`; on the identity it gives their matrices),
+and applies any SU(2) element, such as a composed run of rotations, as
+one x pass between two z phases (`rotate`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "apply_collective",
     "propagate",
     "rotate",
-    "rotation",
-    "twist",
     "scs_state",
     "ghz_state",
 ]
@@ -260,16 +259,6 @@ def rotate(dims: EnsembleDims, u: tuple[complex, complex], psi: np.ndarray) -> n
         psi = propagate(dims, "z", gamma, psi)
     psi = propagate(dims, "x", 2.0 * math.atan2(abs(b), abs(a)), psi)
     return propagate(dims, "z", alpha, psi) if alpha else psi
-
-
-def rotation(dims: EnsembleDims, axis: str, theta: float) -> np.ndarray:
-    """R_axis(theta) = e^{-i theta J_axis}."""
-    return propagate(dims, axis, theta, np.eye(dims.dim))
-
-
-def twist(dims: EnsembleDims, axis: str, theta: float) -> np.ndarray:
-    """e^{-i theta J_axis^2}."""
-    return propagate(dims, axis, theta, np.eye(dims.dim), squared=True)
 
 
 def scs_state(dims: EnsembleDims) -> DickeState:

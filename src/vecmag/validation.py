@@ -45,9 +45,8 @@ from .spin import (
     _frozen,
     _ladder,
     ghz_state,
-    rotation,
+    propagate,
     scs_state,
-    twist,
 )
 
 DEFAULT_SEED = 1234
@@ -381,8 +380,9 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         for _ in range(3):
             axis = AXES[rng.integers(3)]
             theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-            for u, gen in ((rotation(dims, axis, theta), _collective_operator(dims, axis)),
-                           (twist(dims, axis, theta), _squared_operator(dims, axis))):
+            for squared, gen in ((False, _collective_operator(dims, axis)),
+                                 (True, _squared_operator(dims, axis))):
+                u = propagate(dims, axis, theta, eye, squared=squared)
                 ref = _unitary_from_generator(gen, theta)
                 worst = max(worst, np.max(np.abs(u - ref)),
                             *(np.max(np.abs(w.conj().T @ w - eye)) for w in (u, ref)))

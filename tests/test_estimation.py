@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecmag import estimation
+from vecmag import AnalyticBranchError, estimation
 from vecmag.spin import AXES, EnsembleDims, FieldVector
 from vecmag.schemes import PROBES, SchemeConfig, _delta_b_arrays, closed_form_delta_b
 from vecmag.estimation import (
@@ -82,11 +82,14 @@ def test_simulated_sampling_matches_closed_form():
         assert jz_moments(final_state(cfg))[0] == pytest.approx(value, abs=1e-10)
 
 
-def test_odd_n_cat_probe_falls_back_to_simulation():
-    cfg = SchemeConfig("sequential", "ghz", EnsembleDims(5), FieldVector(3, 2, 1),
-                       (1.0, 1.0, 1.0))
-    trace = sample_signal(cfg, 1.0, 8)
-    assert trace.values.shape == (8,)
+def test_odd_n_cat_probe_trace_needs_exact_evolution():
+    # odd N leaves the twist readout inert: the effective trace has no closed
+    # form and is refused; exact pulsed evolution still simulates every point
+    args = ("sequential", "ghz", EnsembleDims(5), FieldVector(3, 2, 1), (1.0, 1.0, 1.0))
+    with pytest.raises(AnalyticBranchError):
+        sample_signal(SchemeConfig(*args), 1.0, 8)
+    trace = sample_signal(SchemeConfig(*args, evolution="exact", tau=0.01), 1.0, 8)
+    assert trace.values.shape == (8,) and np.all(np.isfinite(trace.values))
 
 
 def test_pure_sine_lands_on_grid():

@@ -398,8 +398,9 @@ def test_closed_forms_match_simulation(half_n, field, durations, gamma, scheme,
     for closed_form in (signal_terms, closed_form_jz, closed_form_jz2):
         with pytest.raises(AnalyticBranchError):
             closed_form(scheme, "ghz", n - 1, *cfg.phases, which)
-    with pytest.raises(AnalyticBranchError):
-        analytic_delta_b(odd, axis)
+    for analytic in (analytic_delta_b, qfi_analytic):
+        with pytest.raises(AnalyticBranchError):
+            analytic(odd, axis)
 
 
 def phase_triples(count=400, seed=7):
@@ -427,8 +428,9 @@ def bits(value):
 @pytest.mark.parametrize("probe,n", [("scs", 7), ("scs", 10), ("ghz", 10), ("ghz", 12)])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_scalar_phases_match_array_phases(scheme, probe, n):
-    # Floats take math's sines and cosines and 1-element arrays numpy's; S and
-    # dS agree bit for bit across floats, 0-d arrays and 1-element arrays.
+    # S and dS take numpy's sines and cosines and agree bit for bit across
+    # floats, 0-d arrays and 1-element arrays; scalar delta B takes math's,
+    # so its match to the formula below pins math against numpy.
     # delta B squares S with pow on scalars (0-d arrays give numpy scalars)
     # and by multiplication on arrays, as numpy scalars and arrays do; the
     # two roundings differ at about 1 point in 10^4.
@@ -444,7 +446,7 @@ def test_scalar_phases_match_array_phases(scheme, probe, n):
             dbs = [closed_form_delta_b(scheme, probe, n, axis, gamma_t, *v)
                    for v in variants]
             (s, ds), db = terms[0], dbs[0]
-            assert type(s) is float and type(db) is float
+            assert type(db) is float
             assert {bits(t[0]) for t in terms} == {s.hex()}, phases
             assert {bits(t[1][axis]) for t in terms} == {ds[axis].hex()}, phases
 

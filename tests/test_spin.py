@@ -17,9 +17,7 @@ from vecmag.spin import (
     apply_collective,
     ghz_state,
     propagate,
-    rotation,
     scs_state,
-    twist,
 )
 from vecmag.validation import (
     _CollectiveOperator,
@@ -169,9 +167,9 @@ def test_unitary_diagonal_generator():
 
 def test_full_turn_parity():
     # integer J: 2 pi rotation is the identity; half-integer J: minus identity
-    U_even = rotation(EnsembleDims(2), "x", 2 * np.pi)
+    U_even = propagate(EnsembleDims(2), "x", 2 * np.pi, np.eye(3))
     assert np.linalg.norm(U_even - np.eye(3)) < 1e-10
-    U_odd = rotation(EnsembleDims(3), "x", 2 * np.pi)
+    U_odd = propagate(EnsembleDims(3), "x", 2 * np.pi, np.eye(4))
     assert np.linalg.norm(U_odd + np.eye(4)) < 1e-10
 
 
@@ -270,7 +268,7 @@ def test_kernel_matches_spectral_unitaries(N):
         for theta in (0.0, -np.pi / 2, 1.3):
             for squared, make in ((False, _collective_operator), (True, _squared_operator)):
                 ref = _unitary_from_generator(make(dims, axis), theta)
-                got = twist(dims, axis, theta) if squared else rotation(dims, axis, theta)
+                got = propagate(dims, axis, theta, np.eye(dims.dim), squared=squared)
                 assert np.max(np.abs(got - ref)) < 1e-12
                 out = propagate(dims, axis, theta, block, squared=squared)
                 assert np.max(np.abs(out - ref @ block)) < 1e-12
