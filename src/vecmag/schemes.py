@@ -28,6 +28,7 @@ from .spin import (
     EnsembleDims,
     FieldVector,
     _compose,
+    _pulse_block,
     _su2,
     apply_collective,
     ghz_state,
@@ -148,14 +149,10 @@ _CHAINS = {
 }
 
 
-def _exact_free_evolution(config: SchemeConfig, axis: str, duration: float,
-                          psi: np.ndarray) -> np.ndarray:
-    """One pulsed free step (see pulses.evolve_exact) on a (dim,) vector."""
-    from .pulses import DDSchedule, evolve_exact
-
+def _exact_free_evolution(config: SchemeConfig, axis: str, duration: float):
+    """SU(2) pair of a pulsed free step: L = max(1, round(T / 2 tau)) pairs re-timed to T."""
     pairs = max(1, round(duration / (2.0 * config.tau)))
-    sched = DDSchedule(axis=axis, pairs=pairs, tau=duration / (2.0 * pairs))
-    return evolve_exact(DickeState(config.dims, psi), config.field, [sched]).amplitudes
+    return _pulse_block(config.field, axis, pairs, duration / (2.0 * pairs), "alternating")
 
 
 def _chain(config: SchemeConfig, axis: str | None, literal: bool = False):
@@ -171,9 +168,9 @@ def _apply_chain(config: SchemeConfig, chain, psi: np.ndarray) -> np.ndarray:
     block (see _tangent).
 
     A free step of T_a > 0 evolves by e^{-i gamma B_a T_a J_a}, exact
-    evolution by pulse blocks.  Each run of rotations and effective free
-    steps is one SU(2) element, applied by one `spin.rotate`; a twist, an
-    exact free step and the end of the chain close a run.  On a tangent
+    evolution by a pulse block, itself one SU(2) element.  Each run of
+    rotations and free steps is one SU(2) element, applied by one
+    `spin.rotate`; a twist and the end of the chain close a run.  On a tangent
     block each free step closes its run too: B_a enters only that step and
     J_a commutes with it, so the derivative is the tap -i gamma T_a J_a on
     the state right after it.
@@ -187,29 +184,29 @@ def _apply_chain(config: SchemeConfig, chain, psi: np.ndarray) -> np.ndarray:
             duration = config.duration(axis)
             if duration == 0.0:
                 continue
-            if config.evolution == "effective":
-                run.append((axis, config.field.coupling(axis) * duration))
-                if psi.ndim == 2:
-                    psi, run = _apply_run(config.dims, run, psi), []
-                    tap = apply_collective(config.dims, axis, psi[:, 0])
-                    psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
+            if config.evolution == "exact":
+                run.append(_exact_free_evolution(config, axis, duration))
                 continue
+            run.append((axis, config.field.coupling(axis) * duration))
+            if psi.ndim == 2:
+                psi, run = _apply_run(config.dims, run, psi), []
+                tap = apply_collective(config.dims, axis, psi[:, 0])
+                psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
+            continue
         psi, run = _apply_run(config.dims, run, psi), []
-        if kind == "twist":
-            psi = propagate(config.dims, axis, angle[0], psi, squared=True)
-        else:
-            psi = _exact_free_evolution(config, axis, duration, psi)
+        psi = propagate(config.dims, axis, angle[0], psi, squared=True)
     return _apply_run(config.dims, run, psi)
 
 
 def _apply_run(dims: EnsembleDims, run, psi: np.ndarray) -> np.ndarray:
-    """Apply a run of (axis, angle) rotations, first one first: one step by
-    its own `propagate`, more as their composed SU(2) element."""
-    if len(run) < 2:
+    """Apply a run of steps, first one first, each an (axis, angle) rotation
+    or an SU(2) pair (a, b): a lone rotation by its own `propagate`, anything
+    else as the composed SU(2) element."""
+    if len(run) < 2 and (not run or isinstance(run[0][0], str)):
         return propagate(dims, *run[0], psi) if run else psi
-    u = _su2(*run[0])
-    for step in run[1:]:
-        u = _compose(_su2(*step), u)
+    u, *rest = (_su2(*step) if isinstance(step[0], str) else step for step in run)
+    for step in rest:
+        u = _compose(step, u)
     return rotate(dims, u, psi)
 
 

@@ -5,8 +5,9 @@ J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
 the probe states and the propagator kernel for rotations and twists
 about x, y and z (`propagate`; on the identity it gives their matrices),
-and applies any SU(2) element, such as a composed run of rotations, as
-one x pass between two z phases (`rotate`).
+and applies any SU(2) element, such as a composed run of rotations or a
+pulse block (`_pulse_block`), as one x pass between two z phases
+(`rotate`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ __all__ = [
 
 AXES = ("x", "y", "z")
 
-# elements in one chunk of F1 states, F2 pulse phases or minimized_delta_b's
-# grid (256 KiB of complex, 128 KiB of float)
+# points in one slab of minimized_delta_b's grid (128 KiB of float)
 _CHUNK = 1 << 14
 
 
@@ -170,24 +170,6 @@ def _jx_sectors(N: int):
     return tuple(_frozen(x) for x in (a, b, ev, m, r, r.conj()))
 
 
-@lru_cache(maxsize=None)
-def _jx_eigenbasis(N: int):
-    """(V, ev): the sorted real orthogonal eigenbasis of J_x, with no eigh.
-
-    Column k of V, assembled from the kernel's flip sectors, belongs to the
-    exact eigenvalue ev[k] = k - J.  Pulse blocks use it; chains never
-    build it.
-    """
-    a, b, sector_ev = _jx_sectors(N)[:3]
-    dim, h = N + 1, (N + 1) // 2
-    v, ev = np.zeros((dim, dim)), np.empty(dim)
-    even, odd = v[:, N % 2::2], v[:, 1 - N % 2::2]
-    even[:h], even[h:dim - h], even[dim - h:] = a[:h], 2.0 * a[h:], a[h - 1::-1]
-    odd[:h], odd[dim - h:] = b, -b[::-1]
-    ev[N % 2::2], ev[1 - N % 2::2] = sector_ev[:dim - h, 0], sector_ev[dim - h:, 0]
-    return _frozen(v), _frozen(ev)
-
-
 def propagate(dims: EnsembleDims, axis: str, theta: float,
               psi: np.ndarray, squared: bool = False) -> np.ndarray:
     """e^{-i theta J_axis} psi, or e^{-i theta J_axis^2} psi when squared.
@@ -224,8 +206,12 @@ def propagate(dims: EnsembleDims, axis: str, theta: float,
     return r * psi if axis == "y" else psi
 
 
-def _su2(axis: str, theta: float) -> tuple[complex, complex]:
-    """The pair (a, b) of e^{-i theta sigma_axis / 2} = [[a, b], [-b*, a*]]."""
+def _su2(axis: str, theta) -> tuple[complex, complex]:
+    """The pair (a, b) of e^{-i theta sigma_axis / 2} = [[a, b], [-b*, a*]];
+    an ndarray theta gives the pairs of its entries as two arrays."""
+    if isinstance(theta, np.ndarray):
+        c, s = np.cos(theta / 2.0) + 0j, np.sin(theta / 2.0) + 0j
+        return (c - 1j * s, 0 * c) if axis == "z" else (c, -1j * s if axis == "x" else -s)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     if axis == "z":
         return complex(c, -s), 0j
@@ -236,6 +222,51 @@ def _compose(u: tuple[complex, complex], v: tuple[complex, complex]) -> tuple[co
     """The pair of the SU(2) product u v (v acts first)."""
     (a, b), (c, d) = u, v
     return a * c - b * d.conjugate(), a * d + b * c.conjugate()
+
+
+def _power(u: tuple[complex, complex], k):
+    """u^k for an integer or an integer ndarray k >= 0, in closed form.
+
+    u = s (cos phi - i sin phi n.sigma) with s = sign(Re a) and phi =
+    atan2(sqrt(Im a^2 + |b|^2), |Re a|) in [0, pi/2], so u^k = s^k (cos k phi
+    - i sin k phi n.sigma); atan2 and the sign keep k phi accurate near
+    u = +-1.  sin phi = 0 is u = +-1, whose powers are exact.
+    """
+    a, b = u
+    s = math.copysign(1.0, a.real)
+    sin_phi = math.hypot(a.imag, abs(b))
+    if sin_phi == 0.0:
+        return s ** k + 0j, 0j * k
+    phi = math.atan2(sin_phi, abs(a.real))
+    sign, scale = s ** k, s * np.sin(k * phi) / sin_phi
+    return sign * (np.cos(k * phi) + 1j * a.imag * scale), sign * scale * b
+
+
+def _free_su2(field: FieldVector, tau: float) -> tuple[complex, complex]:
+    """(a, b) of the free step e^{-i tau gamma B.sigma/2}: with b = gamma B,
+    a = cos(|b| tau/2) - i (b_z/|b|) sin(|b| tau/2) and b = -(i b_x + b_y)/|b|
+    sin(|b| tau/2); |b| = 0 is the identity."""
+    bx, by, bz = (field.coupling(ax) for ax in AXES)
+    norm = math.hypot(bx, by, bz)
+    if norm == 0.0:
+        return 1 + 0j, 0j
+    c, s = math.cos(norm * tau / 2.0), math.sin(norm * tau / 2.0) / norm
+    return complex(c, -bz * s), complex(-by * s, -bx * s)
+
+
+def _pulse_pair(field: FieldVector, axis: str, tau: float, first, second=math.pi):
+    """(a, b) of one pulse pair R_a(second) F R_a(first) F (F acts first):
+    F is the free step for tau (`_free_su2`) and R_a(theta) the pulse
+    e^{-i theta J_a}; ndarray angles give one (a, b) per entry."""
+    free = _free_su2(field, tau)
+    return _compose(_su2(axis, second), _compose(free, _compose(_su2(axis, first), free)))
+
+
+def _pulse_block(field: FieldVector, axis: str, pairs, tau: float, mode: str):
+    """(a, b) of P^pairs, a block of exact pi-pulse pairs (pairs an integer or
+    an integer ndarray) whose first pulse is -pi alternating, +pi identical."""
+    first = -math.pi if mode == "alternating" else math.pi
+    return _power(_pulse_pair(field, axis, tau, first), pairs)
 
 
 def rotate(dims: EnsembleDims, u: tuple[complex, complex], psi: np.ndarray) -> np.ndarray:

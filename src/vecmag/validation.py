@@ -18,18 +18,7 @@ from itertools import product
 import numpy as np
 
 from .estimation import minimized_delta_b, recover_from_trace, sample_signal, scaling_fit
-from .pulses import (
-    DDSchedule,
-    NoiseModel,
-    _block_frame,
-    _exact_pair,
-    _free_step,
-    _powered,
-    _stepped,
-    evolve_exact,
-    fidelity_f1,
-    fidelity_f2,
-)
+from .pulses import DDSchedule, NoiseModel, evolve_exact, fidelity_f1, fidelity_f2
 from .schemes import (
     SchemeConfig,
     analytic_jz,
@@ -42,10 +31,13 @@ from .spin import (
     AXES,
     EnsembleDims,
     FieldVector,
+    _free_su2,
     _frozen,
     _ladder,
+    _pulse_block,
     ghz_state,
     propagate,
+    rotate,
     scs_state,
 )
 
@@ -362,7 +354,8 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     Kernel rotations and twists must be unitary and match the spectral
     decomposition of their generator; so must the free step of exact pulsed
-    evolution, and a pulse block by binary powering must match stepping.
+    evolution, and a pulse block's SU(2) image must match the dense product
+    of its free steps and pulses.
     """
     rng = np.random.default_rng(seed + 3)
     pulse_rng = np.random.default_rng(seed + 4)
@@ -389,20 +382,22 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         field = FieldVector(*pulse_rng.uniform(-6.0, 6.0, 3), gamma=(1.0, 2.5)[n % 2])
         sched = DDSchedule(AXES[pulse_rng.integers(3)], int(pulse_rng.integers(2, 200)),
                            pulse_rng.uniform(1e-3, 0.1), ("alternating", "identical")[n % 2])
-        ref = _unitary_from_generator(_field_hamiltonian(dims, field), sched.tau)
-        worst = max(worst, np.max(np.abs(_free_step(dims, field, sched.tau, eye) - ref)))
-        basis, ev, w = _block_frame(dims, field, sched)
-        pair = _exact_pair(w, ev, sched.mode)
-        c = basis.conj().T @ scs_state(dims).amplitudes
-        worst = max(worst, np.max(np.abs(_powered(pair, c, sched.pairs)
-                                         - _stepped(pair, c, sched.pairs))))
+        free = _unitary_from_generator(_field_hamiltonian(dims, field), sched.tau)
+        worst = max(worst, np.max(np.abs(rotate(dims, _free_su2(field, sched.tau), eye) - free)))
+        pulse = _collective_operator(dims, sched.axis)
+        first = -math.pi if sched.mode == "alternating" else math.pi
+        pair = (_unitary_from_generator(pulse, math.pi) @ free
+                @ _unitary_from_generator(pulse, first) @ free)
+        block = rotate(dims, _pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode),
+                       eye)
+        worst = max(worst, np.max(np.abs(block - np.linalg.matrix_power(pair, sched.pairs))))
         for state in (scs_state(dims), ghz_state(dims)):
             worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0))
         evolved = evolve_exact(scs_state(dims), FieldVector(0.4, 0.5, 0.6),
                                [DDSchedule("x", 3, 0.01)])
         worst = max(worst, abs(np.linalg.norm(evolved.amplitudes) - 1.0))
     return _result(10, worst <= 1e-10,
-        f"max commutator/Casimir/unitarity/kernel/free-step/block-power/norm defect = "
+        f"max commutator/Casimir/unitarity/kernel/free-step/pulse-block/norm defect = "
         f"{worst:.2e} for N in {{1..12, 20, 30}} (tol 1e-10)")
 
 

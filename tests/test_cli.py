@@ -631,6 +631,9 @@ LOADED_RUNS = (
      ("estimation", "pulses", "validation")),
     (("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,0.6,0.2",
       "--grid", "0:1:4"), ("estimation", "pulses", "validation")),
+    (("simulate", "--scheme", "sequential", "--probe", "scs", "--B", "1,0.6,0.2",
+      "--grid", "0:1:4", "--evolution", "exact", "--tau", "0.01"),
+     ("estimation", "pulses", "validation")),
     (("robustness", "--pairs", "10", "--trials", "2"),
      ("schemes", "estimation", "validation")),
     (("spectrum", "--probe", "scs", "--B", "10,6,2", "--M", "1024"),
@@ -652,8 +655,8 @@ def test_each_command_loads_only_what_it_runs():
 
 
 def test_robustness_artifact_independent_of_blas_threads():
-    # the reference and the trials share one block product, whose columns
-    # must not depend on how BLAS splits the work
+    # the reference and the trials run as columns of one array; no column
+    # may depend on the BLAS thread count
     argv = [sys.executable, "-m", "vecmag.cli", "robustness", "--mode", "both",
             "--trials", "3", "--pairs", "50"]
     outputs = []

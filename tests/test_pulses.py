@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecmag import pulses
+from vecmag import pulses, spin
 from vecmag.spin import (
     AXES,
     DickeState,
@@ -14,18 +14,13 @@ from vecmag.spin import (
     FieldVector,
     ghz_state,
     propagate,
+    rotate,
     scs_state,
 )
 from vecmag.pulses import (
     DDSchedule,
     NoiseModel,
     _angle_table,
-    _block_frame,
-    _exact_pair,
-    _f2_table,
-    _pair_plan,
-    _powered,
-    _stepped,
     evolve_exact,
     fidelity_f1,
     fidelity_f2,
@@ -47,22 +42,21 @@ def fidelity(a, b):
     return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
+def pair_plan(schedules):
+    """The schedule each pulse pair belongs to, in pulse order."""
+    return [sched for sched in schedules for _ in range(sched.pairs)]
+
+
 def pair_loop(psi, dims, field, schedules, angles):
     """The pair-by-pair reference: a dense free step and two kernel pulses
     per pair; yields the raw state after every pair.  angles[i] holds pair
     i's (first, second) angles."""
     h_b = _field_hamiltonian(dims, field)
     u_free = {t: _unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
-    for sched, (a_first, a_second) in zip(_pair_plan(schedules), angles):
+    for sched, (a_first, a_second) in zip(pair_plan(schedules), angles):
         psi = propagate(dims, sched.axis, a_first, u_free[sched.tau] @ psi)
         psi = propagate(dims, sched.axis, a_second, u_free[sched.tau] @ psi)
         yield psi
-
-
-def block_pair(dims, field, sched):
-    """(B, P): the block's eigenbasis and its exact pair unitary."""
-    basis, ev, w = _block_frame(dims, field, sched)
-    return basis, _exact_pair(w, ev, sched.mode)
 
 
 def effective(state, blocks):
@@ -82,6 +76,13 @@ def test_schedule_validation():
         DDSchedule("x", 10, 0.0)
     with pytest.raises(ValueError):
         DDSchedule("x", 10, 1e-3, mode="both")
+    for tau in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="spacing"):
+            DDSchedule("x", 10, tau)
+    for pairs in (2.5, 10.0, "10"):
+        with pytest.raises(ValueError, match="pair count"):
+            DDSchedule("x", pairs, 1e-3)
+    assert DDSchedule("x", np.int64(10), 1e-3).pairs == 10
     assert DDSchedule("x", 250, 0.004).duration == pytest.approx(2.0)
 
 
@@ -90,6 +91,9 @@ def test_noise_model_validation():
         NoiseModel(eta=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(eta=0.1, trials=0)
+    for eta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta"):
+            NoiseModel(eta=eta)
 
 
 def test_empty_schedule_returns_input():
@@ -200,19 +204,17 @@ def test_identical_mode_converges_to_effective_as_tau_shrinks():
 
 
 def test_norm_preserved_over_many_pairs():
-    # 10^4 raw pairs, stepped and powered, never renormalized
+    # 10^4 pairs in closed form, applied raw and never renormalized
     sched = DDSchedule("x", 10000, 1e-4)
-    basis, pair = block_pair(DIMS, FIELD, sched)
-    c = basis.conj().T @ scs_state(DIMS).amplitudes
-    for branch in (_stepped, _powered):
-        assert abs(np.linalg.norm(basis @ branch(pair, c, sched.pairs)) - 1.0) < 1e-10
+    u = spin._pulse_block(FIELD, sched.axis, sched.pairs, sched.tau, sched.mode)
+    assert abs(abs(u[0]) ** 2 + abs(u[1]) ** 2 - 1.0) < 1e-15
+    assert abs(np.linalg.norm(rotate(DIMS, u, scs_state(DIMS).amplitudes)) - 1.0) < 1e-10
 
 
 def test_fine_spacing_block_costs_no_per_pair_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-pair tables built for an exact block")
 
-    monkeypatch.setattr(pulses, "_pair_plan", refuse)
     monkeypatch.setattr(pulses, "_angle_table", refuse)
     sched = DDSchedule("x", 10**6, 1e-6)
     start = time.perf_counter()
@@ -242,49 +244,17 @@ def test_pulse_blocks_match_pair_loop(n, mode, blocks, field, gamma, ghz):
     scheds = [DDSchedule(ax, pairs, tau, mode) for ax, pairs, tau in blocks]
     probe = (ghz_state if ghz else scs_state)(dims)
     states = list(pair_loop(probe.amplitudes, dims, fv, scheds, _angle_table(scheds)[:, :, 0]))
-    # each branch of the first block on its own
-    basis, pair = block_pair(dims, fv, scheds[0])
-    c = basis.conj().T @ probe.amplitudes
-    for branch in (_powered, _stepped):
-        jz_gap, overlap_gap = jz_and_overlap_gap(basis @ branch(pair, c, scheds[0].pairs),
-                                                 states[scheds[0].pairs - 1], dims)
+    # the first block on its own, then all blocks as one element
+    for upto, state in ((1, states[scheds[0].pairs - 1]), (len(scheds), states[-1])):
+        jz_gap, overlap_gap = jz_and_overlap_gap(
+            evolve_exact(probe, fv, scheds[:upto]).amplitudes, state, dims)
         assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
-    # all blocks through the cost rule
-    jz_gap, overlap_gap = jz_and_overlap_gap(evolve_exact(probe, fv, scheds).amplitudes,
-                                             states[-1], dims)
-    assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
-
-
-@pytest.mark.parametrize("n", [10, 30])
-def test_cost_rule_branches_at_the_crossover(monkeypatch, n):
-    dims, field = EnsembleDims(n), FieldVector(1.3, -2.2, 0.7)
-    # the smallest pair count from which the rule selects powering
-    crossover = next(L for L in range(2, 10**4) if pulses._powering_pays(dims.dim, L))
-    assert 2 < crossover and all(pulses._powering_pays(dims.dim, L)
-                                 for L in range(crossover, 4 * crossover))
-    scheds = [DDSchedule("y", crossover, 3e-3)]
-    states = list(pair_loop(scs_state(dims).amplitudes, dims, field, scheds,
-                            _angle_table(scheds)[:, :, 0]))
-    taken = []
-    for name in ("_powered", "_stepped"):
-        branch = getattr(pulses, name)
-        monkeypatch.setattr(pulses, name, lambda *args, name=name, branch=branch:
-                            taken.append(name) or branch(*args))
-    basis, pair = block_pair(dims, field, scheds[0])
-    c = basis.conj().T @ scs_state(dims).amplitudes
-    for pairs, expected in ((crossover - 1, "_stepped"), (crossover, "_powered")):
-        taken.clear()
-        out = evolve_exact(scs_state(dims), field, [DDSchedule("y", pairs, 3e-3)])
-        assert taken == [expected]
-        for psi in (out.amplitudes, basis @ _powered(pair, c, pairs),
-                    basis @ _stepped(pair, c, pairs)):
-            jz_gap, overlap_gap = jz_and_overlap_gap(psi, states[pairs - 1], dims)
-            assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
 
 
 def test_f1_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        fidelity_f1(DIMS, FIELD, None, [0.0])
+    for ratio in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ratios"):
+            fidelity_f1(DIMS, FIELD, None, [2e-3, ratio])
 
 
 def test_f1_curves_at_reference_ratios():
@@ -308,7 +278,7 @@ def loop_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
     scheds = [DDSchedule(ax, pairs, tau) for ax in block_order]
     phi, values = scs_state(dims).amplitudes, []
     states = pair_loop(phi, dims, field, scheds, _angle_table(scheds)[:, :, 0])
-    for sched, psi in zip(_pair_plan(scheds), states):
+    for sched, psi in zip(pair_plan(scheds), states):
         phi = propagate(dims, sched.axis, field.coupling(sched.axis) * 2.0 * tau, phi)
         values.append(abs(np.vdot(psi, phi)) ** 2)
     return np.array(values)
@@ -460,36 +430,129 @@ def test_f2_block_matches_per_trial_oracle(n, mode, paired, eta, trials, blocks,
     assert np.max(np.abs(res.trial_minima - minima)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 10, 12, 31])
-def test_f2_phases_mirror_as_exact_conjugates(n):
-    # _f2_table exponentiates the first half of the J_a eigenvalues and takes
-    # the rest as conjugates; that is the full exp bit for bit because ev is
-    # exactly antisymmetric and numpy's complex exp is odd in the phase
-    dims = EnsembleDims(n)
-    scheds = [DDSchedule(ax, 200, 1e-3, mode) for ax, mode in
-              zip("zyx", ["alternating", "identical", "alternating"])]
-    angles = _angle_table(scheds, NoiseModel(eta=0.4, trials=5, seed=n))
-    for ev in (dims.m_values, dims.m_values[::-1]):
-        assert np.array_equal(ev[::-1], -ev)
-        full = np.exp(-1j * angles[:, :, None, :] * ev[:, None])
-        upper = full[:, :, dims.dim - dims.dim // 2:]
-        mirrored = full[:, :, dims.dim // 2 - 1::-1].conj()
-        assert np.array_equal(upper.view(np.uint64), mirrored.view(np.uint64))
-
-
 def test_f2_runs_reference_and_trials_in_one_block_pass(monkeypatch):
-    passes = []
+    # per block one log-depth scan over its pairs, every step as wide as
+    # 1 + trials, one product with the blocks before it, then the reference
+    # column's inverse against the trials for the overlaps
+    widths, overlaps = [], []
+    compose, scs_fidelity = pulses._compose, pulses._scs_fidelity
 
-    def counted(psi, *args):
-        passes.append(psi.shape)
-        return _f2_table(psi, *args)
+    def counted_compose(u, v):
+        widths.append(np.shape(u[0]))
+        return compose(u, v)
 
-    monkeypatch.setattr(pulses, "_f2_table", counted)
+    def counted_fidelity(n, u, v):
+        overlaps.append((np.shape(u[0]), np.shape(v[0])))
+        return scs_fidelity(n, u, v)
+
+    monkeypatch.setattr(pulses, "_compose", counted_compose)
+    monkeypatch.setattr(pulses, "_scs_fidelity", counted_fidelity)
     scheds = [DDSchedule(ax, 20, 1e-3) for ax in "zyx"]
     fidelity_f2(DIMS, FIELD, scheds, NoiseModel(eta=0.1, trials=4, seed=2))
-    assert passes == [(DIMS.dim, 5)]
-    passes.clear()
+    assert widths == 3 * ([(20 - shift, 5) for shift in (1, 2, 4, 8, 16)] + [(20, 5), (20, 1)])
+    assert overlaps == 3 * [((20, 1), (20, 4))]
+    widths.clear(), overlaps.clear()
     res = fidelity_f2(DIMS, FIELD, scheds, NoiseModel(eta=0.0, trials=4, seed=2))
-    assert passes == []
+    assert widths == [] and overlaps == []
     assert np.all(res.mean == 1.0) and np.all(res.std == 0.0)
     assert np.all(res.trial_minima == 1.0)
+
+
+def pair_loop_f2(dims, field, schedules, noise, probe=scs_state):
+    """F2 table (trials, pairs) from one `pair_loop` pass per column of the
+    angle table, column 0 being the reference."""
+    angles = _angle_table(schedules, noise)
+    runs = [np.array(list(pair_loop(probe(dims).amplitudes, dims, field, schedules,
+                                    angles[:, :, k])))
+            for k in range(angles.shape[2])]
+    reference = runs[0] / np.linalg.norm(runs[0], axis=1, keepdims=True)
+    table = np.empty((noise.trials, len(reference)))
+    for k, run in enumerate(runs[1:]):
+        run = run / np.linalg.norm(run, axis=1, keepdims=True)
+        table[k] = np.abs(np.sum(reference.conj() * run, axis=1)) ** 2
+    return table
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 12),
+       mode=st.sampled_from(["alternating", "identical"]),
+       paired=st.booleans(),
+       eta=st.floats(0.01, 0.5),
+       pairs=st.integers(1, 12),
+       tau=st.floats(1e-3, 0.1),
+       order=st.permutations(AXES),
+       field=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+       gamma=st.sampled_from([1.0, 2.5]),
+       seed=st.integers(0, 2**16))
+def test_su2_blocks_match_the_dense_pair_loop(n, mode, paired, eta, pairs, tau, order,
+                                              field, gamma, seed):
+    dims, fv = EnsembleDims(n), FieldVector(*field, gamma=gamma)
+    # F1 (alternating by definition) against the per-pair loop
+    (curve,) = fidelity_f1(dims, fv, pairs, [tau / 2.0], order)
+    assert np.max(np.abs(curve.values - loop_f1(dims, fv, pairs, tau, order))) <= 1e-12
+    # F2 with pulse errors against one loop pass per column
+    scheds = [DDSchedule(ax, pairs, tau, mode) for ax in order]
+    noise = NoiseModel(eta=eta, trials=3, seed=seed, paired_error=paired)
+    table = pair_loop_f2(dims, fv, scheds, noise)
+    res = fidelity_f2(dims, fv, scheds, noise)
+    assert np.max(np.abs(res.mean - table.mean(axis=0))) <= 1e-12
+    assert np.max(np.abs(res.trial_minima - table.min(axis=1))) <= 1e-12
+    # exact evolution of both probes, block by block
+    for probe in (scs_state(dims), ghz_state(dims)):
+        states = list(pair_loop(probe.amplitudes, dims, fv, scheds,
+                                _angle_table(scheds)[:, :, 0]))
+        for k in range(1, len(scheds) + 1):
+            got = evolve_exact(probe, fv, scheds[:k]).amplitudes
+            want = states[k * pairs - 1]
+            assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-11
+
+
+def test_f2_chunks_of_pairs_match_whole_blocks(monkeypatch):
+    scheds = [DDSchedule(ax, pairs, 2e-3, "identical") for ax, pairs in zip("zyx", (13, 1, 30))]
+    noise = NoiseModel(eta=0.3, trials=4, seed=5)
+    whole = fidelity_f2(DIMS, FIELD, scheds, noise)
+    for entries in (1, 7, 16, 64):  # 1, 1, 3 and 12 pairs per chunk
+        monkeypatch.setattr(pulses, "_F2_CHUNK", entries)
+        res = fidelity_f2(DIMS, FIELD, scheds, noise)
+        assert np.max(np.abs(res.mean - whole.mean)) <= 1e-13
+        assert np.max(np.abs(res.trial_minima - whole.trial_minima)) <= 1e-13
+    table = pair_loop_f2(DIMS, FIELD, scheds, noise)
+    assert np.max(np.abs(res.mean - table.mean(axis=0))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_product_probe_fidelities_are_the_single_spin_ones_to_the_nth(n):
+    # |J, J> is a product state, so F_N = F_1^N; F_1 from the dense N = 1 loop
+    one, dims = EnsembleDims(1), EnsembleDims(n)
+    (curve,) = fidelity_f1(dims, FIELD, 30, [5e-3])
+    f1_one = loop_f1(one, FIELD, 30, curve.tau)
+    assert np.max(np.abs(curve.values - f1_one ** n)) <= 1e-12 * n
+    scheds = [DDSchedule(ax, 25, 4e-3, mode) for ax, mode in
+              zip("zyx", ("alternating", "identical", "alternating"))]
+    noise = NoiseModel(eta=0.2, trials=3, seed=n)
+    res = fidelity_f2(dims, FIELD, scheds, noise)
+    f2_one = pair_loop_f2(one, FIELD, scheds, noise)
+    assert np.max(np.abs(res.mean - (f2_one ** n).mean(axis=0))) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_zero_field_pulse_pairs_are_plus_or_minus_one(n):
+    # with no field a pair is R(pi) R(-pi) = 1 (alternating) or R(pi)^2 = -1
+    # (identical), whose spin-J image is (-1)^N.  The pulses turn by np.pi,
+    # 1.2e-16 short of pi, so identical pairs drift by that much per pulse.
+    dims, zero = EnsembleDims(n), FieldVector(0.0, 0.0, 0.0)
+    psi = ghz_state(dims).amplitudes
+    for axis in AXES:
+        for mode, sign in (("alternating", 1.0), ("identical", -1.0)):
+            a, b = spin._pulse_pair(zero, axis, 1e-3, -np.pi if sign > 0 else np.pi)
+            assert max(abs(a - sign), abs(b)) <= 3e-16
+            for pairs in (1, 7, 10**6):
+                drift = 3e-16 * pairs
+                a, b = spin._pulse_block(zero, axis, pairs, 1e-3, mode)
+                assert max(abs(a - sign ** pairs), abs(b)) <= drift
+                out = evolve_exact(DickeState(dims, psi), zero,
+                                   [DDSchedule(axis, pairs, 1e-3, mode)])
+                want = sign ** (pairs * n) * psi
+                assert np.max(np.abs(out.amplitudes - want)) <= 1e-13 + n * drift
+    # the alternating pair is the identity exactly, and so are its powers
+    assert spin._pulse_block(zero, "y", 12345, 1e-3, "alternating") == (1.0, 0.0)

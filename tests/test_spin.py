@@ -1,13 +1,13 @@
 """Operator algebra, probe states, unitary construction and the propagator kernel."""
 
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from vecmag import pulses, schemes, spin
-from vecmag.pulses import _free_step
+from vecmag import schemes, spin
 from vecmag.schemes import SchemeConfig, final_state
 from vecmag.spin import (
     AXES,
@@ -17,6 +17,7 @@ from vecmag.spin import (
     apply_collective,
     ghz_state,
     propagate,
+    rotate,
     scs_state,
 )
 from vecmag.validation import (
@@ -36,7 +37,7 @@ def op(N, axis):
 
 def free_unitary(dims, fv, t):
     """e^{-i t H_B} as the runtime builds it: one SU(2) rotation."""
-    return _free_step(dims, fv, t, np.eye(dims.dim))
+    return rotate(dims, spin._free_su2(fv, t), np.eye(dims.dim))
 
 
 def expectation(state, operator):
@@ -324,7 +325,7 @@ def test_chains_at_one_n_share_one_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for N in (13, 14):
-        for cache in (spin._ladder, spin._jx_sectors, spin._jx_eigenbasis):
+        for cache in (spin._ladder, spin._jx_sectors):
             cache.cache_clear()
         calls.clear()
         dims = EnsembleDims(N)
@@ -389,9 +390,8 @@ def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
         passes.append(axis)
         return kernel(dims, axis, *args, **kwargs)
 
-    for module in (spin, schemes, pulses):
-        if hasattr(module, "propagate"):
-            monkeypatch.setattr(module, "propagate", counting)
+    for module in (spin, schemes):
+        monkeypatch.setattr(module, "propagate", counting)
 
     def xy_passes(run, *args):
         passes.clear()
@@ -406,7 +406,9 @@ def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
     for axis in AXES:
         assert xy_passes(final_state, cfg["parallel", "scs"], axis) == 1
         assert xy_passes(final_state, cfg["parallel", "ghz"], axis) == 2
-    assert xy_passes(_free_step, dims, field, 0.01, np.eye(dims.dim)) == 1
+    # a pulsed free step is one SU(2) element in its run too
+    exact = replace(cfg["sequential", "scs"], evolution="exact", tau=0.01)
+    assert xy_passes(final_state, exact) == 1
     # a tangent block closes its run right after each free step, for the tap
     assert xy_passes(schemes._tangent, cfg["sequential", "scs"], "x") == 3
     assert xy_passes(schemes._tangent, cfg["sequential", "ghz"], "x") == 5
@@ -437,10 +439,24 @@ def test_flip_sector_kernel_matches_the_full_eigenbasis_at_large_n(N):
             assert np.max(np.abs(got - want)) < 1e-10
 
 
+def assembled_eigenbasis(N):
+    """(V, ev): the sorted real eigenbasis of J_x assembled from the kernel's
+    flip sectors, column k for the exact eigenvalue ev[k] = k - J."""
+    a, b, sector_ev = spin._jx_sectors(N)[:3]
+    dim, h = N + 1, (N + 1) // 2
+    v, ev = np.zeros((dim, dim)), np.empty(dim)
+    even, odd = v[:, N % 2::2], v[:, 1 - N % 2::2]
+    even[:h], even[h:dim - h], even[dim - h:] = a[:h], 2.0 * a[h:], a[h - 1::-1]
+    odd[:h], odd[dim - h:] = b, -b[::-1]
+    ev[N % 2::2], ev[1 - N % 2::2] = sector_ev[:dim - h, 0], sector_ev[dim - h:, 0]
+    return v, ev
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 9, 10, 40, 41, 400, 401])
 def test_assembled_eigenbasis_diagonalizes_jx(N):
+    # the flip sectors and their parity-assigned exact eigenvalues, directly
     dims = EnsembleDims(N)
-    v, ev = spin._jx_eigenbasis(N)
+    v, ev = assembled_eigenbasis(N)
     assert np.array_equal(ev, np.arange(dims.dim) - dims.J)
     assert np.max(np.abs(v.T @ v - np.eye(dims.dim))) < 1e-12
     jx = op(N, "x").matrix.real
@@ -449,7 +465,7 @@ def test_assembled_eigenbasis_diagonalizes_jx(N):
 
 def test_first_large_chain_stays_within_half_the_dense_basis_memory():
     # the dense J_x eigenbasis at N = 1000 alone is 7.6 MiB
-    for cache in (spin._ladder, spin._jx_sectors, spin._jx_eigenbasis):
+    for cache in (spin._ladder, spin._jx_sectors):
         cache.cache_clear()
     cfg = SchemeConfig("sequential", "scs", EnsembleDims(1000),
                        FieldVector(0.3, 0.4, 0.5), (1.0, 1.0, 1.0))
@@ -460,4 +476,3 @@ def test_first_large_chain_stays_within_half_the_dense_basis_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-    assert spin._jx_eigenbasis.cache_info().currsize == 0
