@@ -31,10 +31,9 @@ from .spin import (
     _pulse_block,
     _su2,
     apply_collective,
-    ghz_state,
+    probe_image,
     propagate,
     rotate,
-    scs_state,
 )
 
 SCHEMES = ("parallel", "sequential")
@@ -84,12 +83,11 @@ class SchemeConfig:
         if self.evolution not in EVOLUTIONS:
             raise ValueError(f"unknown evolution {self.evolution!r}")
         durations = tuple(float(t) for t in self.durations)
-        if len(durations) != 3 or any(t < 0 for t in durations):
-            raise ValueError("durations must be three non-negative times")
+        if len(durations) != 3 or not all(0.0 <= t < math.inf for t in durations):
+            raise ValueError(f"durations must be three finite times >= 0, got {durations}")
         object.__setattr__(self, "durations", durations)
-        if self.evolution == "exact":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("exact evolution needs tau > 0")
+        if self.evolution == "exact" and not (self.tau is not None and 0.0 < self.tau < math.inf):
+            raise ValueError(f"exact evolution needs a finite tau > 0, got tau={self.tau!r}")
 
     def duration(self, axis: str) -> float:
         return self.durations[AXES.index(axis)]
@@ -163,19 +161,18 @@ def _chain(config: SchemeConfig, axis: str | None, literal: bool = False):
     return chain[axis] if config.scheme == "parallel" else chain
 
 
-def _apply_chain(config: SchemeConfig, chain, psi: np.ndarray) -> np.ndarray:
-    """Apply the chain right to left to a probe vector or a (dim, 4) tangent
-    block (see _tangent).
+def _apply_chain(config: SchemeConfig, chain, tangent: bool = False) -> np.ndarray:
+    """Apply the chain right to left to the probe: the final state, or with
+    `tangent` the (dim, 4) block of _tangent.
 
-    A free step of T_a > 0 evolves by e^{-i gamma B_a T_a J_a}, exact
-    evolution by a pulse block, itself one SU(2) element.  Each run of
-    rotations and free steps is one SU(2) element, applied by one
-    `spin.rotate`; a twist and the end of the chain close a run.  On a tangent
-    block each free step closes its run too: B_a enters only that step and
-    J_a commutes with it, so the derivative is the tap -i gamma T_a J_a on
-    the state right after it.
+    A free step of T_a > 0 evolves by e^{-i gamma B_a T_a J_a}, exact evolution
+    by a pulse block, itself one SU(2) element.  Each run of rotations and free
+    steps is one SU(2) element, closed by a twist or the chain's end: the first
+    into `spin.probe_image`, each later one into one `spin.rotate`.  On a
+    tangent block each free step closes its run too: B_a enters only that step
+    and J_a commutes with it, so its derivative is the tap -i gamma T_a J_a.
     """
-    run = []
+    psi, run = None, []
     for kind, axis, *angle in reversed(chain):
         if kind == "rot":
             run.append((axis, angle[0]))
@@ -188,36 +185,35 @@ def _apply_chain(config: SchemeConfig, chain, psi: np.ndarray) -> np.ndarray:
                 run.append(_exact_free_evolution(config, axis, duration))
                 continue
             run.append((axis, config.field.coupling(axis) * duration))
-            if psi.ndim == 2:
-                psi, run = _apply_run(config.dims, run, psi), []
+            if tangent:
+                psi, run = _apply_run(config, run, psi, tangent), []
                 tap = apply_collective(config.dims, axis, psi[:, 0])
                 psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
             continue
-        psi, run = _apply_run(config.dims, run, psi), []
+        psi, run = _apply_run(config, run, psi, tangent), []
         psi = propagate(config.dims, axis, angle[0], psi, squared=True)
-    return _apply_run(config.dims, run, psi)
+    return _apply_run(config, run, psi, tangent)
 
 
-def _apply_run(dims: EnsembleDims, run, psi: np.ndarray) -> np.ndarray:
-    """Apply a run of steps, first one first, each an (axis, angle) rotation
-    or an SU(2) pair (a, b): a lone rotation by its own `propagate`, anything
-    else as the composed SU(2) element."""
-    if len(run) < 2 and (not run or isinstance(run[0][0], str)):
-        return propagate(dims, *run[0], psi) if run else psi
-    u, *rest = (_su2(*step) if isinstance(step[0], str) else step for step in run)
+def _apply_run(config: SchemeConfig, run, psi, tangent: bool) -> np.ndarray:
+    """Apply a run of steps, first one first, each an (axis, angle) rotation or
+    an SU(2) pair (a, b), as the composed SU(2) element; a lone rotation takes
+    its own `propagate`, and the bare probe (psi None) its image."""
+    if psi is not None and len(run) < 2 and (not run or isinstance(run[0][0], str)):
+        return propagate(config.dims, *run[0], psi) if run else psi
+    u, *rest = [_su2(*s) if isinstance(s[0], str) else s for s in run] or [(1 + 0j, 0j)]
     for step in rest:
         u = _compose(step, u)
-    return rotate(dims, u, psi)
-
-
-def _probe_amplitudes(config: SchemeConfig) -> np.ndarray:
-    return (scs_state if config.probe == "scs" else ghz_state)(config.dims).amplitudes
+    if psi is not None:
+        return rotate(config.dims, u, psi)
+    image = probe_image(config.dims, config.probe, u)
+    return np.column_stack((image, np.zeros((config.dims.dim, 3)))) if tangent else image
 
 
 def final_state(config: SchemeConfig, axis: str | None = None,
                 literal: bool = False) -> DickeState:
     """Dispatch to the per-axis device (parallel) or the single device."""
-    psi = _apply_chain(config, _chain(config, axis, literal), _probe_amplitudes(config))
+    psi = _apply_chain(config, _chain(config, axis, literal))
     return DickeState(config.dims, psi / np.linalg.norm(psi))
 
 
@@ -236,9 +232,7 @@ def _tangent(config: SchemeConfig, axis: str) -> np.ndarray:
     if config.evolution != "effective":
         raise ValueError("exact state derivatives need effective evolution, "
                          f"got evolution={config.evolution!r}")
-    block = np.zeros((config.dims.dim, 4), dtype=complex)
-    block[:, 0] = _probe_amplitudes(config)
-    block = _apply_chain(config, _chain(config, axis), block)
+    block = _apply_chain(config, _chain(config, axis), tangent=True)
     return block / np.linalg.norm(block[:, 0])
 
 

@@ -3,11 +3,11 @@
 N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
-the probe states and the propagator kernel for rotations and twists
-about x, y and z (`propagate`; on the identity it gives their matrices),
-and applies any SU(2) element, such as a composed run of rotations or a
-pulse block (`_pulse_block`), as one x pass between two z phases
-(`rotate`).
+the propagator kernel for rotations and twists about x, y and z
+(`propagate`; on the identity it gives their matrices), applies any SU(2)
+element, such as a run of rotations or a pulse block (`_pulse_block`), as
+one x pass between two z phases (`rotate`), and gives its image on a probe
+in closed form, O(N) and with no pass (`probe_image`, `scs_state`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "DickeState",
     "FieldVector",
     "apply_collective",
+    "probe_image",
     "propagate",
     "rotate",
     "scs_state",
@@ -292,15 +293,58 @@ def rotate(dims: EnsembleDims, u: tuple[complex, complex], psi: np.ndarray) -> n
     return propagate(dims, "z", alpha, psi) if alpha else psi
 
 
+@lru_cache(maxsize=None)
+def _log_binomial_steps(N: int) -> np.ndarray:
+    """The log-binomial row as its steps log sqrt(C(N, k+1) / C(N, k)), k < N."""
+    return _frozen(0.5 * np.log((N - np.arange(N)) / np.arange(1.0, N + 1)))
+
+
+def _product(N: int, up: complex, down: complex) -> np.ndarray:
+    """(up |up> + down |down>)^{(x)N} normalized: sqrt(C(N, k)) up^{N-k} down^k on |J, J-k>.
+
+    Log magnitudes run outward from the largest, so none over- or underflows
+    and those that carry the state stay a few roundings from exact; a zero up
+    or down makes every step +-inf, leaving one basis vector.  A factor z is
+    s |z| e^{i phi}, s = sign Re z, |phi| <= pi/2, phi = hi + lo with hi a
+    multiple of 2^-38, so k hi is exact for k < 10^4 (+ 0.0 clears a -0.0).
+    """
+    tilt = math.log(abs(down) / abs(up)) if up and down else (math.inf if down else -math.inf)
+    steps = _log_binomial_steps(N) + tilt  # log |c_{k+1} / c_k|, falling in k
+    top = int(np.count_nonzero(steps > 0))
+    mag = np.concatenate((steps[:top], [0.0], steps[top:]))
+    np.add.accumulate(mag[top:], out=mag[top:])
+    np.subtract.accumulate(mag[top::-1], out=mag[top::-1])
+    mag = np.exp(mag)
+    signs = [math.copysign(1.0, z.real + 0.0) for z in (up, down)]
+    phi = [math.atan2(s * z.imag + 0.0, s * z.real + 0.0) for s, z in zip(signs, (up, down))]
+    hi = [round(x * 2.0**38) * 2.0**-38 for x in phi]
+    mag[1::2] *= signs[0] * signs[1]
+    mag *= signs[0] ** N / math.sqrt(mag @ mag)
+    k = np.arange(N + 1)
+    lo = k * complex(0.0, phi[1] - hi[1] - phi[0] + hi[0]) + complex(1.0, N * (phi[0] - hi[0]))
+    return mag * lo * np.exp(k * complex(0.0, hi[1] - hi[0]) + complex(0.0, N * hi[0]))
+
+
+def probe_image(dims: EnsembleDims, probe: str, u: tuple[complex, complex]) -> np.ndarray:
+    """`rotate`'s image of U = [[a, b], [-b*, a*]] on the probe, with no J_x pass:
+    U^{(x)N} takes |J, J> to the product state of U's first column (a, -b*),
+    and |J, -J> to that of its second, (b, a*), which is the first's reversed,
+    conjugated and signed (-1)^{N-k}."""
+    amps = _product(dims.N, complex(u[0]), -complex(u[1]).conjugate())
+    if probe == "scs":
+        return amps
+    if probe != "ghz":
+        raise ValueError(f"unknown probe {probe!r}")
+    flip = amps.conj()
+    flip[1::2] *= -1.0
+    return (amps + flip[::-1]) / math.sqrt(2.0)
+
+
 def scs_state(dims: EnsembleDims) -> DickeState:
     """Spin coherent state |J, J>: every particle up, the unentangled probe."""
-    amps = np.zeros(dims.dim, dtype=complex)
-    amps[0] = 1.0
-    return DickeState(dims, amps)
+    return DickeState(dims, probe_image(dims, "scs", (1 + 0j, 0j)))
 
 
 def ghz_state(dims: EnsembleDims) -> DickeState:
     """GHZ state (|J, J> + |J, -J>)/sqrt(2), the maximally entangled probe."""
-    amps = np.zeros(dims.dim, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return DickeState(dims, amps)
+    return DickeState(dims, probe_image(dims, "ghz", (1 + 0j, 0j)))

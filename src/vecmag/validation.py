@@ -36,6 +36,7 @@ from .spin import (
     _ladder,
     _pulse_block,
     ghz_state,
+    probe_image,
     propagate,
     rotate,
     scs_state,
@@ -354,8 +355,8 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     Kernel rotations and twists must be unitary and match the spectral
     decomposition of their generator; so must the free step of exact pulsed
-    evolution, and a pulse block's SU(2) image must match the dense product
-    of its free steps and pulses.
+    evolution, and a pulse block's SU(2) image, on the identity and in closed
+    form on both probes, must match the dense product of its steps.
     """
     rng = np.random.default_rng(seed + 3)
     pulse_rng = np.random.default_rng(seed + 4)
@@ -388,16 +389,17 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         first = -math.pi if sched.mode == "alternating" else math.pi
         pair = (_unitary_from_generator(pulse, math.pi) @ free
                 @ _unitary_from_generator(pulse, first) @ free)
-        block = rotate(dims, _pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode),
-                       eye)
-        worst = max(worst, np.max(np.abs(block - np.linalg.matrix_power(pair, sched.pairs))))
-        for state in (scs_state(dims), ghz_state(dims)):
-            worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0))
+        u = _pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode)
+        dense = np.linalg.matrix_power(pair, sched.pairs)
+        worst = max(worst, np.max(np.abs(rotate(dims, u, eye) - dense)))
+        for probe, state in (("scs", scs_state(dims)), ("ghz", ghz_state(dims))):
+            image = probe_image(dims, probe, u) - dense @ state.amplitudes
+            worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0), np.max(np.abs(image)))
         evolved = evolve_exact(scs_state(dims), FieldVector(0.4, 0.5, 0.6),
                                [DDSchedule("x", 3, 0.01)])
         worst = max(worst, abs(np.linalg.norm(evolved.amplitudes) - 1.0))
     return _result(10, worst <= 1e-10,
-        f"max commutator/Casimir/unitarity/kernel/free-step/pulse-block/norm defect = "
+        f"max commutator/Casimir/unitarity/kernel/free-step/pulse-block/probe-image/norm defect = "
         f"{worst:.2e} for N in {{1..12, 20, 30}} (tol 1e-10)")
 
 

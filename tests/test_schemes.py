@@ -68,6 +68,17 @@ def test_config_validation():
         config("parallel", "scs", durations=(1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         config("parallel", "scs", evolution="exact")
+    # non-finite values are refused with the field's name; large finite ones build
+    for tau in (math.nan, math.inf, 0.0, None):
+        with pytest.raises(ValueError, match="tau"):
+            config("sequential", "scs", evolution="exact", tau=tau)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="durations"):
+            config("parallel", "scs", durations=(1.0, bad, 1.0))
+        with pytest.raises(ValueError, match="durations"):
+            schemes.simulated_jz(config("sequential", "scs"), [0.5, bad])
+    assert config("sequential", "scs", durations=(1e300, 1.0, 1.0)).durations[0] == 1e300
+    assert config("sequential", "scs", evolution="exact", tau=1e300).tau == 1e300
 
 
 def test_phases_are_coupling_times_duration():
@@ -514,9 +525,10 @@ def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch, capsys)
     passes = []
     apply_chain = schemes._apply_chain
 
-    def counting(cfg, chain, psi):
-        passes.append(np.shape(psi))
-        return apply_chain(cfg, chain, psi)
+    def counting(cfg, chain, tangent=False):
+        block = apply_chain(cfg, chain, tangent)
+        passes.append(block.shape)
+        return block
 
     monkeypatch.setattr(schemes, "_apply_chain", counting)
     precision_report(config("sequential", "ghz"))

@@ -1,14 +1,16 @@
 """Operator algebra, probe states, unitary construction and the propagator kernel."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vecmag import schemes, spin
-from vecmag.schemes import SchemeConfig, final_state
+from vecmag.schemes import SchemeConfig, analytic_jz, analytic_jz2, final_state
 from vecmag.spin import (
     AXES,
     DickeState,
@@ -16,6 +18,7 @@ from vecmag.spin import (
     FieldVector,
     apply_collective,
     ghz_state,
+    probe_image,
     propagate,
     rotate,
     scs_state,
@@ -401,17 +404,18 @@ def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
     dims, field = EnsembleDims(10), FieldVector(0.31, -0.47, 0.23)
     cfg = {(scheme, probe): SchemeConfig(scheme, probe, dims, field, (1.0, 0.8, 1.2))
            for scheme in ("parallel", "sequential") for probe in ("scs", "ghz")}
-    assert xy_passes(final_state, cfg["sequential", "scs"]) == 1
-    assert xy_passes(final_state, cfg["sequential", "ghz"]) == 4
+    # the first run closes into the probe's image, which takes no pass
+    assert xy_passes(final_state, cfg["sequential", "scs"]) == 0
+    assert xy_passes(final_state, cfg["sequential", "ghz"]) == 3
     for axis in AXES:
-        assert xy_passes(final_state, cfg["parallel", "scs"], axis) == 1
-        assert xy_passes(final_state, cfg["parallel", "ghz"], axis) == 2
+        assert xy_passes(final_state, cfg["parallel", "scs"], axis) == 0
+        assert xy_passes(final_state, cfg["parallel", "ghz"], axis) == 1
     # a pulsed free step is one SU(2) element in its run too
     exact = replace(cfg["sequential", "scs"], evolution="exact", tau=0.01)
-    assert xy_passes(final_state, exact) == 1
+    assert xy_passes(final_state, exact) == 0
     # a tangent block closes its run right after each free step, for the tap
-    assert xy_passes(schemes._tangent, cfg["sequential", "scs"], "x") == 3
-    assert xy_passes(schemes._tangent, cfg["sequential", "ghz"], "x") == 5
+    assert xy_passes(schemes._tangent, cfg["sequential", "scs"], "x") == 2
+    assert xy_passes(schemes._tangent, cfg["sequential", "ghz"], "x") == 4
 
 
 def _full_eigh_kernel(dims, axis, theta, psi, squared):
@@ -463,16 +467,107 @@ def test_assembled_eigenbasis_diagonalizes_jx(N):
     assert np.max(np.abs(jx @ v - v * ev)) < 1e-12 * dims.J
 
 
-def test_first_large_chain_stays_within_half_the_dense_basis_memory():
-    # the dense J_x eigenbasis at N = 1000 alone is 7.6 MiB
-    for cache in (spin._ladder, spin._jx_sectors):
+def first_chain_peak(probe, n=1000):
+    """tracemalloc peak of a first sequential chain at N from cleared caches."""
+    for cache in (spin._ladder, spin._jx_sectors, spin._log_binomial_steps):
         cache.cache_clear()
-    cfg = SchemeConfig("sequential", "scs", EnsembleDims(1000),
+    cfg = SchemeConfig("sequential", probe, EnsembleDims(n),
                        FieldVector(0.3, 0.4, 0.5), (1.0, 1.0, 1.0))
     tracemalloc.start()
     try:
         final_state(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+
+
+def test_first_large_chain_stays_within_half_the_dense_basis_memory():
+    # the dense J_x eigenbasis at N = 1000 alone is 7.6 MiB; the cat probe's
+    # chain builds the flip sectors
+    assert first_chain_peak("ghz") < 10 * 2**20
+
+
+def test_first_large_product_probe_chain_builds_no_basis():
+    # the product probe's chain is one run, the probe's image: O(N) memory
+    assert first_chain_peak("scs") < 2**20
+
+
+def test_product_probe_chains_build_no_sectors():
+    dims, field = EnsembleDims(300), FieldVector(0.31, -0.47, 0.23)
+    spin._jx_sectors.cache_clear()
+    for scheme, axes in (("sequential", (None,)), ("parallel", AXES)):
+        cfg = SchemeConfig(scheme, "scs", dims, field, (1.0, 0.8, 1.2))
+        for axis in axes:
+            final_state(cfg, axis)
+        final_state(replace(cfg, evolution="exact", tau=0.01), axes[0])
+    assert spin._jx_sectors.cache_info().currsize == 0
+
+
+def probe_vector(dims, probe):
+    """The bare probe, e_0 or (e_0 + e_N)/sqrt(2), built entry by entry."""
+    psi = np.zeros(dims.dim, dtype=complex)
+    if probe == "scs":
+        psi[0] = 1.0
+    else:
+        psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
+    return psi
+
+
+def test_probe_states_are_the_identity_image_bit_for_bit():
+    for n in (1, 2, 3, 10, 11, 1000):
+        dims = EnsembleDims(n)
+        for probe, state in (("scs", scs_state(dims)), ("ghz", ghz_state(dims))):
+            want = probe_vector(dims, probe)
+            assert np.array_equal(state.amplitudes, want)
+            assert not np.signbit(state.amplitudes.view(float)).any()
+    with pytest.raises(ValueError, match="probe"):
+        probe_image(EnsembleDims(4), "cat", (1 + 0j, 0j))
+
+
+def su2_pair(kind, theta, phase_a, phase_b):
+    """(a, b) of a unit SU(2) element; a = 0, b = 0 and |b| = 1e-300 exactly
+    by kind."""
+    a, b = np.exp(1j * phase_a), np.exp(1j * phase_b)
+    if kind == "a=0":
+        return 0j, complex(b)
+    if kind == "b=0":
+        return complex(a), 0j
+    if kind == "tiny b":
+        return complex(a), complex(1e-300 * b)
+    return complex(math.cos(theta) * a), complex(math.sin(theta) * b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(1, 40), probe=st.sampled_from(("scs", "ghz")),
+       kind=st.sampled_from(("random", "random", "a=0", "b=0", "tiny b")),
+       theta=st.floats(0.0, math.pi / 2), phase_a=st.floats(-math.pi, math.pi),
+       phase_b=st.floats(-math.pi, math.pi))
+def test_probe_image_matches_rotating_the_probe_vector(n, probe, kind, theta, phase_a, phase_b):
+    dims = EnsembleDims(n)
+    u = su2_pair(kind, theta, phase_a, phase_b)
+    want = rotate(dims, u, probe_vector(dims, probe))
+    assert np.max(np.abs(probe_image(dims, probe, u) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,theta,phase_a,phase_b", [
+    ("random", 0.9, 2.1, -0.4), ("random", 1.5, -3.0, 1.2), ("random", 1e-3, 0.3, 3.1),
+    ("a=0", 0.0, 0.0, math.pi), ("b=0", 0.0, -1.7, 0.0), ("tiny b", 0.0, 0.5, -2.5)])
+def test_probe_image_matches_rotating_the_probe_vector_at_n_1000(kind, theta, phase_a, phase_b):
+    dims = EnsembleDims(1000)
+    u = su2_pair(kind, theta, phase_a, phase_b)
+    for probe in ("scs", "ghz"):
+        want = rotate(dims, u, probe_vector(dims, probe))
+        assert np.max(np.abs(probe_image(dims, probe, u) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_large_n_chains_match_the_closed_forms(n):
+    dims, tol = EnsembleDims(n), 1e-9 * n / 2
+    for field in (FieldVector(0.0031, 0.0047, -0.0023), FieldVector(1.1, 0.2, 0.7)):
+        for scheme, axes in (("sequential", (None,)), ("parallel", AXES)):
+            for probe in ("scs", "ghz"):
+                cfg = SchemeConfig(scheme, probe, dims, field, (1.3, 0.8, 1.1))
+                for axis in axes:
+                    jz, jz2 = schemes.jz_moments(final_state(cfg, axis))
+                    assert abs(jz - analytic_jz(cfg, axis)) <= tol, (cfg, axis)
+                    assert abs(jz2 - analytic_jz2(cfg, axis)) <= tol, (cfg, axis)
