@@ -8,9 +8,10 @@ the three axis blocks in turn so a single readout carries all three phases.
 Each scheme/probe combination has a closed-form branch (half-population
 moments, error-propagated precision, quantum Fisher information) and a
 simulation branch (effective single-axis evolution or exact pulsed
-dynamics).  The closed forms for the cat-state probe exist only for even
-particle number; odd N leaves the twist readout inert, and the analytic
-functions refuse rather than return garbage.
+dynamics, the state held as closed-form probe images while it can).  The
+closed forms for the cat-state probe exist only for even particle number;
+odd N leaves the twist readout inert, and the analytic functions refuse
+rather than return garbage.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .spin import (
     _compose,
     _pulse_block,
     _su2,
+    _twist_terms,
     apply_collective,
     probe_image,
-    propagate,
     rotate,
+    twist,
 )
 
 SCHEMES = ("parallel", "sequential")
@@ -166,48 +168,52 @@ def _apply_chain(config: SchemeConfig, chain, tangent: bool = False) -> np.ndarr
     `tangent` the (dim, 4) block of _tangent.
 
     A free step of T_a > 0 evolves by e^{-i gamma B_a T_a J_a}, exact evolution
-    by a pulse block, itself one SU(2) element.  Each run of rotations and free
-    steps is one SU(2) element, closed by a twist or the chain's end: the first
-    into `spin.probe_image`, each later one into one `spin.rotate`.  On a
-    tangent block each free step closes its run too: B_a enters only that step
-    and J_a commutes with it, so its derivative is the tap -i gamma T_a J_a.
+    by a pulse block; a run of free steps and rotations is one SU(2) element u.
+    While each twist is followed by a run that turns (b != 0), the state is a
+    sum of probe images c D(u) probe, the twist splitting each image in two
+    (`spin._twist_terms`).  Otherwise the images are summed, and the state takes
+    `spin.twist` and `spin.rotate`.  B_a enters only its free step, as the tap
+    -i gamma T_a J_a, which is D(v) J_a D(v)^dagger on the state after the run,
+    v the run's steps after the free step; a tangent block forms at its first tap.
     """
-    psi, run = None, []
-    for kind, axis, *angle in reversed(chain):
+    dims, images, psi, run, taps, twisted = config.dims, None, None, [], [], None
+    for kind, axis, *angle in (*reversed(chain), ("end", None)):
         if kind == "rot":
             run.append((axis, angle[0]))
+        elif kind == "free" and (duration := config.duration(axis)) > 0.0:
+            if tangent:  # effective evolution only
+                taps.append((len(run), axis, -1j * config.field.gamma * duration))
+            run.append(_exact_free_evolution(config, axis, duration) if config.evolution == "exact"
+                       else (axis, config.field.coupling(axis) * duration))
+        if kind in ("rot", "free"):
             continue
-        if kind == "free":
-            duration = config.duration(axis)
-            if duration == 0.0:
-                continue
-            if config.evolution == "exact":
-                run.append(_exact_free_evolution(config, axis, duration))
-                continue
-            run.append((axis, config.field.coupling(axis) * duration))
-            if tangent:
-                psi, run = _apply_run(config, run, psi, tangent), []
-                tap = apply_collective(config.dims, axis, psi[:, 0])
-                psi[:, 1 + AXES.index(axis)] -= 1j * config.field.gamma * duration * tap
-            continue
-        psi, run = _apply_run(config, run, psi, tangent), []
-        psi = propagate(config.dims, axis, angle[0], psi, squared=True)
-    return _apply_run(config, run, psi, tangent)
+        u = _element(run)  # the run after `twisted`, closed by this twist or the end
+        if psi is None and twisted and u[1]:
+            terms = _twist_terms(dims.N, *twisted)
+            images, twisted = [(c * d, _compose(w, v)) for c, v in images for d, w in terms], None
+        composed = psi is None and not twisted
+        if composed:
+            images = [(c, _compose(u, v)) for c, v in images] if images else [(1.0, u)]
+        if psi is None and (twisted or taps or kind == "end"):
+            psi = probe_image(dims, config.probe, images[0][1], images[0][0])
+            for c, v in images[1:]:
+                psi += probe_image(dims, config.probe, v, c)
+            psi = np.column_stack((psi, np.zeros((dims.dim, 3)))) if tangent else psi
+        psi = twist(dims, *twisted, psi) if twisted else psi
+        psi = rotate(dims, u, psi) if run and not composed else psi
+        for at, tapped, coefficient in taps:
+            tap = apply_collective(dims, tapped, psi[:, 0], _element(run[at + 1:]))
+            psi[:, 1 + AXES.index(tapped)] += coefficient * tap
+        run, taps, twisted = [], [], (axis, *angle)
+    return psi
 
 
-def _apply_run(config: SchemeConfig, run, psi, tangent: bool) -> np.ndarray:
-    """Apply a run of steps, first one first, each an (axis, angle) rotation or
-    an SU(2) pair (a, b), as the composed SU(2) element; a lone rotation takes
-    its own `propagate`, and the bare probe (psi None) its image."""
-    if psi is not None and len(run) < 2 and (not run or isinstance(run[0][0], str)):
-        return propagate(config.dims, *run[0], psi) if run else psi
+def _element(run):
+    """The SU(2) pair of a run, first step first, each an (axis, angle) or a pair."""
     u, *rest = [_su2(*s) if isinstance(s[0], str) else s for s in run] or [(1 + 0j, 0j)]
     for step in rest:
         u = _compose(step, u)
-    if psi is not None:
-        return rotate(config.dims, u, psi)
-    image = probe_image(config.dims, config.probe, u)
-    return np.column_stack((image, np.zeros((config.dims.dim, 3)))) if tangent else image
+    return u
 
 
 def final_state(config: SchemeConfig, axis: str | None = None,
@@ -461,8 +467,9 @@ def _square(x: float) -> float:
         return float(np.float64(x) ** 2)
 
 
-def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
-    """<Jz>, <Jz^2>, dJz, slope, QFI F and sqrt(F) for B_axis from a tangent block.
+def _axis_figures(config: SchemeConfig, block: np.ndarray, axes):
+    """(<Jz>, <Jz^2>, dJz, slope, QFI F, sqrt(F)) for B_a, for each axis a in `axes`,
+    from a tangent block, its state (column 0) read once.
 
     Each is taken about the state so that none cancels as |<Jz>| nears J or
     the QFI nears 0: dJz^2 = <(Jz - <Jz>)^2>, the slope 2 Re<psi|(Jz - <Jz>)|d psi>
@@ -470,17 +477,20 @@ def _axis_figures(config: SchemeConfig, block: np.ndarray, axis: str):
     4 |d psi - psi <psi|d psi>|^2 (= 4 (|d psi|^2 - |<psi|d psi>|^2), never < 0).
     Where F overflows it is inf, and sqrt(F) is taken from the rescaled norm.
     """
-    psi, dpsi = block[:, 0], block[:, 1 + AXES.index(axis)]
+    psi = block[:, 0]
     jz, jz2 = jz_moments(DickeState(config.dims, psi))
     centred = config.dims.m_values - jz
     delta_jz = math.sqrt(np.vdot(psi, centred * centred * psi).real)
-    slope = 2.0 * float(np.vdot(psi, centred * dpsi).real)
-    perp = dpsi - psi * np.vdot(psi, dpsi)
-    qfi = 4.0 * float(np.vdot(perp, perp).real)
-    if math.isfinite(qfi):
-        return jz, jz2, delta_jz, slope, qfi, math.sqrt(qfi)
-    big = float(np.max(np.abs(perp)))
-    return jz, jz2, delta_jz, slope, math.inf, 2.0 * big * float(np.linalg.norm(perp / big))
+    for axis in axes:
+        dpsi = block[:, 1 + AXES.index(axis)]
+        slope = 2.0 * float(np.vdot(psi, centred * dpsi).real)
+        perp = dpsi - psi * np.vdot(psi, dpsi)
+        qfi = 4.0 * float(np.vdot(perp, perp).real)
+        if math.isfinite(qfi):
+            yield jz, jz2, delta_jz, slope, qfi, math.sqrt(qfi)
+            continue
+        big = float(np.max(np.abs(perp)))
+        yield jz, jz2, delta_jz, slope, math.inf, 2.0 * big * float(np.linalg.norm(perp / big))
 
 
 def _delta_b(config: SchemeConfig, axis: str, delta_jz: float, slope: float) -> float:
@@ -543,11 +553,10 @@ def precision_report(config: SchemeConfig, eta: int = 1) -> PrecisionReport:
     if eta < 1:
         raise ValueError("eta must be a positive trial count")
     entries = []
-    block = None
-    for axis in AXES:
-        if block is None or config.scheme == "parallel":
-            block = _tangent(config, axis)
-        jz, jz2, delta_jz, slope, qfi_num, root_qfi = _axis_figures(config, block, axis)
+    groups = [AXES] if config.scheme == "sequential" else [(axis,) for axis in AXES]
+    figures = [row for axes in groups
+               for row in _axis_figures(config, _tangent(config, axes[0]), axes)]
+    for axis, (jz, jz2, delta_jz, slope, qfi_num, root_qfi) in zip(AXES, figures):
         db_num = _delta_b(config, axis, delta_jz, slope)
         variants = qfi_analytic(config, axis)
         db_ana = analytic_delta_b(config, axis)

@@ -7,7 +7,8 @@ the propagator kernel for rotations and twists about x, y and z
 (`propagate`; on the identity it gives their matrices), applies any SU(2)
 element, such as a run of rotations or a pulse block (`_pulse_block`), as
 one x pass between two z phases (`rotate`), and gives its image on a probe
-in closed form, O(N) and with no pass (`probe_image`, `scs_state`).
+in closed form, O(N) and with no pass (`probe_image`, `scs_state`), as it
+does a +-pi/2 twist at even N, a sum of two rotations (`_twist_terms`, `twist`).
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ __all__ = [
     "propagate",
     "rotate",
     "scs_state",
+    "twist",
     "ghz_state",
 ]
 
 AXES = ("x", "y", "z")
+_HALF_TURNS = {"x": (0j, -1j), "y": (0j, -1 + 0j), "z": (-1j, 0j)}  # -i sigma_a, exact
 
 # points in one slab of minimized_delta_b's grid (128 KiB of float)
 _CHUNK = 1 << 14
@@ -57,7 +60,7 @@ class EnsembleDims:
     @property
     def m_values(self) -> np.ndarray:
         """Magnetic quantum numbers in basis order: J, J-1, ..., -J."""
-        return self.J - np.arange(self.dim)
+        return _diagonals(self.N)[0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -115,6 +118,17 @@ class FieldVector:
 
 
 @lru_cache(maxsize=None)
+def _diagonals(N: int):
+    """(m, m^2, signs) in basis order, once per N; at integer J the half turn
+    e^{-i pi J_a} maps psi_m to (-1)^J psi_{-m} (x), (-1)^(J-m) psi_{-m} (y) and
+    (-1)^m psi_m (z), signs[a] the sign."""
+    m, alt = N / 2.0 - np.arange(N + 1), 1.0 - 2.0 * (np.arange(N + 1) % 2)
+    parity = -1.0 if N % 4 == 2 else 1.0
+    signs = {"x": np.full(N + 1, parity), "y": alt, "z": parity * alt}
+    return _frozen(m), _frozen(m * m), {a: _frozen(x) for a, x in signs.items()}
+
+
+@lru_cache(maxsize=None)
 def _ladder(N: int) -> np.ndarray:
     # J+ |J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>; in descending-m order these
     # are the first-superdiagonal elements, one per m = J-1, ..., -J.
@@ -123,20 +137,22 @@ def _ladder(N: int) -> np.ndarray:
     return _frozen(np.sqrt(dims.J * (dims.J + 1) - m * (m + 1)))
 
 
-def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray) -> np.ndarray:
-    """J_axis psi for a (dim,) vector, from the ladder coefficients alone."""
-    if axis == "z":
-        return dims.m_values * psi
-    if axis not in ("x", "y"):
+def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray,
+                     turn: tuple[complex, complex] = (1 + 0j, 0j)) -> np.ndarray:
+    """(n.J) psi = D(v) J_axis D(v)^dagger psi for v = `turn` and a complex (dim,) psi, from
+    the ladder alone; v (-i sigma_axis) v^dagger = -i n.sigma is (-i n_z, -i (n_x - i n_y))."""
+    if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    raised = np.append(_ladder(dims.N) * psi[1:], 0.0)  # J+ psi
-    lowered = np.insert(_ladder(dims.N) * psi[:-1], 0, 0.0)  # J- psi
-    return (raised + lowered) / 2.0 if axis == "x" else (raised - lowered) / 2.0j
+    a, b = _compose(_compose(turn, _HALF_TURNS[axis]), (turn[0].conjugate(), -turn[1]))
+    out = -a.imag * _diagonals(dims.N)[0] * psi
+    out[:-1] += 0.5j * b * _ladder(dims.N) * psi[1:]  # J+ psi
+    out[1:] -= 0.5j * b.conjugate() * _ladder(dims.N) * psi[:-1]  # J- psi
+    return out
 
 
 @lru_cache(maxsize=None)
 def _jx_sectors(N: int):
-    """(A, B, ev, m, r, r*) for the propagator kernel, built once per N.
+    """(A, B, ev, r, r*) for the propagator kernel, built once per N.
 
     J_x commutes with the flip |J, m> -> |J, -m>, so in the folded
     coordinates (e_i +- e_{dim-1-i})/sqrt(2), i < h = dim // 2, it splits
@@ -148,9 +164,8 @@ def _jx_sectors(N: int):
     being the flipped top halves, times -1 for B; A's middle row is stored
     halved.  ev is A's then B's exact eigenvalues as a column (eigh's are
     discarded): -J has flip parity (-1)^N and the parities alternate
-    upward.  m is the descending Dicke ladder J, ..., -J (the diagonal of
-    J_z) and r = e^{-i pi m / 2} the diagonal of R_z(pi/2), which maps J_x
-    onto J_y = R_z(pi/2) J_x R_z(pi/2)^dagger.
+    upward.  r = e^{-i pi m / 2} is the diagonal of R_z(pi/2), which maps
+    J_x onto J_y = R_z(pi/2) J_x R_z(pi/2)^dagger.
     """
     dim, h = N + 1, (N + 1) // 2
     half = _ladder(N)[:h] / 2.0
@@ -164,11 +179,11 @@ def _jx_sectors(N: int):
     a[:h] /= np.sqrt(2.0)
     a[h:] /= 2.0  # the fold adds the middle row to itself
     b = np.linalg.eigh(odd)[1] / np.sqrt(2.0)
-    m = EnsembleDims(N).m_values
+    m = _diagonals(N)[0]
     r = np.exp(-0.5j * np.pi * m)
     ev = m[::-1]
     ev = np.concatenate((ev[N % 2::2], ev[1 - N % 2::2]))[:, None]
-    return tuple(_frozen(x) for x in (a, b, ev, m, r, r.conj()))
+    return tuple(_frozen(x) for x in (a, b, ev, r, r.conj()))
 
 
 def propagate(dims: EnsembleDims, axis: str, theta: float,
@@ -176,20 +191,21 @@ def propagate(dims: EnsembleDims, axis: str, theta: float,
     """e^{-i theta J_axis} psi, or e^{-i theta J_axis^2} psi when squared.
 
     psi is a (dim,) amplitude vector or a (dim, k) block of columns.  J_z
-    is diagonal.  J_x acts through its cached flip sectors (`_jx_sectors`)
+    is diagonal (`_diagonals`).  J_x acts through its cached flip sectors (`_jx_sectors`)
     with the exact eigenvalues -J, ..., J (squared for a twist): psi is
     folded into its flip-even and flip-odd parts, each goes through one
     half-size real product each way, and the two are unfolded.  J_y reuses
     that basis between the two diagonal factors of R_z(pi/2).
     """
-    a, b, ev, m, r, r_conj = _jx_sectors(dims.N)
     psi = np.ascontiguousarray(psi, dtype=complex)
-    if psi.ndim == 2:
-        m, r, r_conj = m[:, None], r[:, None], r_conj[:, None]
     if axis == "z":
-        return np.exp(-1j * theta * (m * m if squared else m)) * psi
+        phase = np.exp(-1j * theta * _diagonals(dims.N)[1 if squared else 0])
+        return (phase[:, None] if psi.ndim == 2 else phase) * psi
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    a, b, ev, r, r_conj = _jx_sectors(dims.N)
+    if psi.ndim == 2:
+        r, r_conj = r[:, None], r_conj[:, None]
     if axis == "y":
         psi = r_conj * psi
     h, c, shape = b.shape[0], a.shape[0], psi.shape
@@ -223,6 +239,32 @@ def _compose(u: tuple[complex, complex], v: tuple[complex, complex]) -> tuple[co
     """The pair of the SU(2) product u v (v acts first)."""
     (a, b), (c, d) = u, v
     return a * c - b * d.conjugate(), a * d + b * c.conjugate()
+
+
+@lru_cache(maxsize=None)
+def _twist_terms(N: int, axis: str, theta: float):
+    """[(c, v), (c', v')] with e^{-i theta J_a^2} = c D(v) + c' D(v') at theta = sigma pi/2,
+    from m^2 mod 4 (docs/conventions.md): c = (1 -+ i sigma)/2 and v = 1, e^{-i pi sigma_a/2}
+    at integer J; c = e^{-i sigma pi/8}/sqrt(2) and v = e^{-+i pi sigma_a/4} at half-integer J."""
+    if abs(theta) != math.pi / 2.0:
+        raise ValueError(f"a twist splits into rotations only at +-pi/2, got {theta!r}")
+    sigma = math.copysign(1.0, theta)
+    if N % 2 == 0:
+        return ((complex(0.5, -0.5 * sigma), (1 + 0j, 0j)),
+                (complex(0.5, 0.5 * sigma), _HALF_TURNS[axis]))
+    c = complex(math.cos(math.pi / 8.0), -sigma * math.sin(math.pi / 8.0)) / math.sqrt(2.0)
+    return (c, _su2(axis, -math.pi / 2.0)), (c, _su2(axis, math.pi / 2.0))
+
+
+def twist(dims: EnsembleDims, axis: str, theta: float, psi: np.ndarray) -> np.ndarray:
+    """e^{-i theta J_axis^2} psi at theta = +-pi/2, psi a (dim,) vector or (dim, k)
+    block: the kernel at odd N, at even N `_twist_terms` in O(N), with no pass."""
+    if dims.N % 2:
+        return propagate(dims, axis, theta, psi, squared=True)
+    (c, _), (c_turn, _) = _twist_terms(dims.N, axis, theta)
+    signs = _diagonals(dims.N)[2][axis]
+    turned = (signs if psi.ndim == 1 else signs[:, None]) * (psi if axis == "z" else psi[::-1])
+    return c * psi + c_turn * turned
 
 
 def _power(u: tuple[complex, complex], k):
@@ -315,29 +357,32 @@ def _product(N: int, up: complex, down: complex) -> np.ndarray:
     np.add.accumulate(mag[top:], out=mag[top:])
     np.subtract.accumulate(mag[top::-1], out=mag[top::-1])
     mag = np.exp(mag)
-    signs = [math.copysign(1.0, z.real + 0.0) for z in (up, down)]
-    phi = [math.atan2(s * z.imag + 0.0, s * z.real + 0.0) for s, z in zip(signs, (up, down))]
-    hi = [round(x * 2.0**38) * 2.0**-38 for x in phi]
-    mag[1::2] *= signs[0] * signs[1]
+    signs = math.copysign(1.0, up.real + 0.0), math.copysign(1.0, down.real + 0.0)
+    phi = (math.atan2(signs[0] * up.imag + 0.0, signs[0] * up.real + 0.0),
+           math.atan2(signs[1] * down.imag + 0.0, signs[1] * down.real + 0.0))
+    hi = round(phi[0] * 2.0**38) * 2.0**-38, round(phi[1] * 2.0**38) * 2.0**-38
+    if signs[0] != signs[1]:  # a multiplication by 1 changes no bit
+        mag[1::2] *= -1.0
     mag *= signs[0] ** N / math.sqrt(mag @ mag)
     k = np.arange(N + 1)
     lo = k * complex(0.0, phi[1] - hi[1] - phi[0] + hi[0]) + complex(1.0, N * (phi[0] - hi[0]))
     return mag * lo * np.exp(k * complex(0.0, hi[1] - hi[0]) + complex(0.0, N * hi[0]))
 
 
-def probe_image(dims: EnsembleDims, probe: str, u: tuple[complex, complex]) -> np.ndarray:
-    """`rotate`'s image of U = [[a, b], [-b*, a*]] on the probe, with no J_x pass:
-    U^{(x)N} takes |J, J> to the product state of U's first column (a, -b*),
-    and |J, -J> to that of its second, (b, a*), which is the first's reversed,
-    conjugated and signed (-1)^{N-k}."""
+def probe_image(dims: EnsembleDims, probe: str, u: tuple[complex, complex],
+                scale: complex = 1.0) -> np.ndarray:
+    """`rotate`'s image of U = [[a, b], [-b*, a*]] on the probe, times `scale`, with
+    no J_x pass: U^{(x)N} takes |J, J> to the product state of U's first column
+    (a, -b*), and |J, -J> to that of its second, (b, a*), which is the first's
+    reversed, conjugated and signed (-1)^{N-k}."""
     amps = _product(dims.N, complex(u[0]), -complex(u[1]).conjugate())
     if probe == "scs":
-        return amps
+        return amps if scale == 1.0 else scale * amps
     if probe != "ghz":
         raise ValueError(f"unknown probe {probe!r}")
     flip = amps.conj()
     flip[1::2] *= -1.0
-    return (amps + flip[::-1]) / math.sqrt(2.0)
+    return (amps + flip[::-1]) * (scale / math.sqrt(2.0))
 
 
 def scs_state(dims: EnsembleDims) -> DickeState:

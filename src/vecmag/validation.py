@@ -31,15 +31,18 @@ from .spin import (
     AXES,
     EnsembleDims,
     FieldVector,
+    _compose,
     _free_su2,
     _frozen,
     _ladder,
     _pulse_block,
+    _twist_terms,
     ghz_state,
     probe_image,
     propagate,
     rotate,
     scs_state,
+    twist,
 )
 
 DEFAULT_SEED = 1234
@@ -356,7 +359,8 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     Kernel rotations and twists must be unitary and match the spectral
     decomposition of their generator; so must the free step of exact pulsed
     evolution, and a pulse block's SU(2) image, on the identity and in closed
-    form on both probes, must match the dense product of its steps.
+    form on both probes, must match the dense product of its steps; so must
+    `twist` at +-pi/2, and the two probe images a twist after the block splits into.
     """
     rng = np.random.default_rng(seed + 3)
     pulse_rng = np.random.default_rng(seed + 4)
@@ -392,15 +396,25 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         u = _pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode)
         dense = np.linalg.matrix_power(pair, sched.pairs)
         worst = max(worst, np.max(np.abs(rotate(dims, u, eye) - dense)))
+        quarters = [(axis, math.pi / 2, _unitary_from_generator(_squared_operator(dims, axis),
+                                                                math.pi / 2)) for axis in AXES]
+        quarters += [(axis, -theta, turn.conj()) for axis, theta, turn in quarters]  # J_a^2 real
+        for axis, theta, turn in quarters:
+            worst = max(worst, np.max(np.abs(twist(dims, axis, theta, eye) - turn)))
         for probe, state in (("scs", scs_state(dims)), ("ghz", ghz_state(dims))):
-            image = probe_image(dims, probe, u) - dense @ state.amplitudes
+            target = dense @ state.amplitudes
+            image = probe_image(dims, probe, u) - target
             worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0), np.max(np.abs(image)))
+            for axis, theta, turn in quarters:  # a twist after the block splits its image
+                split = sum(probe_image(dims, probe, _compose(v, u), c)
+                            for c, v in _twist_terms(n, axis, theta))
+                worst = max(worst, np.max(np.abs(split - turn @ target)))
         evolved = evolve_exact(scs_state(dims), FieldVector(0.4, 0.5, 0.6),
                                [DDSchedule("x", 3, 0.01)])
         worst = max(worst, abs(np.linalg.norm(evolved.amplitudes) - 1.0))
     return _result(10, worst <= 1e-10,
-        f"max commutator/Casimir/unitarity/kernel/free-step/pulse-block/probe-image/norm defect = "
-        f"{worst:.2e} for N in {{1..12, 20, 30}} (tol 1e-10)")
+        f"max commutator/Casimir/unitarity/kernel/free-step/pulse-block/twist/probe-image/norm "
+        f"defect = {worst:.2e} for N in {{1..12, 20, 30}} (tol 1e-10)")
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecmag import schemes
+from vecmag import schemes, spin
 from vecmag.cli import main, to_json
+from vecmag.pulses import DDSchedule, evolve_exact
 from vecmag.spin import AXES, EnsembleDims, FieldVector
 from vecmag.schemes import (
     PROBES,
@@ -364,7 +365,7 @@ def test_exact_derivatives_match_finite_differences(n, field, durations, gamma,
     fd_dpsi, fd_slope, fd_qfi = central_difference(cfg, axis)
     block = schemes._tangent(cfg, axis)
     tangent = block[:, 1 + AXES.index(axis)]
-    _, _, exact_delta_jz, slope, qfi, _ = schemes._axis_figures(cfg, block, axis)
+    (_, _, exact_delta_jz, slope, qfi, _), = schemes._axis_figures(cfg, block, (axis,))
     # Absolute floors at the largest natural scales: gamma N T for d psi and
     # its square for the QFI and the slope.
     size = gamma * n * max(1.0, cfg.duration(axis))
@@ -522,20 +523,27 @@ def test_derivatives_refuse_exact_evolution():
 
 
 def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch, capsys):
-    passes = []
-    apply_chain = schemes._apply_chain
+    passes, reads = [], []
+    apply_chain, dicke_state = schemes._apply_chain, schemes.DickeState
 
     def counting(cfg, chain, tangent=False):
         block = apply_chain(cfg, chain, tangent)
         passes.append(block.shape)
         return block
 
+    def reading(dims, amplitudes):
+        reads.append(dims.dim)
+        return dicke_state(dims, amplitudes)
+
     monkeypatch.setattr(schemes, "_apply_chain", counting)
+    monkeypatch.setattr(schemes, "DickeState", reading)
     precision_report(config("sequential", "ghz"))
-    assert passes == [(DIMS.dim, 4)]
+    # the block's state is read once, for all three axes
+    assert passes == [(DIMS.dim, 4)] and reads == [DIMS.dim]
     passes.clear()
+    reads.clear()
     precision_report(config("parallel", "scs"))
-    assert passes == [(DIMS.dim, 4)] * 3
+    assert passes == [(DIMS.dim, 4)] * 3 and reads == [DIMS.dim] * 3
     # qfi is a view of the report, so it makes the same passes
     for scheme, count in (("sequential", 1), ("parallel", 3)):
         passes.clear()
@@ -548,8 +556,8 @@ def test_precision_report_makes_one_tangent_pass_per_device(monkeypatch, capsys)
 def per_axis_oracle(cfg, axis):
     """The per-axis path the report replaced: one tangent pass per axis, and
     the qfi command's own single-shot bound rule."""
-    _, _, delta_jz, slope, qfi, _ = schemes._axis_figures(cfg, schemes._tangent(cfg, axis),
-                                                          axis)
+    (_, _, delta_jz, slope, qfi, _), = schemes._axis_figures(cfg, schemes._tangent(cfg, axis),
+                                                              (axis,))
     variants = qfi_analytic(cfg, axis)
     return {"delta_b_numeric": schemes._delta_b(cfg, axis, delta_jz, slope),
             "delta_b_analytic": analytic_delta_b(cfg, axis),
@@ -616,3 +624,87 @@ def test_sequential_chain_shapes():
     cfg = config("sequential", "scs")
     assert np.array_equal(final_state(cfg, literal=True).amplitudes,
                           final_state(cfg).amplitudes)
+
+
+def stepwise_chain(cfg, axis, literal, tangent):
+    """The chain applied one step at a time from the probe vector: every twist by
+    the kernel (`propagate(..., squared=True)`) and, on a tangent block, every tap
+    -i gamma T_a J_a right after its free step; normalized as final_state and
+    _tangent normalize."""
+    dims = cfg.dims
+    psi = np.zeros((dims.dim, 4), dtype=complex)
+    psi[0, 0] = 1.0
+    if cfg.probe == "ghz":
+        psi[0, 0] = psi[-1, 0] = 1.0 / math.sqrt(2.0)
+    for kind, step_axis, *angle in reversed(schemes._chain(cfg, axis, literal)):
+        if kind != "free":
+            psi = spin.propagate(dims, step_axis, angle[0], psi, squared=kind == "twist")
+        elif cfg.duration(step_axis) > 0.0:
+            t = cfg.duration(step_axis)
+            if cfg.evolution == "exact":
+                psi = spin.rotate(dims, schemes._exact_free_evolution(cfg, step_axis, t), psi)
+                continue
+            psi = spin.propagate(dims, step_axis, cfg.field.coupling(step_axis) * t, psi)
+            tap = spin.apply_collective(dims, step_axis, psi[:, 0])
+            psi[:, 1 + AXES.index(step_axis)] -= 1j * cfg.field.gamma * t * tap
+    psi /= np.linalg.norm(psi[:, 0])
+    return psi if tangent else psi[:, 0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(1, 40),
+       field=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       durations=st.tuples(*[st.sampled_from([0.0, 0.4, 1.0, 1.7])] * 3),
+       gamma=st.sampled_from([1.0, 2.5]),
+       scheme=st.sampled_from(SCHEMES),
+       probe=st.sampled_from(PROBES),
+       literal=st.booleans(),
+       exact=st.booleans())
+def test_chains_match_the_stepwise_kernel_chain(n, field, durations, gamma, scheme, probe,
+                                                literal, exact):
+    # twists as sums of rotations, the split probe image and taps carried to
+    # the end of their run against the kernel applied step by step
+    cfg = config(scheme, probe, dims=EnsembleDims(n), field=FieldVector(*field, gamma=gamma),
+                 durations=durations)
+    for axis in (AXES if scheme == "parallel" else (None,)):
+        if exact:
+            pulsed = dataclasses.replace(cfg, evolution="exact", tau=0.05)
+            got = final_state(pulsed, axis, literal).amplitudes
+            assert np.max(np.abs(got - stepwise_chain(pulsed, axis, literal, False))) <= 1e-12
+            continue
+        got = final_state(cfg, axis, literal).amplitudes
+        assert np.max(np.abs(got - stepwise_chain(cfg, axis, literal, False))) <= 1e-12
+        block, want = schemes._tangent(cfg, axis or "x"), stepwise_chain(cfg, axis, False, True)
+        scale = np.maximum(1.0, np.linalg.norm(want, axis=0))
+        assert np.all(np.max(np.abs(block - want), axis=0) <= 1e-12 * scale)
+
+
+def cleared_caches():
+    for cache in (spin._jx_sectors, spin._ladder, spin._diagonals, spin._log_binomial_steps):
+        cache.cache_clear()
+
+
+def test_even_n_cat_chains_and_product_probe_tangents_build_no_sectors():
+    dims, field = EnsembleDims(300), FieldVector(0.31, -0.47, 0.23)
+    cleared_caches()
+    for scheme, axes in (("sequential", (None,)), ("parallel", AXES)):
+        ghz = config(scheme, "ghz", dims=dims, field=field, durations=(1.0, 0.8, 1.2))
+        for axis in axes:
+            final_state(ghz, axis)
+            final_state(ghz, axis, literal=True)
+        final_state(dataclasses.replace(ghz, evolution="exact", tau=0.01), axes[0])
+        scs = dataclasses.replace(ghz, probe="scs")
+        schemes._tangent(scs, "x")
+        precision_report(scs)
+    assert spin._jx_sectors.cache_info().currsize == 0
+
+
+def test_z_phases_build_no_sectors():
+    dims = EnsembleDims(300)
+    psi = spin.scs_state(dims).amplitudes
+    spin._jx_sectors.cache_clear()
+    spin.propagate(dims, "z", 0.3, psi)
+    spin.propagate(dims, "z", 0.3, psi, squared=True)
+    spin.rotate(dims, spin._su2("z", 0.7), psi)
+    evolve_exact(spin.scs_state(dims), FieldVector(0.0, 0.0, 0.6), [DDSchedule("z", 3, 0.01)])
+    assert spin._jx_sectors.cache_info().currsize == 0

@@ -336,9 +336,11 @@ def test_chains_at_one_n_share_one_eigendecomposition(monkeypatch):
             for probe in ("scs", "ghz"):
                 cfg = SchemeConfig("sequential", probe, dims, field, (1.0, 1.0, 1.0))
                 final_state(cfg)
-        # one eigh per flip sector, of sizes ceil(dim/2) and floor(dim/2)
+        # one eigh per flip sector, of sizes ceil(dim/2) and floor(dim/2), for
+        # the odd-N twists after the first; even N takes none
         half = dims.dim // 2
-        assert sorted(calls) == [(half, half), (dims.dim - half, dims.dim - half)]
+        want = [] if N % 2 == 0 else [(half, half), (dims.dim - half, dims.dim - half)]
+        assert sorted(calls) == want
 
 
 @pytest.mark.parametrize("N", range(1, 42))
@@ -385,6 +387,45 @@ def test_rotate_equals_its_rotations_one_by_one(N):
     assert np.max(np.abs(spin.rotate(dims, (0j, -1 + 0j), block) - want)) <= tol
 
 
+@pytest.mark.parametrize("N", [*range(1, 42), 400, 401])
+def test_quarter_twists_match_the_spectral_unitary(N):
+    # e^{-i theta J_a^2} at theta = +-pi/2: spin.twist (O(N) at even N) and the
+    # sum of the two rotation images it splits into
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(500 + N)
+    block = rng.normal(size=(dims.dim, 2)) + 1j * rng.normal(size=(dims.dim, 2))
+    block /= np.linalg.norm(block, axis=0)
+    tol = 1e-12 * max(1.0, dims.J)
+    for axis in AXES:
+        for theta in (np.pi / 2, -np.pi / 2):
+            if N <= 41:
+                want = _unitary_from_generator(_squared_operator(dims, axis), theta) @ block
+            else:
+                want = propagate(dims, axis, theta, block, squared=True)
+            assert np.max(np.abs(spin.twist(dims, axis, theta, block) - want)) <= tol
+            assert np.max(np.abs(spin.twist(dims, axis, theta, block[:, 0]) - want[:, 0])) <= tol
+            split = sum(c * rotate(dims, v, block) for c, v in spin._twist_terms(N, axis, theta))
+            assert np.max(np.abs(split - want)) <= tol
+    with pytest.raises(ValueError, match="pi/2"):
+        spin.twist(EnsembleDims(4), "x", 0.3, block[:5, 0])
+
+
+@pytest.mark.parametrize("N", PROPERTY_NS)
+def test_turned_generator_matches_its_dense_conjugate(N):
+    # apply_collective(dims, a, psi, v) = D(v) J_a D(v)^dagger psi, the tap
+    # carried past the steps v that follow its free step
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(700 + N)
+    psi = rng.normal(size=dims.dim) + 1j * rng.normal(size=dims.dim)
+    for _ in range(4):
+        v = rng.normal(size=4)
+        v = (complex(v[0], v[1]) / np.linalg.norm(v), complex(v[2], v[3]) / np.linalg.norm(v))
+        turn = rotate(dims, v, np.eye(dims.dim))
+        for axis in AXES:
+            want = turn @ op(N, axis).matrix @ turn.conj().T @ psi
+            assert np.max(np.abs(apply_collective(dims, axis, psi, v) - want)) < 1e-12 * dims.dim
+
+
 def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
     passes = []
     kernel = spin.propagate
@@ -393,29 +434,38 @@ def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
         passes.append(axis)
         return kernel(dims, axis, *args, **kwargs)
 
-    for module in (spin, schemes):
-        monkeypatch.setattr(module, "propagate", counting)
+    # rotate and twist reach the kernel through the spin module
+    monkeypatch.setattr(spin, "propagate", counting)
 
-    def xy_passes(run, *args):
+    def xy_passes(run, *args, **kwargs):
         passes.clear()
-        run(*args)
+        run(*args, **kwargs)
         return sum(axis != "z" for axis in passes)
 
-    dims, field = EnsembleDims(10), FieldVector(0.31, -0.47, 0.23)
-    cfg = {(scheme, probe): SchemeConfig(scheme, probe, dims, field, (1.0, 0.8, 1.2))
-           for scheme in ("parallel", "sequential") for probe in ("scs", "ghz")}
-    # the first run closes into the probe's image, which takes no pass
-    assert xy_passes(final_state, cfg["sequential", "scs"]) == 0
-    assert xy_passes(final_state, cfg["sequential", "ghz"]) == 3
-    for axis in AXES:
-        assert xy_passes(final_state, cfg["parallel", "scs"], axis) == 0
-        assert xy_passes(final_state, cfg["parallel", "ghz"], axis) == 1
-    # a pulsed free step is one SU(2) element in its run too
-    exact = replace(cfg["sequential", "scs"], evolution="exact", tau=0.01)
-    assert xy_passes(final_state, exact) == 0
-    # a tangent block closes its run right after each free step, for the tap
-    assert xy_passes(schemes._tangent, cfg["sequential", "scs"], "x") == 2
-    assert xy_passes(schemes._tangent, cfg["sequential", "ghz"], "x") == 4
+    field = FieldVector(0.31, -0.47, 0.23)
+    for n in (10, 11):
+        dims = EnsembleDims(n)
+        cfg = {(scheme, probe): SchemeConfig(scheme, probe, dims, field, (1.0, 0.8, 1.2))
+               for scheme in ("parallel", "sequential") for probe in ("scs", "ghz")}
+        # the probe image takes no pass, nor does a twist split into images or,
+        # at even N, a twist on the vector; odd N twists that vector by the kernel
+        for literal in (False, True):
+            assert xy_passes(final_state, cfg["sequential", "scs"], literal=literal) == 0
+            assert xy_passes(final_state, cfg["sequential", "ghz"], literal=literal) == 2 * (n % 2)
+            for axis in AXES:
+                assert xy_passes(final_state, cfg["parallel", "scs"], axis, literal) == 0
+                assert xy_passes(final_state, cfg["parallel", "ghz"], axis, literal) == 0
+        # a pulse block is one SU(2) element in its run; one that turns after a
+        # twist splits that twist's images too
+        for probe in ("scs", "ghz"):
+            exact = replace(cfg["sequential", probe], evolution="exact", tau=0.01)
+            assert xy_passes(final_state, exact) == (n % 2 if probe == "ghz" else 0)
+        # a tangent block's taps are n.J products; its run after the first cat
+        # twist takes one pass on the block
+        assert xy_passes(schemes._tangent, cfg["sequential", "scs"], "x") == 0
+        assert xy_passes(schemes._tangent, cfg["parallel", "scs"], "z") == 0
+        assert xy_passes(schemes._tangent, cfg["sequential", "ghz"], "x") == 1 + 2 * (n % 2)
+        assert xy_passes(schemes._tangent, cfg["parallel", "ghz"], "x") == 1
 
 
 def _full_eigh_kernel(dims, axis, theta, psi, squared):
@@ -469,7 +519,8 @@ def test_assembled_eigenbasis_diagonalizes_jx(N):
 
 def first_chain_peak(probe, n=1000):
     """tracemalloc peak of a first sequential chain at N from cleared caches."""
-    for cache in (spin._ladder, spin._jx_sectors, spin._log_binomial_steps):
+    for cache in (spin._ladder, spin._jx_sectors, spin._log_binomial_steps, spin._diagonals,
+                  spin._twist_terms):
         cache.cache_clear()
     cfg = SchemeConfig("sequential", probe, EnsembleDims(n),
                        FieldVector(0.3, 0.4, 0.5), (1.0, 1.0, 1.0))
@@ -482,9 +533,10 @@ def first_chain_peak(probe, n=1000):
 
 
 def test_first_large_chain_stays_within_half_the_dense_basis_memory():
-    # the dense J_x eigenbasis at N = 1000 alone is 7.6 MiB; the cat probe's
-    # chain builds the flip sectors
-    assert first_chain_peak("ghz") < 10 * 2**20
+    # the dense J_x eigenbasis at N = 1001 alone is 7.7 MiB; the odd-N cat
+    # probe's chain builds the flip sectors for its later twists
+    assert first_chain_peak("ghz", 1001) < 10 * 2**20
+    assert spin._jx_sectors.cache_info().currsize == 1
 
 
 def test_first_large_product_probe_chain_builds_no_basis():
