@@ -226,6 +226,9 @@ def cmd_simulate(args) -> int:
     if args.evolution != "analytic" and start < 0:
         parser.error(f"--evolution {args.evolution} needs a --grid start >= 0")
     _require_finite_phases(args, [max(abs(start), abs(stop))] * 3, "--grid")
+    if args.evolution == "exact" and not math.isfinite(stop / (2.0 * args.tau)):
+        parser.error(f"--tau {args.tau!r} is too small: the pulse-pair count "
+                     f"{stop!r} / (2 tau) overflows")
     times = np.linspace(start, stop, points)
     from .schemes import SchemeConfig, closed_form_jz, simulated_jz
 

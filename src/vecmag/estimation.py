@@ -29,13 +29,16 @@ from .schemes import (
     closed_form_jz,
     simulated_jz,
 )
-from .spin import AXES, _CHUNK, _frozen
+from .spin import AXES, _frozen
 
 SIGN_CHOICES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 # Local maxima below this fraction of the strongest one are treated as
 # window sidelobes (first rectangular sidelobe is ~0.22), not signals.
 PEAK_FLOOR = 0.25
+
+# points in one slab of minimized_delta_b's grid (128 KiB of float)
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)

@@ -228,7 +228,8 @@ def fidelity_f2(dims: EnsembleDims, field: FieldVector, schedules,
         pieces = [(s, min(rows, s.pairs - i)) for s in schedules for i in range(0, s.pairs, rows)]
         for sched, count in pieces:
             block, angles = angles[:count], angles[count:]
-            a, b = _pulse_pair(field, sched.axis, sched.tau, block[:, 0], block[:, 1])
+            pulse = _su2(sched.axis, block[:, 0]), _su2(sched.axis, block[:, 1])
+            a, b = _pulse_pair(field, sched.tau, *pulse)
             shift = 1
             while shift < len(a):  # entry i becomes the product of pairs i - 2 shift + 1 ... i
                 a[shift:], b[shift:] = _compose((a[shift:], b[shift:]), (a[:-shift], b[:-shift]))

@@ -28,6 +28,7 @@ from .spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
+    _HALF_TURNS,
     _compose,
     _pulse_block,
     _su2,
@@ -90,6 +91,8 @@ class SchemeConfig:
         object.__setattr__(self, "durations", durations)
         if self.evolution == "exact" and not (self.tau is not None and 0.0 < self.tau < math.inf):
             raise ValueError(f"exact evolution needs a finite tau > 0, got tau={self.tau!r}")
+        if self.evolution == "exact" and not math.isfinite(max(durations) / (2.0 * self.tau)):
+            raise ValueError(f"tau={self.tau!r} is too small: T / (2 tau) pulse pairs overflow")
 
     def duration(self, axis: str) -> float:
         return self.durations[AXES.index(axis)]
@@ -170,9 +173,9 @@ def _apply_chain(config: SchemeConfig, chain, tangent: bool = False) -> np.ndarr
     A free step of T_a > 0 evolves by e^{-i gamma B_a T_a J_a}, exact evolution
     by a pulse block; a run of free steps and rotations is one SU(2) element u.
     While each twist is followed by a run that turns (b != 0), the state is a
-    sum of probe images c D(u) probe, the twist splitting each image in two
-    (`spin._twist_terms`).  Otherwise the images are summed, and the state takes
-    `spin.twist` and `spin.rotate`.  B_a enters only its free step, as the tap
+    sum of probe images c D(u) probe, the twist D(v0) (c0 + c1 H_a) splitting each
+    in two (`spin._twist_terms`).  Otherwise the images are summed, and the state
+    takes `spin.twist` and `spin.rotate`.  B_a enters only its free step, as the tap
     -i gamma T_a J_a, which is D(v) J_a D(v)^dagger on the state after the run,
     v the run's steps after the free step; a tangent block forms at its first tap.
     """
@@ -189,7 +192,8 @@ def _apply_chain(config: SchemeConfig, chain, tangent: bool = False) -> np.ndarr
             continue
         u = _element(run)  # the run after `twisted`, closed by this twist or the end
         if psi is None and twisted and u[1]:
-            terms = _twist_terms(dims.N, *twisted)
+            v0, c0, c1 = _twist_terms(dims.N, *twisted)
+            terms = (c0, v0), (c1, _compose(v0, _HALF_TURNS[twisted[0]]))
             images, twisted = [(c * d, _compose(w, v)) for c, v in images for d, w in terms], None
         composed = psi is None and not twisted
         if composed:

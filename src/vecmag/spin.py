@@ -3,12 +3,13 @@
 N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
 basis |J, m>, ordered by descending m (m = J first).  This module builds
-the propagator kernel for rotations and twists about x, y and z
-(`propagate`; on the identity it gives their matrices), applies any SU(2)
-element, such as a run of rotations or a pulse block (`_pulse_block`), as
-one x pass between two z phases (`rotate`), and gives its image on a probe
-in closed form, O(N) and with no pass (`probe_image`, `scs_state`), as it
-does a +-pi/2 twist at even N, a sum of two rotations (`_twist_terms`, `twist`).
+the one propagator kernel, `rotate`: any SU(2) element, such as a run of
+rotations or a pulse block (`_pulse_block`), is one x pass through the
+flip sectors between two z phases (on the identity it gives its matrix).
+A +-pi/2 twist is a rotation times a sum of 1 and a half turn, which is a
+reversal with phases (`_twist_terms`, `twist`): no pass at even N, one at
+odd N.  On a probe a rotation's image is closed form, O(N) and with no
+pass (`probe_image`, `scs_state`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "FieldVector",
     "apply_collective",
     "probe_image",
-    "propagate",
     "rotate",
     "scs_state",
     "twist",
@@ -34,9 +34,6 @@ __all__ = [
 
 AXES = ("x", "y", "z")
 _HALF_TURNS = {"x": (0j, -1j), "y": (0j, -1 + 0j), "z": (-1j, 0j)}  # -i sigma_a, exact
-
-# points in one slab of minimized_delta_b's grid (128 KiB of float)
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -119,13 +116,13 @@ class FieldVector:
 
 @lru_cache(maxsize=None)
 def _diagonals(N: int):
-    """(m, m^2, signs) in basis order, once per N; at integer J the half turn
-    e^{-i pi J_a} maps psi_m to (-1)^J psi_{-m} (x), (-1)^(J-m) psi_{-m} (y) and
-    (-1)^m psi_m (z), signs[a] the sign."""
+    """(m, turns) in basis order, once per N: the half turn H_a = e^{-i pi J_a} maps
+    the amplitude psi_k to turns[a][k] psi_k at index N - k (x, y) or k (z), with
+    (-i)^N (x), (-1)^k (y) and (-i)^N (-1)^k (z); real at even N."""
     m, alt = N / 2.0 - np.arange(N + 1), 1.0 - 2.0 * (np.arange(N + 1) % 2)
-    parity = -1.0 if N % 4 == 2 else 1.0
-    signs = {"x": np.full(N + 1, parity), "y": alt, "z": parity * alt}
-    return _frozen(m), _frozen(m * m), {a: _frozen(x) for a, x in signs.items()}
+    phase = (1.0, -1j, -1.0, 1j)[N % 4]
+    turns = {"x": np.full(N + 1, phase), "y": alt, "z": phase * alt}
+    return _frozen(m), {a: _frozen(x) for a, x in turns.items()}
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +149,7 @@ def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _jx_sectors(N: int):
-    """(A, B, ev, r, r*) for the propagator kernel, built once per N.
+    """(A, B, ev) for `rotate`'s x pass, built once per N.
 
     J_x commutes with the flip |J, m> -> |J, -m>, so in the folded
     coordinates (e_i +- e_{dim-1-i})/sqrt(2), i < h = dim // 2, it splits
@@ -164,8 +161,7 @@ def _jx_sectors(N: int):
     being the flipped top halves, times -1 for B; A's middle row is stored
     halved.  ev is A's then B's exact eigenvalues as a column (eigh's are
     discarded): -J has flip parity (-1)^N and the parities alternate
-    upward.  r = e^{-i pi m / 2} is the diagonal of R_z(pi/2), which maps
-    J_x onto J_y = R_z(pi/2) J_x R_z(pi/2)^dagger.
+    upward.
     """
     dim, h = N + 1, (N + 1) // 2
     half = _ladder(N)[:h] / 2.0
@@ -179,48 +175,36 @@ def _jx_sectors(N: int):
     a[:h] /= np.sqrt(2.0)
     a[h:] /= 2.0  # the fold adds the middle row to itself
     b = np.linalg.eigh(odd)[1] / np.sqrt(2.0)
-    m = _diagonals(N)[0]
-    r = np.exp(-0.5j * np.pi * m)
-    ev = m[::-1]
+    ev = _diagonals(N)[0][::-1]
     ev = np.concatenate((ev[N % 2::2], ev[1 - N % 2::2]))[:, None]
-    return tuple(_frozen(x) for x in (a, b, ev, r, r.conj()))
+    return tuple(_frozen(x) for x in (a, b, ev))
 
 
-def propagate(dims: EnsembleDims, axis: str, theta: float,
-              psi: np.ndarray, squared: bool = False) -> np.ndarray:
-    """e^{-i theta J_axis} psi, or e^{-i theta J_axis^2} psi when squared.
+def _z_phase(N: int, theta: float, psi: np.ndarray) -> np.ndarray:
+    """e^{-i theta J_z} psi, psi a (dim,) vector or (dim, k) block."""
+    phase = np.exp(-1j * theta * _diagonals(N)[0])
+    return (phase[:, None] if psi.ndim == 2 else phase) * psi
 
-    psi is a (dim,) amplitude vector or a (dim, k) block of columns.  J_z
-    is diagonal (`_diagonals`).  J_x acts through its cached flip sectors (`_jx_sectors`)
-    with the exact eigenvalues -J, ..., J (squared for a twist): psi is
-    folded into its flip-even and flip-odd parts, each goes through one
-    half-size real product each way, and the two are unfolded.  J_y reuses
-    that basis between the two diagonal factors of R_z(pi/2).
-    """
+
+def _x_pass(N: int, theta: float, psi: np.ndarray) -> np.ndarray:
+    """e^{-i theta J_x} psi through the flip sectors (`_jx_sectors`) with the
+    exact eigenvalues: psi is folded into its flip-even and flip-odd parts,
+    each goes through one half-size real product each way, and the two are
+    unfolded."""
     psi = np.ascontiguousarray(psi, dtype=complex)
-    if axis == "z":
-        phase = np.exp(-1j * theta * _diagonals(dims.N)[1 if squared else 0])
-        return (phase[:, None] if psi.ndim == 2 else phase) * psi
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    a, b, ev, r, r_conj = _jx_sectors(dims.N)
-    if psi.ndim == 2:
-        r, r_conj = r[:, None], r_conj[:, None]
-    if axis == "y":
-        psi = r_conj * psi
+    a, b, ev = _jx_sectors(N)
     h, c, shape = b.shape[0], a.shape[0], psi.shape
-    psi = psi.reshape(dims.dim, -1)
+    psi = psi.reshape(N + 1, -1)
     top, bottom = psi[:c], psi[:-c - 1:-1]
     # real and imaginary parts enter each real product as columns
     coeff = np.empty_like(psi)
     real = coeff.view(np.float64)
     np.dot(a.T, (top + bottom).view(np.float64), out=real[:c])
     np.dot(b.T, (top[:h] - bottom[:h]).view(np.float64), out=real[c:])
-    coeff *= np.exp(-1j * theta * (ev * ev if squared else ev))
+    coeff *= np.exp(-1j * theta * ev)
     x, y = np.dot(a, real[:c]), np.dot(b, real[c:])
     psi = np.concatenate((x[:h] + y, 2.0 * x[h:], (x[:h] - y)[::-1]))
-    psi = psi.view(complex).reshape(shape)
-    return r * psi if axis == "y" else psi
+    return psi.view(complex).reshape(shape)
 
 
 def _su2(axis: str, theta) -> tuple[complex, complex]:
@@ -243,28 +227,26 @@ def _compose(u: tuple[complex, complex], v: tuple[complex, complex]) -> tuple[co
 
 @lru_cache(maxsize=None)
 def _twist_terms(N: int, axis: str, theta: float):
-    """[(c, v), (c', v')] with e^{-i theta J_a^2} = c D(v) + c' D(v') at theta = sigma pi/2,
-    from m^2 mod 4 (docs/conventions.md): c = (1 -+ i sigma)/2 and v = 1, e^{-i pi sigma_a/2}
-    at integer J; c = e^{-i sigma pi/8}/sqrt(2) and v = e^{-+i pi sigma_a/4} at half-integer J."""
+    """(v, c, c') with e^{-i theta J_a^2} = D(v) (c + c' H_a) at theta = sigma pi/2, H_a the
+    half turn, from m^2 mod 4 (docs/conventions.md): v = 1 and (c, c') = (1 -+ i sigma)/2 at
+    integer J; v = e^{-i pi sigma_a/4} and c = -c' = e^{-i sigma pi/8}/sqrt(2) at half-integer J."""
     if abs(theta) != math.pi / 2.0:
         raise ValueError(f"a twist splits into rotations only at +-pi/2, got {theta!r}")
     sigma = math.copysign(1.0, theta)
     if N % 2 == 0:
-        return ((complex(0.5, -0.5 * sigma), (1 + 0j, 0j)),
-                (complex(0.5, 0.5 * sigma), _HALF_TURNS[axis]))
+        return (1 + 0j, 0j), complex(0.5, -0.5 * sigma), complex(0.5, 0.5 * sigma)
     c = complex(math.cos(math.pi / 8.0), -sigma * math.sin(math.pi / 8.0)) / math.sqrt(2.0)
-    return (c, _su2(axis, -math.pi / 2.0)), (c, _su2(axis, math.pi / 2.0))
+    return _su2(axis, math.pi / 2.0), c, -c
 
 
 def twist(dims: EnsembleDims, axis: str, theta: float, psi: np.ndarray) -> np.ndarray:
-    """e^{-i theta J_axis^2} psi at theta = +-pi/2, psi a (dim,) vector or (dim, k)
-    block: the kernel at odd N, at even N `_twist_terms` in O(N), with no pass."""
-    if dims.N % 2:
-        return propagate(dims, axis, theta, psi, squared=True)
-    (c, _), (c_turn, _) = _twist_terms(dims.N, axis, theta)
-    signs = _diagonals(dims.N)[2][axis]
-    turned = (signs if psi.ndim == 1 else signs[:, None]) * (psi if axis == "z" else psi[::-1])
-    return c * psi + c_turn * turned
+    """e^{-i theta J_axis^2} psi at theta = +-pi/2, psi a (dim,) vector or (dim, k) block,
+    from `_twist_terms`: the half turn is a reversal with phases, and D(v) is no pass at
+    even N and at most one x pass at odd N."""
+    v, c, c_turn = _twist_terms(dims.N, axis, theta)
+    turns = _diagonals(dims.N)[1][axis]
+    turned = (turns if psi.ndim == 1 else turns[:, None]) * psi
+    return rotate(dims, v, c * psi + c_turn * (turned if axis == "z" else turned[::-1]))
 
 
 def _power(u: tuple[complex, complex], k):
@@ -297,19 +279,20 @@ def _free_su2(field: FieldVector, tau: float) -> tuple[complex, complex]:
     return complex(c, -bz * s), complex(-by * s, -bx * s)
 
 
-def _pulse_pair(field: FieldVector, axis: str, tau: float, first, second=math.pi):
-    """(a, b) of one pulse pair R_a(second) F R_a(first) F (F acts first):
-    F is the free step for tau (`_free_su2`) and R_a(theta) the pulse
-    e^{-i theta J_a}; ndarray angles give one (a, b) per entry."""
+def _pulse_pair(field: FieldVector, tau: float, first, second):
+    """(a, b) of one pulse pair S F P F (F acts first): F is the free step for
+    tau (`_free_su2`) and P, S the pulses' pairs; array pairs give one (a, b) per entry."""
     free = _free_su2(field, tau)
-    return _compose(_su2(axis, second), _compose(free, _compose(_su2(axis, first), free)))
+    return _compose(second, _compose(free, _compose(first, free)))
 
 
 def _pulse_block(field: FieldVector, axis: str, pairs, tau: float, mode: str):
-    """(a, b) of P^pairs, a block of exact pi-pulse pairs (pairs an integer or
-    an integer ndarray) whose first pulse is -pi alternating, +pi identical."""
-    first = -math.pi if mode == "alternating" else math.pi
-    return _power(_pulse_pair(field, axis, tau, first), pairs)
+    """(a, b) of P^pairs, a block of exact pi-pulse pairs (pairs an integer or an
+    integer ndarray): each pulse is the exact half turn H_a, the first -H_a
+    (e^{+i pi J_a}) alternating, so no pulse's cos(pi/2) swamps a small tau."""
+    turn = _HALF_TURNS[axis]
+    first = (-turn[0], -turn[1]) if mode == "alternating" else turn
+    return _power(_pulse_pair(field, tau, first, turn), pairs)
 
 
 def rotate(dims: EnsembleDims, u: tuple[complex, complex], psi: np.ndarray) -> np.ndarray:
@@ -326,13 +309,13 @@ def rotate(dims: EnsembleDims, u: tuple[complex, complex], psi: np.ndarray) -> n
     a, b = u
     arg_a = math.atan2(a.imag, a.real)
     if b == 0:
-        return propagate(dims, "z", -2.0 * arg_a, psi) if arg_a else psi
+        return _z_phase(dims.N, -2.0 * arg_a, psi) if arg_a else psi
     arg_ib = math.atan2(b.real, -b.imag)
     alpha, gamma = -arg_a - arg_ib, -arg_a + arg_ib
     if gamma:
-        psi = propagate(dims, "z", gamma, psi)
-    psi = propagate(dims, "x", 2.0 * math.atan2(abs(b), abs(a)), psi)
-    return propagate(dims, "z", alpha, psi) if alpha else psi
+        psi = _z_phase(dims.N, gamma, psi)
+    psi = _x_pass(dims.N, 2.0 * math.atan2(abs(b), abs(a)), psi)
+    return _z_phase(dims.N, alpha, psi) if alpha else psi
 
 
 @lru_cache(maxsize=None)

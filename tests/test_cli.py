@@ -361,6 +361,9 @@ def test_qfi_and_precision_share_their_figures(capsys, flags):
      "--T", "1e8,1,1"),
     # the last F2 time is 3 * 2 * pairs * tau
     ("robustness", "--B", "1e300,1,1", "--tau", "1e10", "--pairs", "2", "--trials", "2"),
+    # finite phases, but exact evolution's pulse-pair count T / (2 tau) overflows
+    ("simulate", "--scheme", "sequential", "--probe", "scs", "--N", "4", "--B", "1,1,1",
+     "--grid", "0:1:4", "--evolution", "exact", "--tau", "1e-320"),
 ])
 def test_overflowing_phases_are_refused_by_the_parser(capsys, argv):
     with warnings.catch_warnings():

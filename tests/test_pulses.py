@@ -1,5 +1,6 @@
 """Pulse-sequence evolution, the effective-rotation limit, and the F1/F2 fidelities."""
 
+import functools
 import time
 
 import numpy as np
@@ -13,7 +14,6 @@ from vecmag.spin import (
     EnsembleDims,
     FieldVector,
     ghz_state,
-    propagate,
     rotate,
     scs_state,
 )
@@ -47,15 +47,21 @@ def pair_plan(schedules):
     return [sched for sched in schedules for _ in range(sched.pairs)]
 
 
+@functools.lru_cache(maxsize=None)
+def dense_rotation(N, axis, theta):
+    """e^{-i theta J_axis} by spectral decomposition of the dense generator."""
+    return _unitary_from_generator(_collective_operator(EnsembleDims(N), axis), theta)
+
+
 def pair_loop(psi, dims, field, schedules, angles):
-    """The pair-by-pair reference: a dense free step and two kernel pulses
+    """The pair-by-pair reference: a dense free step and two dense pulses
     per pair; yields the raw state after every pair.  angles[i] holds pair
     i's (first, second) angles."""
     h_b = _field_hamiltonian(dims, field)
     u_free = {t: _unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
     for sched, (a_first, a_second) in zip(pair_plan(schedules), angles):
-        psi = propagate(dims, sched.axis, a_first, u_free[sched.tau] @ psi)
-        psi = propagate(dims, sched.axis, a_second, u_free[sched.tau] @ psi)
+        psi = dense_rotation(dims.N, sched.axis, a_first) @ (u_free[sched.tau] @ psi)
+        psi = dense_rotation(dims.N, sched.axis, a_second) @ (u_free[sched.tau] @ psi)
         yield psi
 
 
@@ -63,7 +69,7 @@ def effective(state, blocks):
     """Free evolution e^{-i coupling J_axis duration} for each block in order."""
     psi = state.amplitudes
     for axis, duration, coupling in blocks:
-        psi = propagate(state.dims, axis, coupling * duration, psi)
+        psi = dense_rotation(state.dims.N, axis, coupling * duration) @ psi
     return DickeState(state.dims, psi)
 
 
@@ -175,7 +181,7 @@ def test_free_step_uses_gamma():
     field = FieldVector(1, 2, 3, gamma=2.0)
     cfg = SchemeConfig("parallel", "scs", DIMS, field, (0.5, 0.5, 0.5))
     free = effective(scs_state(DIMS), [("y", 0.5, 4.0)])
-    expected = propagate(DIMS, "y", -np.pi / 2, free.amplitudes)
+    expected = dense_rotation(DIMS.N, "y", -np.pi / 2) @ free.amplitudes
     assert np.max(np.abs(final_state(cfg, "y").amplitudes - expected)) < 1e-13
     doubled = SchemeConfig("parallel", "scs", DIMS, FieldVector(2, 4, 6), (0.5, 0.5, 0.5))
     assert np.allclose(final_state(doubled, "y").amplitudes, expected, rtol=0, atol=1e-13)
@@ -274,19 +280,19 @@ def test_f1_curves_at_reference_ratios():
 
 def loop_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
     """F1 at every pair boundary from the pair-loop reference, the effective
-    state stepped by one kernel rotation per pair."""
+    state stepped by one dense rotation per pair."""
     scheds = [DDSchedule(ax, pairs, tau) for ax in block_order]
     phi, values = scs_state(dims).amplitudes, []
     states = pair_loop(phi, dims, field, scheds, _angle_table(scheds)[:, :, 0])
     for sched, psi in zip(pair_plan(scheds), states):
-        phi = propagate(dims, sched.axis, field.coupling(sched.axis) * 2.0 * tau, phi)
+        phi = dense_rotation(dims.N, sched.axis, field.coupling(sched.axis) * 2.0 * tau) @ phi
         values.append(abs(np.vdot(psi, phi)) ** 2)
     return np.array(values)
 
 
 def extended_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
     """The same F1 stepped in np.clongdouble, every unitary from a scaled and
-    squared Taylor series; the pulses turn by the program's angle np.pi."""
+    squared Taylor series; the pulses are exact half turns, as the program's."""
     ld = np.longdouble
     m = ld(dims.J) - np.arange(dims.dim, dtype=ld)
     up = np.diag(np.sqrt(ld(dims.J) * (ld(dims.J) + 1) - m[1:] * (m[1:] + 1)), 1)
@@ -309,9 +315,10 @@ def extended_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
         return result
 
     u = expm(sum(j[ax] * ld(field.coupling(ax)) for ax in AXES), tau)
+    pi = 4 * np.arctan(ld(1))
     psi, phi, values = eye[:, 0], eye[:, 0], []
     for ax in block_order:
-        pair = expm(j[ax], np.pi) @ u @ expm(j[ax], -np.pi) @ u
+        pair = expm(j[ax], pi) @ u @ expm(j[ax], -pi) @ u
         step = expm(j[ax], field.coupling(ax) * 2.0 * tau)
         for _ in range(pairs):
             psi, phi = pair @ psi, step @ phi
@@ -392,8 +399,8 @@ def scalar_f2(dims, field, schedules, noise):
                     d1 = rng.uniform(-noise.eta, noise.eta)
                     d2 = rng.uniform(-noise.eta, noise.eta)
                 first = -(np.pi + d1) if sched.mode == "alternating" else np.pi + d1
-                psi = propagate(dims, sched.axis, first, u_free @ psi)
-                psi = propagate(dims, sched.axis, np.pi + d2, u_free @ psi)
+                psi = dense_rotation(dims.N, sched.axis, first) @ (u_free @ psi)
+                psi = dense_rotation(dims.N, sched.axis, np.pi + d2) @ (u_free @ psi)
                 states.append(psi)
         return states
 
@@ -537,22 +544,21 @@ def test_product_probe_fidelities_are_the_single_spin_ones_to_the_nth(n):
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_zero_field_pulse_pairs_are_plus_or_minus_one(n):
-    # with no field a pair is R(pi) R(-pi) = 1 (alternating) or R(pi)^2 = -1
-    # (identical), whose spin-J image is (-1)^N.  The pulses turn by np.pi,
-    # 1.2e-16 short of pi, so identical pairs drift by that much per pulse.
+    # with no field a pair is H H^-1 = 1 (alternating) or H^2 = -1 (identical),
+    # H = -i sigma_a the exact half turn, whose spin-J image is (-1)^N.  The
+    # pulses are exact, so no power of a pair drifts.
     dims, zero = EnsembleDims(n), FieldVector(0.0, 0.0, 0.0)
     psi = ghz_state(dims).amplitudes
     for axis in AXES:
+        turn = spin._HALF_TURNS[axis]
         for mode, sign in (("alternating", 1.0), ("identical", -1.0)):
-            a, b = spin._pulse_pair(zero, axis, 1e-3, -np.pi if sign > 0 else np.pi)
-            assert max(abs(a - sign), abs(b)) <= 3e-16
+            first = (-turn[0], -turn[1]) if sign > 0 else turn
+            assert spin._pulse_pair(zero, 1e-3, first, turn) == (sign, 0.0)
             for pairs in (1, 7, 10**6):
-                drift = 3e-16 * pairs
-                a, b = spin._pulse_block(zero, axis, pairs, 1e-3, mode)
-                assert max(abs(a - sign ** pairs), abs(b)) <= drift
+                assert spin._pulse_block(zero, axis, pairs, 1e-3, mode) == (sign ** pairs, 0.0)
                 out = evolve_exact(DickeState(dims, psi), zero,
                                    [DDSchedule(axis, pairs, 1e-3, mode)])
                 want = sign ** (pairs * n) * psi
-                assert np.max(np.abs(out.amplitudes - want)) <= 1e-13 + n * drift
+                assert np.max(np.abs(out.amplitudes - want)) <= 1e-13
     # the alternating pair is the identity exactly, and so are its powers
     assert spin._pulse_block(zero, "y", 12345, 1e-3, "alternating") == (1.0, 0.0)

@@ -1,6 +1,7 @@
 """Interferometer chains: closed forms vs simulation, precision, QFI."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from vecmag import schemes, spin
 from vecmag.cli import main, to_json
 from vecmag.pulses import DDSchedule, evolve_exact
 from vecmag.spin import AXES, EnsembleDims, FieldVector
+from vecmag.validation import _collective_operator, _squared_operator, _unitary_from_generator
 from vecmag.schemes import (
     PROBES,
     SCHEMES,
@@ -80,6 +82,26 @@ def test_config_validation():
             schemes.simulated_jz(config("sequential", "scs"), [0.5, bad])
     assert config("sequential", "scs", durations=(1e300, 1.0, 1.0)).durations[0] == 1e300
     assert config("sequential", "scs", evolution="exact", tau=1e300).tau == 1e300
+
+
+def test_a_pulse_pair_count_that_overflows_is_refused_naming_tau():
+    # T / (2 tau) pairs: 1 / 2e-320 is inf, at any duration of the run
+    with pytest.raises(ValueError, match="tau"):
+        config("sequential", "scs", evolution="exact", tau=1e-320)
+    cfg = config("sequential", "scs", durations=(0.0, 0.0, 0.0), evolution="exact", tau=1e-320)
+    with pytest.raises(ValueError, match="tau"):
+        schemes.simulated_jz(cfg, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("tau", [1e-30, 1e-100, 1e-300])
+def test_exact_evolution_keeps_the_field_at_tiny_tau(probe, tau):
+    # exact pi pulses are exact half turns: a cos(pi/2) of 6e-17 in every pulse
+    # would swamp the free step's O(tau gamma B) entries
+    field, times = FieldVector(1.0, 1.0, 1.0), np.linspace(0.0, 1.0, 4)
+    cfg = config("sequential", probe, dims=EnsembleDims(4), field=field, evolution="exact", tau=tau)
+    want = closed_form_jz("sequential", probe, 4, times, times, times)
+    assert np.max(np.abs(schemes.simulated_jz(cfg, times) - want)) <= 1e-12 * 2.0
 
 
 def test_phases_are_coupling_times_duration():
@@ -626,10 +648,17 @@ def test_sequential_chain_shapes():
                           final_state(cfg).amplitudes)
 
 
+@functools.lru_cache(maxsize=None)
+def dense_step(N, kind, axis, theta):
+    """e^{-i theta J_a}, or e^{-i theta J_a^2} for a twist, by spectral decomposition."""
+    make = _squared_operator if kind == "twist" else _collective_operator
+    return _unitary_from_generator(make(EnsembleDims(N), axis), theta)
+
+
 def stepwise_chain(cfg, axis, literal, tangent):
-    """The chain applied one step at a time from the probe vector: every twist by
-    the kernel (`propagate(..., squared=True)`) and, on a tangent block, every tap
-    -i gamma T_a J_a right after its free step; normalized as final_state and
+    """The chain applied one step at a time from the probe vector: every rotation,
+    twist and effective free step a dense unitary and, on a tangent block, every
+    tap -i gamma T_a J_a right after its free step; normalized as final_state and
     _tangent normalize."""
     dims = cfg.dims
     psi = np.zeros((dims.dim, 4), dtype=complex)
@@ -638,13 +667,13 @@ def stepwise_chain(cfg, axis, literal, tangent):
         psi[0, 0] = psi[-1, 0] = 1.0 / math.sqrt(2.0)
     for kind, step_axis, *angle in reversed(schemes._chain(cfg, axis, literal)):
         if kind != "free":
-            psi = spin.propagate(dims, step_axis, angle[0], psi, squared=kind == "twist")
+            psi = dense_step(dims.N, kind, step_axis, angle[0]) @ psi
         elif cfg.duration(step_axis) > 0.0:
             t = cfg.duration(step_axis)
             if cfg.evolution == "exact":
                 psi = spin.rotate(dims, schemes._exact_free_evolution(cfg, step_axis, t), psi)
                 continue
-            psi = spin.propagate(dims, step_axis, cfg.field.coupling(step_axis) * t, psi)
+            psi = dense_step(dims.N, "free", step_axis, cfg.field.coupling(step_axis) * t) @ psi
             tap = spin.apply_collective(dims, step_axis, psi[:, 0])
             psi[:, 1 + AXES.index(step_axis)] -= 1j * cfg.field.gamma * t * tap
     psi /= np.linalg.norm(psi[:, 0])
@@ -703,8 +732,8 @@ def test_z_phases_build_no_sectors():
     dims = EnsembleDims(300)
     psi = spin.scs_state(dims).amplitudes
     spin._jx_sectors.cache_clear()
-    spin.propagate(dims, "z", 0.3, psi)
-    spin.propagate(dims, "z", 0.3, psi, squared=True)
     spin.rotate(dims, spin._su2("z", 0.7), psi)
+    odd = EnsembleDims(301)
+    spin.twist(odd, "z", math.pi / 2, spin.scs_state(odd).amplitudes)
     evolve_exact(spin.scs_state(dims), FieldVector(0.0, 0.0, 0.6), [DDSchedule("z", 3, 0.01)])
     assert spin._jx_sectors.cache_info().currsize == 0

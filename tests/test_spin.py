@@ -19,7 +19,6 @@ from vecmag.spin import (
     apply_collective,
     ghz_state,
     probe_image,
-    propagate,
     rotate,
     scs_state,
 )
@@ -171,9 +170,9 @@ def test_unitary_diagonal_generator():
 
 def test_full_turn_parity():
     # integer J: 2 pi rotation is the identity; half-integer J: minus identity
-    U_even = propagate(EnsembleDims(2), "x", 2 * np.pi, np.eye(3))
+    U_even = spin._x_pass(2, 2 * np.pi, np.eye(3))
     assert np.linalg.norm(U_even - np.eye(3)) < 1e-10
-    U_odd = propagate(EnsembleDims(3), "x", 2 * np.pi, np.eye(4))
+    U_odd = spin._x_pass(3, 2 * np.pi, np.eye(4))
     assert np.linalg.norm(U_odd + np.eye(4)) < 1e-10
 
 
@@ -270,16 +269,12 @@ def test_kernel_matches_spectral_unitaries(N):
     block = rng.normal(size=(dims.dim, 3)) + 1j * rng.normal(size=(dims.dim, 3))
     for axis in AXES:
         for theta in (0.0, -np.pi / 2, 1.3):
-            for squared, make in ((False, _collective_operator), (True, _squared_operator)):
-                ref = _unitary_from_generator(make(dims, axis), theta)
-                got = propagate(dims, axis, theta, np.eye(dims.dim), squared=squared)
-                assert np.max(np.abs(got - ref)) < 1e-12
-                out = propagate(dims, axis, theta, block, squared=squared)
-                assert np.max(np.abs(out - ref @ block)) < 1e-12
-                assert np.max(np.abs(propagate(dims, axis, theta, block[:, 0],
-                                               squared=squared) - out[:, 0])) < 1e-12
-    with pytest.raises(ValueError):
-        propagate(dims, "w", 1.0, block)
+            u = spin._su2(axis, theta)
+            ref = _unitary_from_generator(_collective_operator(dims, axis), theta)
+            assert np.max(np.abs(rotate(dims, u, np.eye(dims.dim)) - ref)) < 1e-12
+            out = rotate(dims, u, block)
+            assert np.max(np.abs(out - ref @ block)) < 1e-12
+            assert np.max(np.abs(rotate(dims, u, block[:, 0]) - out[:, 0])) < 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -349,17 +344,14 @@ def test_flip_sector_kernel_matches_spectral_unitaries(N):
     rng = np.random.default_rng(200 + N)
     block = rng.normal(size=(dims.dim, 3)) + 1j * rng.normal(size=(dims.dim, 3))
     thetas = np.array([0.7, -np.pi, 2.9])
-    # the reference's own rounding grows with the largest phase, theta J^2
     tol = 1e-12 * max(1.0, dims.J)
     for axis in AXES:
-        for make in (_collective_operator, _squared_operator):
-            squared = make is _squared_operator
-            refs = [_unitary_from_generator(make(dims, axis), t) for t in thetas]
-            for k, ref in enumerate(refs):
-                out = propagate(dims, axis, thetas[k], block, squared=squared)
-                vec = propagate(dims, axis, thetas[k], block[:, k], squared=squared)
-                assert np.max(np.abs(out - ref @ block)) < tol
-                assert np.max(np.abs(vec - ref @ block[:, k])) < tol
+        for k, theta in enumerate(thetas):
+            ref = _unitary_from_generator(_collective_operator(dims, axis), theta)
+            out = rotate(dims, spin._su2(axis, theta), block)
+            vec = rotate(dims, spin._su2(axis, theta), block[:, k])
+            assert np.max(np.abs(out - ref @ block)) < tol
+            assert np.max(np.abs(vec - ref @ block[:, k])) < tol
 
 
 @pytest.mark.parametrize("N", [*range(1, 42), 400, 401])
@@ -379,18 +371,30 @@ def test_rotate_equals_its_rotations_one_by_one(N):
         u, want = (1 + 0j, 0j), block
         for axis, theta in steps:
             u = spin._compose(spin._su2(axis, theta), u)
-            want = propagate(dims, axis, theta, want)
+            want = _unitary_from_generator(op(N, axis), theta) @ want
         assert np.max(np.abs(spin.rotate(dims, u, block) - want)) <= tol
         assert np.max(np.abs(spin.rotate(dims, u, block[:, 0]) - want[:, 0])) <= tol
     # |a| = 0 exactly: R_y(pi) = [[0, -1], [1, 0]]
-    want = propagate(dims, "y", np.pi, block)
+    want = _unitary_from_generator(op(N, "y"), np.pi) @ block
     assert np.max(np.abs(spin.rotate(dims, (0j, -1 + 0j), block) - want)) <= tol
+
+
+def quarter_twist_phases(N, sigma):
+    """e^{-i sigma pi m^2 / 2} on |J, m>, descending m, from integer arithmetic:
+    4 m^2 = (N - 2k)^2, so the phase is e^{-i sigma pi q / 8}, q = (N - 2k)^2 mod 16."""
+    q = (N - 2 * np.arange(N + 1)) ** 2 % 16
+    return np.exp(-1j * sigma * (np.pi / 8) * q)
+
+
+# SU(2) pairs that turn z onto each axis: D(w) J_z D(w)^dagger = J_a
+TO_AXIS = {"x": spin._su2("y", np.pi / 2), "y": spin._su2("x", -np.pi / 2), "z": (1 + 0j, 0j)}
 
 
 @pytest.mark.parametrize("N", [*range(1, 42), 400, 401])
 def test_quarter_twists_match_the_spectral_unitary(N):
-    # e^{-i theta J_a^2} at theta = +-pi/2: spin.twist (O(N) at even N) and the
-    # sum of the two rotation images it splits into
+    # e^{-i theta J_a^2} at theta = +-pi/2: spin.twist (O(N) at even N, at most
+    # one x pass at odd N) and the sum of the two rotation images it splits into;
+    # past the dense reference's size, the exact z phases turned onto the axis
     dims = EnsembleDims(N)
     rng = np.random.default_rng(500 + N)
     block = rng.normal(size=(dims.dim, 2)) + 1j * rng.normal(size=(dims.dim, 2))
@@ -401,13 +405,38 @@ def test_quarter_twists_match_the_spectral_unitary(N):
             if N <= 41:
                 want = _unitary_from_generator(_squared_operator(dims, axis), theta) @ block
             else:
-                want = propagate(dims, axis, theta, block, squared=True)
+                w = TO_AXIS[axis]
+                back = rotate(dims, (w[0].conjugate(), -w[1]), block)
+                want = rotate(dims, w, quarter_twist_phases(N, np.sign(theta))[:, None] * back)
             assert np.max(np.abs(spin.twist(dims, axis, theta, block) - want)) <= tol
             assert np.max(np.abs(spin.twist(dims, axis, theta, block[:, 0]) - want[:, 0])) <= tol
-            split = sum(c * rotate(dims, v, block) for c, v in spin._twist_terms(N, axis, theta))
+            v, c, c_turn = spin._twist_terms(N, axis, theta)
+            turned = spin._compose(v, spin._HALF_TURNS[axis])
+            split = c * rotate(dims, v, block) + c_turn * rotate(dims, turned, block)
             assert np.max(np.abs(split - want)) <= tol
     with pytest.raises(ValueError, match="pi/2"):
         spin.twist(EnsembleDims(4), "x", 0.3, block[:5, 0])
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_odd_n_quarter_twist_matches_exact_phases_at_large_n(sigma):
+    # the twist's phases e^{-i sigma pi m^2 / 2} at half-integer J = 1001/2, taken
+    # from integer arithmetic; theta m^2 phases in floating point are off by 4e-11
+    dims = EnsembleDims(1001)
+    got = spin.twist(dims, "z", sigma * np.pi / 2, np.ones(dims.dim, dtype=complex))
+    assert np.max(np.abs(got - quarter_twist_phases(1001, sigma))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", range(1, 42))
+def test_half_turn_phases_match_the_rotation(N):
+    # H_a = e^{-i pi J_a} takes amplitude k to turns[a][k] at N - k (x, y) or k (z)
+    dims = EnsembleDims(N)
+    turns, k = spin._diagonals(N)[1], np.arange(dims.dim)
+    for axis in AXES:
+        want = np.zeros((dims.dim, dims.dim), dtype=complex)
+        want[k if axis == "z" else N - k, k] = turns[axis]
+        got = rotate(dims, spin._HALF_TURNS[axis], np.eye(dims.dim))
+        assert np.max(np.abs(got - want)) <= 1e-13 * dims.dim
 
 
 @pytest.mark.parametrize("N", PROPERTY_NS)
@@ -428,19 +457,19 @@ def test_turned_generator_matches_its_dense_conjugate(N):
 
 def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
     passes = []
-    kernel = spin.propagate
+    kernel = spin._x_pass
 
-    def counting(dims, axis, *args, **kwargs):
-        passes.append(axis)
-        return kernel(dims, axis, *args, **kwargs)
+    def counting(*args):
+        passes.append(args[0])
+        return kernel(*args)
 
-    # rotate and twist reach the kernel through the spin module
-    monkeypatch.setattr(spin, "propagate", counting)
+    # rotate, the one way into the kernel, reaches the x pass through the spin module
+    monkeypatch.setattr(spin, "_x_pass", counting)
 
     def xy_passes(run, *args, **kwargs):
         passes.clear()
         run(*args, **kwargs)
-        return sum(axis != "z" for axis in passes)
+        return len(passes)
 
     field = FieldVector(0.31, -0.47, 0.23)
     for n in (10, 11):
@@ -448,7 +477,8 @@ def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
         cfg = {(scheme, probe): SchemeConfig(scheme, probe, dims, field, (1.0, 0.8, 1.2))
                for scheme in ("parallel", "sequential") for probe in ("scs", "ghz")}
         # the probe image takes no pass, nor does a twist split into images or,
-        # at even N, a twist on the vector; odd N twists that vector by the kernel
+        # at even N, a twist on the vector; at odd N an x or y twist on that
+        # vector is one rotation's pass, a z twist none
         for literal in (False, True):
             assert xy_passes(final_state, cfg["sequential", "scs"], literal=literal) == 0
             assert xy_passes(final_state, cfg["sequential", "ghz"], literal=literal) == 2 * (n % 2)
@@ -468,15 +498,16 @@ def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
         assert xy_passes(schemes._tangent, cfg["parallel", "ghz"], "x") == 1
 
 
-def _full_eigh_kernel(dims, axis, theta, psi, squared):
-    """The one-basis kernel: eigh of the whole J_x, exact eigenvalues k - J."""
+def _full_eigh_kernel(dims, axis, theta, psi):
+    """The one-basis kernel: eigh of the whole J_x, exact eigenvalues k - J, and
+    J_y = R_z(pi/2) J_x R_z(pi/2)^dagger between the diagonals r of R_z(pi/2)."""
     half = spin._ladder(dims.N) / 2.0
     v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))[1]
     ev = dims.m_values[::-1][:, None]
     r = np.exp(-0.5j * np.pi * dims.m_values)[:, None]
     if axis == "y":
         psi = r.conj() * psi
-    psi = v @ (np.exp(-1j * theta * (ev * ev if squared else ev)) * (v.T @ psi))
+    psi = v @ (np.exp(-1j * theta * ev) * (v.T @ psi))
     return r * psi if axis == "y" else psi
 
 
@@ -487,16 +518,16 @@ def test_flip_sector_kernel_matches_the_full_eigenbasis_at_large_n(N):
     block = rng.normal(size=(dims.dim, 2)) + 1j * rng.normal(size=(dims.dim, 2))
     block /= np.linalg.norm(block, axis=0)
     for axis in ("x", "y"):
-        for squared, theta in ((False, 1.3), (True, 0.011)):
-            want = _full_eigh_kernel(dims, axis, theta, block, squared)
-            got = propagate(dims, axis, theta, block, squared=squared)
+        for theta in (1.3, -2.9):
+            want = _full_eigh_kernel(dims, axis, theta, block)
+            got = rotate(dims, spin._su2(axis, theta), block)
             assert np.max(np.abs(got - want)) < 1e-10
 
 
 def assembled_eigenbasis(N):
     """(V, ev): the sorted real eigenbasis of J_x assembled from the kernel's
     flip sectors, column k for the exact eigenvalue ev[k] = k - J."""
-    a, b, sector_ev = spin._jx_sectors(N)[:3]
+    a, b, sector_ev = spin._jx_sectors(N)
     dim, h = N + 1, (N + 1) // 2
     v, ev = np.zeros((dim, dim)), np.empty(dim)
     even, odd = v[:, N % 2::2], v[:, 1 - N % 2::2]
