@@ -13,10 +13,11 @@ rotation e^{-i gamma B_a t J_a}:
 Every pulse and free step is linear in J, so any pulse block, with or
 without angle errors, is the spin-J image of one SU(2) element and all
 three run on 2 x 2 products (`spin._pulse_pair`).  An exact block is P^L in
-closed form (`spin._power`), a chain of them one `spin.rotate`.  On the
-product probe an overlap is |V_11|^{2N} of V = U^dagger U', so no cost
-grows with N; F2 takes every trial's running pair products by a log-depth
-scan over the pairs.
+closed form (`spin._power`), and a chain of them one element, whose image on
+a probe is closed form and O(N) (`spin.probe_image`).  On the product probe
+an overlap is |V_11|^{2N} of V = U^dagger U', so no cost grows with N; F2
+takes every trial's running pair products by a log-depth scan over the
+pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin import (AXES, DickeState, EnsembleDims, FieldVector, _compose, _pulse_block,
-                   _pulse_pair, _su2, rotate)
+                   _pulse_pair, _su2, probe_image)
 
 # entries per array in one chunk of F2 pair elements (64 KiB of complex); whole
 # blocks raised `validate`'s peak RSS by 6% and ran 2.4x slower at 1000 x 201
@@ -118,20 +119,20 @@ def _angle_table(schedules, noise: NoiseModel | None = None) -> np.ndarray:
     return angles
 
 
-def evolve_exact(state: DickeState, field: FieldVector, schedules) -> DickeState:
-    """Exact evolution through the listed DD blocks with exact pi pulses.
+def evolve_exact(dims: EnsembleDims, field: FieldVector, schedules, probe: str) -> DickeState:
+    """Exact evolution of the probe ("scs" or "ghz") through the listed DD blocks
+    with exact pi pulses.
 
     Each pair applies free evolution, the first pi pulse, free evolution
     and the second pi pulse.  Every pair of a block is the same SU(2)
-    element P, so the chain is one `spin.rotate` of its blocks' P^pairs.
+    element P, so the chain is one element, the product of its blocks'
+    P^pairs, and the state is that element's probe image.
     """
-    if not schedules:
-        return state
     u = (1 + 0j, 0j)
     for sched in schedules:
         u = _compose(_pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode), u)
-    psi = rotate(state.dims, u, state.amplitudes)
-    return DickeState(state.dims, psi / np.linalg.norm(psi))
+    psi = probe_image(dims, probe, [u])[0]
+    return DickeState(dims, psi / np.linalg.norm(psi))
 
 
 def _scs_fidelity(n: int, u, v) -> np.ndarray:

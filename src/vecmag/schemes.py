@@ -8,7 +8,7 @@ the three axis blocks in turn so a single readout carries all three phases.
 Each scheme/probe combination has a closed-form branch (half-population
 moments, error-propagated precision, quantum Fisher information) and a
 simulation branch (effective single-axis evolution or exact pulsed
-dynamics, the state held as closed-form probe images while it can).  The
+dynamics, the state a sum of closed-form probe images, O(N)).  The
 closed forms for the cat-state probe exist only for even particle number;
 odd N leaves the twist readout inert, and the analytic functions refuse
 rather than return garbage.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -28,15 +29,13 @@ from .spin import (
     DickeState,
     EnsembleDims,
     FieldVector,
-    _HALF_TURNS,
     _compose,
+    _diagonals,
     _pulse_block,
     _su2,
     _twist_terms,
     apply_collective,
     probe_image,
-    rotate,
-    twist,
 )
 
 SCHEMES = ("parallel", "sequential")
@@ -171,45 +170,71 @@ def _apply_chain(config: SchemeConfig, chain, tangent: bool = False) -> np.ndarr
     `tangent` the (dim, 4) block of _tangent.
 
     A free step of T_a > 0 evolves by e^{-i gamma B_a T_a J_a}, exact evolution
-    by a pulse block; a run of free steps and rotations is one SU(2) element u.
-    While each twist is followed by a run that turns (b != 0), the state is a
-    sum of probe images c D(u) probe, the twist D(v0) (c0 + c1 H_a) splitting each
-    in two (`spin._twist_terms`).  Otherwise the images are summed, and the state
-    takes `spin.twist` and `spin.rotate`.  B_a enters only its free step, as the tap
-    -i gamma T_a J_a, which is D(v) J_a D(v)^dagger on the state after the run,
-    v the run's steps after the free step; a tangent block forms at its first tap.
+    by a pulse block; a run of free steps and rotations is one SU(2) element, and
+    a quarter turn right after a twist moves before it, turning the twist's axis.
+    The state is a sum of terms c D(u) probe, each twist D(v0) (c0 + c1 H_a)
+    splitting every term in two (`spin._twist_terms`), up to the last twist that
+    a turning run (b != 0) follows or whose D(v0) turns (odd N, x or y).  There
+    the terms' images are formed, in one `probe_image` call, and summed; the
+    twists and z rotations left act on that vector as O(N) reversals and phases
+    (`spin._diagonals`).  B_a enters only its free step, as the tap k J_a,
+    k = -i gamma T_a: each term carries its taps (w, a, k), k D(w) J_a D(w)^dagger
+    on the term, w the steps after the free step, which splits and runs compose
+    into as into u; a tap joins its column by `apply_collective`, on its term's
+    image or on the vector at the end of its run.
     """
-    dims, images, psi, run, taps, twisted = config.dims, None, None, [], [], None
-    for kind, axis, *angle in (*reversed(chain), ("end", None)):
-        if kind == "rot":
-            run.append((axis, angle[0]))
-        elif kind == "free" and (duration := config.duration(axis)) > 0.0:
+    dims, runs, taps, twists = config.dims, [[]], [[]], []
+    for kind, axis, *angle in reversed(chain):
+        if kind == "twist":
+            runs, taps, twists = runs + [[]], taps + [[]], twists + [(axis, angle[0])]
+        elif kind == "rot" and twists and not runs[-1] and abs(angle[0]) == HALF_PI:
+            # R T_a = T_c R with R J_a R^dagger = +-J_c: c = a, or the third axis
+            a = twists[-1][0]
+            twists[-1] = (a if a == axis else AXES[3 - AXES.index(a) - AXES.index(axis)], twists[-1][1])
+            runs[-2].append(_rotation(axis, angle[0]))
+        elif kind == "rot":
+            runs[-1].append(_rotation(axis, angle[0]))
+        elif (duration := config.duration(axis)) > 0.0:
             if tangent:  # effective evolution only
-                taps.append((len(run), axis, -1j * config.field.gamma * duration))
-            run.append(_exact_free_evolution(config, axis, duration) if config.evolution == "exact"
-                       else (axis, config.field.coupling(axis) * duration))
-        if kind in ("rot", "free"):
-            continue
-        u = _element(run)  # the run after `twisted`, closed by this twist or the end
-        if psi is None and twisted and u[1]:
-            v0, c0, c1 = _twist_terms(dims.N, *twisted)
-            terms = (c0, v0), (c1, _compose(v0, _HALF_TURNS[twisted[0]]))
-            images, twisted = [(c * d, _compose(w, v)) for c, v in images for d, w in terms], None
-        composed = psi is None and not twisted
-        if composed:
-            images = [(c, _compose(u, v)) for c, v in images] if images else [(1.0, u)]
-        if psi is None and (twisted or taps or kind == "end"):
-            psi = probe_image(dims, config.probe, images[0][1], images[0][0])
-            for c, v in images[1:]:
-                psi += probe_image(dims, config.probe, v, c)
-            psi = np.column_stack((psi, np.zeros((dims.dim, 3)))) if tangent else psi
-        psi = twist(dims, *twisted, psi) if twisted else psi
-        psi = rotate(dims, u, psi) if run and not composed else psi
-        for at, tapped, coefficient in taps:
-            tap = apply_collective(dims, tapped, psi[:, 0], _element(run[at + 1:]))
-            psi[:, 1 + AXES.index(tapped)] += coefficient * tap
-        run, taps, twisted = [], [], (axis, *angle)
-    return psi
+                taps[-1].append((len(runs[-1]), axis, -1j * config.field.gamma * duration))
+            runs[-1].append(_exact_free_evolution(config, axis, duration) if config.evolution == "exact"
+                            else (axis, config.field.coupling(axis) * duration))
+    elements = [_element(run) for run in runs]
+    last = 0  # the number of twists that split the terms
+    for i, (axis, _) in enumerate(twists, start=1):
+        if elements[i][1] or (dims.N % 2 and axis != "z"):
+            last = i
+    terms = [(1.0, elements[0], [(_element(runs[0][at + 1:]), a, k) for at, a, k in taps[0]])]
+    for i in range(1, last + 1):
+        halves = [(d, _compose(elements[i], w)) for d, w in _twist_terms(dims.N, *twists[i - 1])]
+        terms = [(c * d, _compose(w, u), [(_compose(w, t), a, k) for t, a, k in tapped]
+                  + [(_element(runs[i][at + 1:]), a, k) for at, a, k in taps[i]])
+                 for c, u, tapped in terms for d, w in halves]
+    scales, us, tapped = zip(*terms)
+    images = probe_image(dims, config.probe, us)
+    psi = images[0] if len(images) == 1 else np.array(scales) @ images  # one term: c = 1
+    if tangent:  # the block's columns as rows while it forms
+        psi = np.vstack((psi, np.zeros((3, dims.dim), dtype=complex)))
+    for c, image, term_taps in zip(scales, images, tapped):
+        for t, a, k in term_taps:
+            psi[1 + AXES.index(a)] += c * k * apply_collective(dims, a, image, t)
+    m, turns = _diagonals(dims.N)
+    for i in range(last + 1, len(runs)):  # D(u v0) (c0 + c1 H_a), u v0 = (a, 0)
+        (c0, v0), (c1, _) = _twist_terms(dims.N, *twists[i - 1])
+        turned = turns[twists[i - 1][0]] * psi
+        psi = c0 * psi + c1 * (turned if twists[i - 1][0] == "z" else turned[..., ::-1])
+        a = _compose(elements[i], v0)[0]
+        if arg := math.atan2(a.imag, a.real):
+            psi = np.exp(-1j * (-2.0 * arg) * m) * psi
+        for at, a, k in taps[i]:
+            psi[1 + AXES.index(a)] += k * apply_collective(dims, a, psi[0], _element(runs[i][at + 1:]))
+    return psi.T if tangent else psi
+
+
+@lru_cache(maxsize=None)
+def _rotation(axis: str, theta: float):
+    """The SU(2) pair of a chain table's rotation, one of a few constants."""
+    return _su2(axis, theta)
 
 
 def _element(run):

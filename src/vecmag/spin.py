@@ -2,18 +2,18 @@
 
 N two-level particles in the fully symmetric subspace form a single spin
 J = N/2.  Everything in this package lives in the (N+1)-dimensional Dicke
-basis |J, m>, ordered by descending m (m = J first).  This module builds
-the one propagator kernel, `rotate`: any SU(2) element, such as a run of
-rotations or a pulse block (`_pulse_block`), is one x pass through the
-flip sectors between two z phases (on the identity it gives its matrix).
-A +-pi/2 twist is a rotation times a sum of 1 and a half turn, which is a
-reversal with phases (`_twist_terms`, `twist`): no pass at even N, one at
-odd N.  On a probe a rotation's image is closed form, O(N) and with no
-pass (`probe_image`, `scs_state`).
+basis |J, m>, ordered by descending m (m = J first).  Every rotation, free
+step and pulse block is an SU(2) element (`_su2`, `_free_su2`,
+`_pulse_block`), and its image on a probe is a closed-form product state,
+O(N) (`probe_image`); the probe states are the identity's images.  A +-pi/2
+twist is a sum of two such elements (`_twist_terms`), so every chain is a sum
+of probe images, and the half turn in it is a reversal with phases
+(`_diagonals`).  `apply_collective` applies a rotated generator n.J.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,9 +26,7 @@ __all__ = [
     "FieldVector",
     "apply_collective",
     "probe_image",
-    "rotate",
     "scs_state",
-    "twist",
     "ghz_state",
 ]
 
@@ -147,66 +145,6 @@ def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray,
     return out
 
 
-@lru_cache(maxsize=None)
-def _jx_sectors(N: int):
-    """(A, B, ev) for `rotate`'s x pass, built once per N.
-
-    J_x commutes with the flip |J, m> -> |J, -m>, so in the folded
-    coordinates (e_i +- e_{dim-1-i})/sqrt(2), i < h = dim // 2, it splits
-    into two tridiagonal sectors with the off-diagonals ladder/2: the even
-    one, which also holds the middle vector e_h when dim is odd, and the
-    odd one (docs/conventions.md gives their last entries).  Each is
-    diagonalized once.  A (ceil(dim/2) rows) and B (h rows) hold the top
-    halves of their eigenvectors in the Dicke basis, the bottom halves
-    being the flipped top halves, times -1 for B; A's middle row is stored
-    halved.  ev is A's then B's exact eigenvalues as a column (eigh's are
-    discarded): -J has flip parity (-1)^N and the parities alternate
-    upward.
-    """
-    dim, h = N + 1, (N + 1) // 2
-    half = _ladder(N)[:h] / 2.0
-    # eigh reads only the lower triangle
-    even, odd = np.diag(half[:dim - h - 1], -1), np.diag(half[:h - 1], -1)
-    if dim % 2:
-        even[h, h - 1] *= np.sqrt(2.0)
-    else:
-        even[-1, -1], odd[-1, -1] = half[-1], -half[-1]
-    a = np.linalg.eigh(even)[1]
-    a[:h] /= np.sqrt(2.0)
-    a[h:] /= 2.0  # the fold adds the middle row to itself
-    b = np.linalg.eigh(odd)[1] / np.sqrt(2.0)
-    ev = _diagonals(N)[0][::-1]
-    ev = np.concatenate((ev[N % 2::2], ev[1 - N % 2::2]))[:, None]
-    return tuple(_frozen(x) for x in (a, b, ev))
-
-
-def _z_phase(N: int, theta: float, psi: np.ndarray) -> np.ndarray:
-    """e^{-i theta J_z} psi, psi a (dim,) vector or (dim, k) block."""
-    phase = np.exp(-1j * theta * _diagonals(N)[0])
-    return (phase[:, None] if psi.ndim == 2 else phase) * psi
-
-
-def _x_pass(N: int, theta: float, psi: np.ndarray) -> np.ndarray:
-    """e^{-i theta J_x} psi through the flip sectors (`_jx_sectors`) with the
-    exact eigenvalues: psi is folded into its flip-even and flip-odd parts,
-    each goes through one half-size real product each way, and the two are
-    unfolded."""
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    a, b, ev = _jx_sectors(N)
-    h, c, shape = b.shape[0], a.shape[0], psi.shape
-    psi = psi.reshape(N + 1, -1)
-    top, bottom = psi[:c], psi[:-c - 1:-1]
-    # real and imaginary parts enter each real product as columns
-    coeff = np.empty_like(psi)
-    real = coeff.view(np.float64)
-    np.dot(a.T, (top + bottom).view(np.float64), out=real[:c])
-    np.dot(b.T, (top[:h] - bottom[:h]).view(np.float64), out=real[c:])
-    coeff *= np.exp(-1j * theta * ev)
-    x, y = np.dot(a, real[:c]), np.dot(b, real[c:])
-    psi = np.concatenate((x[:h] + y, 2.0 * x[h:], (x[:h] - y)[::-1]))
-    return psi.view(complex).reshape(shape)
-
-
 def _su2(axis: str, theta) -> tuple[complex, complex]:
     """The pair (a, b) of e^{-i theta sigma_axis / 2} = [[a, b], [-b*, a*]];
     an ndarray theta gives the pairs of its entries as two arrays."""
@@ -227,26 +165,19 @@ def _compose(u: tuple[complex, complex], v: tuple[complex, complex]) -> tuple[co
 
 @lru_cache(maxsize=None)
 def _twist_terms(N: int, axis: str, theta: float):
-    """(v, c, c') with e^{-i theta J_a^2} = D(v) (c + c' H_a) at theta = sigma pi/2, H_a the
-    half turn, from m^2 mod 4 (docs/conventions.md): v = 1 and (c, c') = (1 -+ i sigma)/2 at
-    integer J; v = e^{-i pi sigma_a/4} and c = -c' = e^{-i sigma pi/8}/sqrt(2) at half-integer J."""
+    """((c, v), (c', v h)) with e^{-i theta J_a^2} = c D(v) + c' D(v h) at theta = sigma pi/2,
+    h = -i sigma_a the half turn H_a's pair, from m^2 mod 4 (docs/conventions.md):
+    v = 1 and (c, c') = (1 -+ i sigma)/2 at integer J; v = e^{-i pi sigma_a/4} and
+    c = -c' = e^{-i sigma pi/8}/sqrt(2) at half-integer J."""
     if abs(theta) != math.pi / 2.0:
         raise ValueError(f"a twist splits into rotations only at +-pi/2, got {theta!r}")
     sigma = math.copysign(1.0, theta)
     if N % 2 == 0:
-        return (1 + 0j, 0j), complex(0.5, -0.5 * sigma), complex(0.5, 0.5 * sigma)
-    c = complex(math.cos(math.pi / 8.0), -sigma * math.sin(math.pi / 8.0)) / math.sqrt(2.0)
-    return _su2(axis, math.pi / 2.0), c, -c
-
-
-def twist(dims: EnsembleDims, axis: str, theta: float, psi: np.ndarray) -> np.ndarray:
-    """e^{-i theta J_axis^2} psi at theta = +-pi/2, psi a (dim,) vector or (dim, k) block,
-    from `_twist_terms`: the half turn is a reversal with phases, and D(v) is no pass at
-    even N and at most one x pass at odd N."""
-    v, c, c_turn = _twist_terms(dims.N, axis, theta)
-    turns = _diagonals(dims.N)[1][axis]
-    turned = (turns if psi.ndim == 1 else turns[:, None]) * psi
-    return rotate(dims, v, c * psi + c_turn * (turned if axis == "z" else turned[::-1]))
+        v, c, c_turn = (1 + 0j, 0j), complex(0.5, -0.5 * sigma), complex(0.5, 0.5 * sigma)
+    else:
+        c = complex(math.cos(math.pi / 8.0), -sigma * math.sin(math.pi / 8.0)) / math.sqrt(2.0)
+        v, c_turn = _su2(axis, math.pi / 2.0), -c
+    return (c, v), (c_turn, _compose(v, _HALF_TURNS[axis]))
 
 
 def _power(u: tuple[complex, complex], k):
@@ -295,84 +226,73 @@ def _pulse_block(field: FieldVector, axis: str, pairs, tau: float, mode: str):
     return _power(_pulse_pair(field, tau, first, turn), pairs)
 
 
-def rotate(dims: EnsembleDims, u: tuple[complex, complex], psi: np.ndarray) -> np.ndarray:
-    """The spin-J image of the SU(2) element U = [[a, b], [-b*, a*]], u = (a, b), on psi.
-
-    U = R_z(alpha) R_x(beta) R_z(gamma) with alpha = -arg a - arg(ib),
-    beta = 2 atan2(|b|, |a|) and gamma = -arg a + arg(ib), where R_a(t) =
-    e^{-i t sigma_a / 2}; taken from the half-angle phases this product is U
-    itself, not -U, so e^{-i alpha J_z} e^{-i beta J_x} e^{-i gamma J_z} is
-    U's image, global phase included, for half-integer J too.  One x pass of
-    the kernel, between z phases; a zero z angle is skipped, and b = 0 is
-    the one z phase -2 arg a.
-    """
-    a, b = u
-    arg_a = math.atan2(a.imag, a.real)
-    if b == 0:
-        return _z_phase(dims.N, -2.0 * arg_a, psi) if arg_a else psi
-    arg_ib = math.atan2(b.real, -b.imag)
-    alpha, gamma = -arg_a - arg_ib, -arg_a + arg_ib
-    if gamma:
-        psi = _z_phase(dims.N, gamma, psi)
-    psi = _x_pass(dims.N, 2.0 * math.atan2(abs(b), abs(a)), psi)
-    return _z_phase(dims.N, alpha, psi) if alpha else psi
-
-
 @lru_cache(maxsize=None)
-def _log_binomial_steps(N: int) -> np.ndarray:
-    """The log-binomial row as its steps log sqrt(C(N, k+1) / C(N, k)), k < N."""
-    return _frozen(0.5 * np.log((N - np.arange(N)) / np.arange(1.0, N + 1)))
+def _log_binomial_steps(N: int):
+    """The log-binomial row as its rising steps log sqrt(C(N, k) / C(N, k+1)), k < N,
+    an array and a list (for `bisect`)."""
+    rising = _frozen(-0.5 * np.log((N - np.arange(N)) / np.arange(1.0, N + 1)))
+    return rising, rising.tolist()
 
 
-def _product(N: int, up: complex, down: complex) -> np.ndarray:
-    """(up |up> + down |down>)^{(x)N} normalized: sqrt(C(N, k)) up^{N-k} down^k on |J, J-k>.
+_ZERO = _frozen(np.zeros(1))
 
-    Log magnitudes run outward from the largest, so none over- or underflows
-    and those that carry the state stay a few roundings from exact; a zero up
-    or down makes every step +-inf, leaving one basis vector.  A factor z is
-    s |z| e^{i phi}, s = sign Re z, |phi| <= pi/2, phi = hi + lo with hi a
-    multiple of 2^-38, so k hi is exact for k < 10^4 (+ 0.0 clears a -0.0).
+
+def _product(N: int, elements) -> np.ndarray:
+    """One row (up |up> + down |down>)^{(x)N} normalized, sqrt(C(N, k)) up^{N-k} down^k
+    on |J, J-k>, for the first column (up, down) = (a, -b*) of each element
+    U = [[a, b], [-b*, a*]], u = (a, b), of `elements`.
+
+    Log magnitudes run outward from each row's largest, so none over- or underflows
+    and those that carry the state stay a few roundings from exact; a zero up or
+    down makes every step +-inf, leaving one basis vector.  A factor z is
+    s |z| e^{i phi}, s = sign Re z, |phi| <= pi/2, phi = hi + lo with hi a multiple
+    of 2^-38, so k hi is exact for k < 10^4 (+ 0.0 clears a -0.0).  Past that, k hi
+    rounds to about k ulps, which bounds the phases' error (docs/conventions.md).
     """
-    tilt = math.log(abs(down) / abs(up)) if up and down else (math.inf if down else -math.inf)
-    steps = _log_binomial_steps(N) + tilt  # log |c_{k+1} / c_k|, falling in k
-    top = int(np.count_nonzero(steps > 0))
-    mag = np.concatenate((steps[:top], [0.0], steps[top:]))
-    np.add.accumulate(mag[top:], out=mag[top:])
-    np.subtract.accumulate(mag[top::-1], out=mag[top::-1])
-    mag = np.exp(mag)
-    signs = math.copysign(1.0, up.real + 0.0), math.copysign(1.0, down.real + 0.0)
-    phi = (math.atan2(signs[0] * up.imag + 0.0, signs[0] * up.real + 0.0),
-           math.atan2(signs[1] * down.imag + 0.0, signs[1] * down.real + 0.0))
-    hi = round(phi[0] * 2.0**38) * 2.0**-38, round(phi[1] * 2.0**38) * 2.0**-38
-    if signs[0] != signs[1]:  # a multiplication by 1 changes no bit
-        mag[1::2] *= -1.0
-    mag *= signs[0] ** N / math.sqrt(mag @ mag)
-    k = np.arange(N + 1)
-    lo = k * complex(0.0, phi[1] - hi[1] - phi[0] + hi[0]) + complex(1.0, N * (phi[0] - hi[0]))
-    return mag * lo * np.exp(k * complex(0.0, hi[1] - hi[0]) + complex(0.0, N * hi[0]))
+    (rising, rising_list), k = _log_binomial_steps(N), np.arange(N + 1)
+    out = np.empty((len(elements), N + 1), dtype=complex)
+    for row, (up, b) in zip(out, elements):
+        up, down = complex(up), -complex(b).conjugate()
+        tilt = math.log(abs(down) / abs(up)) if up and down else (math.inf if down else -math.inf)
+        steps = tilt - rising  # log |c_{k+1} / c_k|, falling in k
+        top = bisect.bisect_left(rising_list, tilt)  # the count of steps > 0
+        mag = np.concatenate((steps[:top], _ZERO, steps[top:]))
+        np.add.accumulate(mag[top:], out=mag[top:])
+        np.subtract.accumulate(mag[top::-1], out=mag[top::-1])
+        mag = np.exp(mag)
+        signs = math.copysign(1.0, up.real + 0.0), math.copysign(1.0, down.real + 0.0)
+        phi = (math.atan2(signs[0] * up.imag + 0.0, signs[0] * up.real + 0.0),
+               math.atan2(signs[1] * down.imag + 0.0, signs[1] * down.real + 0.0))
+        hi = round(phi[0] * 2.0**38) * 2.0**-38, round(phi[1] * 2.0**38) * 2.0**-38
+        if signs[0] != signs[1]:  # a multiplication by 1 changes no bit
+            mag[1::2] *= -1.0
+        mag *= signs[0] ** N / math.sqrt(mag @ mag)
+        lo = k * complex(0.0, phi[1] - hi[1] - phi[0] + hi[0]) + complex(1.0, N * (phi[0] - hi[0]))
+        np.multiply(mag * lo, np.exp(k * complex(0.0, hi[1] - hi[0]) + complex(0.0, N * hi[0])), out=row)
+    return out
 
 
-def probe_image(dims: EnsembleDims, probe: str, u: tuple[complex, complex],
-                scale: complex = 1.0) -> np.ndarray:
-    """`rotate`'s image of U = [[a, b], [-b*, a*]] on the probe, times `scale`, with
-    no J_x pass: U^{(x)N} takes |J, J> to the product state of U's first column
-    (a, -b*), and |J, -J> to that of its second, (b, a*), which is the first's
-    reversed, conjugated and signed (-1)^{N-k}."""
-    amps = _product(dims.N, complex(u[0]), -complex(u[1]).conjugate())
+def probe_image(dims: EnsembleDims, probe: str, elements) -> np.ndarray:
+    """D(u) probe for each pair u = (a, b) of `elements`, U = [[a, b], [-b*, a*]], as
+    the rows of a (len(elements), dim) array, in closed form and O(N) (Arecchi et
+    al., PRA 6, 2211 (1972)): U^{(x)N} takes |J, J> to the product state of U's
+    first column (a, -b*), and |J, -J> to that of its second, (b, a*), which is
+    the first's reversed, conjugated and signed (-1)^{N-k}."""
+    amps = _product(dims.N, elements)
     if probe == "scs":
-        return amps if scale == 1.0 else scale * amps
+        return amps
     if probe != "ghz":
         raise ValueError(f"unknown probe {probe!r}")
     flip = amps.conj()
-    flip[1::2] *= -1.0
-    return (amps + flip[::-1]) * (scale / math.sqrt(2.0))
+    flip[:, 1::2] *= -1.0
+    return (amps + flip[:, ::-1]) * (1.0 / math.sqrt(2.0))
 
 
 def scs_state(dims: EnsembleDims) -> DickeState:
     """Spin coherent state |J, J>: every particle up, the unentangled probe."""
-    return DickeState(dims, probe_image(dims, "scs", (1 + 0j, 0j)))
+    return DickeState(dims, probe_image(dims, "scs", [(1 + 0j, 0j)])[0])
 
 
 def ghz_state(dims: EnsembleDims) -> DickeState:
     """GHZ state (|J, J> + |J, -J>)/sqrt(2), the maximally entangled probe."""
-    return DickeState(dims, probe_image(dims, "ghz", (1 + 0j, 0j)))
+    return DickeState(dims, probe_image(dims, "ghz", [(1 + 0j, 0j)])[0])

@@ -20,7 +20,10 @@ import numpy as np
 from .estimation import minimized_delta_b, recover_from_trace, sample_signal, scaling_fit
 from .pulses import DDSchedule, NoiseModel, evolve_exact, fidelity_f1, fidelity_f2
 from .schemes import (
+    SCHEMES,
     SchemeConfig,
+    _chain,
+    _tangent,
     analytic_jz,
     analytic_jz2,
     final_state,
@@ -31,7 +34,6 @@ from .spin import (
     AXES,
     EnsembleDims,
     FieldVector,
-    _HALF_TURNS,
     _compose,
     _free_su2,
     _frozen,
@@ -41,9 +43,7 @@ from .spin import (
     _twist_terms,
     ghz_state,
     probe_image,
-    rotate,
     scs_state,
-    twist,
 )
 
 DEFAULT_SEED = 1234
@@ -354,14 +354,48 @@ def _unitary_from_generator(gen: _CollectiveOperator, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+@lru_cache(maxsize=32)
+def _dense_step(N: int, kind: str, axis: str, theta: float) -> np.ndarray:
+    """e^{-i theta J_a} ("rot") or e^{-i theta J_a^2} ("twist"), dense."""
+    make = _squared_operator if kind == "twist" else _collective_operator
+    return _frozen(_unitary_from_generator(make(EnsembleDims(N), axis), theta))
+
+
+def _dense_chain(config: SchemeConfig, axis, literal: bool = False) -> np.ndarray:
+    """The chain of `config` applied one step at a time to the probe vector, every
+    rotation, twist, free step and pi pulse a dense unitary: a (dim, 4) block whose
+    columns 1-3 take, with effective evolution, each free step's tap
+    -i gamma T_a J_a right after it."""
+    dims = config.dims
+    psi = np.zeros((dims.dim, 4), dtype=complex)
+    psi[0, 0] = 1.0
+    if config.probe == "ghz":
+        psi[0, 0] = psi[-1, 0] = 1.0 / math.sqrt(2.0)
+    for kind, step_axis, *angle in reversed(_chain(config, axis, literal)):
+        if kind != "free":
+            psi = _dense_step(dims.N, kind, step_axis, angle[0]) @ psi
+        elif (t := config.duration(step_axis)) > 0.0 and config.evolution == "exact":
+            pairs = max(1, round(t / (2.0 * config.tau)))  # alternating pairs re-timed to T
+            free = _unitary_from_generator(_field_hamiltonian(dims, config.field), t / (2.0 * pairs))
+            pair = (_dense_step(dims.N, "rot", step_axis, math.pi) @ free
+                    @ _dense_step(dims.N, "rot", step_axis, -math.pi) @ free)
+            psi = np.linalg.matrix_power(pair, pairs) @ psi
+        elif t > 0.0:
+            psi = _dense_step(dims.N, "rot", step_axis, config.field.coupling(step_axis) * t) @ psi
+            tap = _axis_matrix(dims.N, step_axis) @ psi[:, 0]
+            psi[:, 1 + AXES.index(step_axis)] -= 1j * config.field.gamma * t * tap
+    return psi
+
+
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Operator algebra and unitarity hold for every supported ensemble size.
 
-    Kernel rotations (`rotate`) must be unitary and match the spectral
-    decomposition of their generator; so must the free step of exact pulsed
-    evolution, and a pulse block's SU(2) image, on the identity and in closed
-    form on both probes, must match the dense product of its steps; so must
-    `twist` at +-pi/2, and the two probe images a twist after the block splits into.
+    The spectral decompositions of the generators must be unitary, and the
+    closed-form probe images (`probe_image`) of rotations, of the free step of
+    exact pulsed evolution and of a pulse block must match them on both probes,
+    as must the two images a twist after the block splits into.  Every chain's
+    final state and tangent block must match the chain applied step by step
+    with the dense unitaries (`_dense_chain`).
     """
     rng = np.random.default_rng(seed + 3)
     pulse_rng = np.random.default_rng(seed + 4)
@@ -375,47 +409,47 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         casimir = sum(ops[ax] @ ops[ax] for ax in AXES)
         target = dims.J * (dims.J + 1) * np.eye(dims.dim)
         worst = max(worst, np.max(np.abs(casimir - target)))
-        eye = np.eye(dims.dim)
-        for _ in range(3):
-            axis = AXES[rng.integers(3)]
-            theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-            u = rotate(dims, _su2(axis, theta), eye)
-            ref = _unitary_from_generator(_collective_operator(dims, axis), theta)
-            worst = max(worst, np.max(np.abs(u - ref)),
-                        *(np.max(np.abs(w.conj().T @ w - eye)) for w in (u, ref)))
         field = FieldVector(*pulse_rng.uniform(-6.0, 6.0, 3), gamma=(1.0, 2.5)[n % 2])
         sched = DDSchedule(AXES[pulse_rng.integers(3)], int(pulse_rng.integers(2, 200)),
                            pulse_rng.uniform(1e-3, 0.1), ("alternating", "identical")[n % 2])
         free = _unitary_from_generator(_field_hamiltonian(dims, field), sched.tau)
-        worst = max(worst, np.max(np.abs(rotate(dims, _free_su2(field, sched.tau), eye) - free)))
         pulse = _collective_operator(dims, sched.axis)
         first = -math.pi if sched.mode == "alternating" else math.pi
         pair = (_unitary_from_generator(pulse, math.pi) @ free
                 @ _unitary_from_generator(pulse, first) @ free)
-        u = _pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode)
+        block = _pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode)
         dense = np.linalg.matrix_power(pair, sched.pairs)
-        worst = max(worst, np.max(np.abs(rotate(dims, u, eye) - dense)))
-        quarters = [(axis, math.pi / 2, _unitary_from_generator(_squared_operator(dims, axis),
-                                                                math.pi / 2)) for axis in AXES]
-        quarters += [(axis, -theta, turn.conj()) for axis, theta, turn in quarters]  # J_a^2 real
-        for axis, theta, turn in quarters:
-            worst = max(worst, np.max(np.abs(twist(dims, axis, theta, eye) - turn)))
+        rotations = [(AXES[rng.integers(3)], rng.uniform(-2 * math.pi, 2 * math.pi)) for _ in range(3)]
+        images = [(_su2(axis, theta), _unitary_from_generator(_collective_operator(dims, axis), theta))
+                  for axis, theta in rotations] + [(_free_su2(field, sched.tau), free), (block, dense)]
+        worst = max(worst, *(np.max(np.abs(w.conj().T @ w - np.eye(dims.dim))) for _, w in images))
         for probe, state in (("scs", scs_state(dims)), ("ghz", ghz_state(dims))):
-            target = dense @ state.amplitudes
-            image = probe_image(dims, probe, u) - target
-            worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0), np.max(np.abs(image)))
-            for axis, theta, turn in quarters:  # a twist after the block splits its image
-                v, c, c_turn = _twist_terms(n, axis, theta)
-                turned = _compose(v, _HALF_TURNS[axis])
-                split = (probe_image(dims, probe, _compose(v, u), c)
-                         + probe_image(dims, probe, _compose(turned, u), c_turn))
-                worst = max(worst, np.max(np.abs(split - turn @ target)))
-        evolved = evolve_exact(scs_state(dims), FieldVector(0.4, 0.5, 0.6),
-                               [DDSchedule("x", 3, 0.01)])
+            state = state.amplitudes
+            for u, w in images:
+                worst = max(worst, np.max(np.abs(probe_image(dims, probe, [u])[0] - w @ state)))
+            for axis, theta in product(AXES, (math.pi / 2, -math.pi / 2)):
+                halves = _twist_terms(n, axis, theta)  # a twist after the block splits its image
+                split = (np.array([c for c, _ in halves])
+                         @ probe_image(dims, probe, [_compose(w, block) for _, w in halves]))
+                want = _dense_step(n, "twist", axis, theta) @ dense @ state
+                worst = max(worst, np.max(np.abs(split - want)))
+            chain_field = FieldVector(*rng.uniform(-2.0, 2.0, 3), gamma=(1.0, 2.5)[n % 2])
+            for scheme, (literal, evolution) in product(SCHEMES, ((False, "effective"),
+                                                                  (True, "effective"), (False, "exact"))):
+                config = SchemeConfig(scheme, probe, dims, chain_field, (1.3, 0.8, 1.1),
+                                      evolution, tau=0.05)
+                for axis in (AXES if scheme == "parallel" else ("x",)):
+                    want = _dense_chain(config, axis, literal)
+                    want /= np.linalg.norm(want[:, 0])
+                    got = final_state(config, axis, literal).amplitudes
+                    worst = max(worst, np.max(np.abs(got - want[:, 0])))
+                    if evolution == "effective" and not literal:
+                        worst = max(worst, np.max(np.abs(_tangent(config, axis) - want)))
+        evolved = evolve_exact(dims, FieldVector(0.4, 0.5, 0.6), [DDSchedule("x", 3, 0.01)], "scs")
         worst = max(worst, abs(np.linalg.norm(evolved.amplitudes) - 1.0))
     return _result(10, worst <= 1e-10,
-        f"max commutator/Casimir/unitarity/kernel/free-step/pulse-block/twist/probe-image/norm "
-        f"defect = {worst:.2e} for N in {{1..12, 20, 30}} (tol 1e-10)")
+        f"max commutator/Casimir/unitarity/probe-image/free-step/pulse-block/twist/chain/"
+        f"tangent/norm defect = {worst:.2e} for N in {{1..12, 20, 30}} (tol 1e-10)")
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -1,12 +1,12 @@
 """Pulse-sequence evolution, the effective-rotation limit, and the F1/F2 fidelities."""
 
-import functools
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import dense_step
 from vecmag import pulses, spin
 from vecmag.spin import (
     AXES,
@@ -14,7 +14,7 @@ from vecmag.spin import (
     EnsembleDims,
     FieldVector,
     ghz_state,
-    rotate,
+    probe_image,
     scs_state,
 )
 from vecmag.pulses import (
@@ -47,12 +47,6 @@ def pair_plan(schedules):
     return [sched for sched in schedules for _ in range(sched.pairs)]
 
 
-@functools.lru_cache(maxsize=None)
-def dense_rotation(N, axis, theta):
-    """e^{-i theta J_axis} by spectral decomposition of the dense generator."""
-    return _unitary_from_generator(_collective_operator(EnsembleDims(N), axis), theta)
-
-
 def pair_loop(psi, dims, field, schedules, angles):
     """The pair-by-pair reference: a dense free step and two dense pulses
     per pair; yields the raw state after every pair.  angles[i] holds pair
@@ -60,8 +54,8 @@ def pair_loop(psi, dims, field, schedules, angles):
     h_b = _field_hamiltonian(dims, field)
     u_free = {t: _unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
     for sched, (a_first, a_second) in zip(pair_plan(schedules), angles):
-        psi = dense_rotation(dims.N, sched.axis, a_first) @ (u_free[sched.tau] @ psi)
-        psi = dense_rotation(dims.N, sched.axis, a_second) @ (u_free[sched.tau] @ psi)
+        psi = dense_step(dims.N, "rot", sched.axis, a_first) @ (u_free[sched.tau] @ psi)
+        psi = dense_step(dims.N, "rot", sched.axis, a_second) @ (u_free[sched.tau] @ psi)
         yield psi
 
 
@@ -69,7 +63,7 @@ def effective(state, blocks):
     """Free evolution e^{-i coupling J_axis duration} for each block in order."""
     psi = state.amplitudes
     for axis, duration, coupling in blocks:
-        psi = dense_rotation(state.dims.N, axis, coupling * duration) @ psi
+        psi = dense_step(state.dims.N, "rot", axis, coupling * duration) @ psi
     return DickeState(state.dims, psi)
 
 
@@ -103,15 +97,16 @@ def test_noise_model_validation():
 
 
 def test_empty_schedule_returns_input():
-    s = ghz_state(DIMS)
-    assert evolve_exact(s, FIELD, []) is s
+    for probe, state in (("scs", scs_state(DIMS)), ("ghz", ghz_state(DIMS))):
+        assert np.max(np.abs(evolve_exact(DIMS, FIELD, [], probe).amplitudes - state.amplitudes)) <= 1e-15
+    with pytest.raises(ValueError, match="probe"):
+        evolve_exact(DIMS, FIELD, [], "cat")
 
 
 def test_zero_field_pulse_pairs_cancel():
     s = scs_state(DIMS)
     for mode in ("alternating", "identical"):
-        out = evolve_exact(s, FieldVector(0, 0, 0),
-                           [DDSchedule("x", 50, 1e-3, mode)])
+        out = evolve_exact(DIMS, FieldVector(0, 0, 0), [DDSchedule("x", 50, 1e-3, mode)], "scs")
         assert fidelity(out, s) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -121,7 +116,7 @@ def test_single_pair_first_order_expansion():
     psi0 = scs_state(DIMS).amplitudes
 
     def defect(tau):
-        out = evolve_exact(scs_state(DIMS), FIELD, [DDSchedule("x", 1, tau)])
+        out = evolve_exact(DIMS, FIELD, [DDSchedule("x", 1, tau)], "scs")
         approx = psi0 - 2j * FIELD.Bx * tau * (jx @ psi0)
         return np.linalg.norm(out.amplitudes - approx / np.linalg.norm(approx))
 
@@ -136,10 +131,8 @@ def test_selective_accumulation_transverse_leakage_quadratic():
 
     def leakage(tau):
         pairs = int(round(1.0 / (2 * tau)))
-        base = evolve_exact(scs_state(DIMS), FieldVector(4.0, 0.0, 0.0),
-                            [DDSchedule("x", pairs, tau)])
-        bumped = evolve_exact(scs_state(DIMS), FieldVector(4.0, 3.0, 2.5),
-                              [DDSchedule("x", pairs, tau)])
+        base = evolve_exact(DIMS, FieldVector(4.0, 0.0, 0.0), [DDSchedule("x", pairs, tau)], "scs")
+        bumped = evolve_exact(DIMS, FieldVector(4.0, 3.0, 2.5), [DDSchedule("x", pairs, tau)], "scs")
         return abs(expectation(bumped, jz) - expectation(base, jz))
 
     l1, l2 = leakage(5e-4), leakage(1e-3)
@@ -149,7 +142,7 @@ def test_selective_accumulation_transverse_leakage_quadratic():
 def test_exact_block_matches_effective_block():
     # spacing ratio 0.002 of the block keeps the x block faithful
     tau, pairs = 0.004, 250
-    out = evolve_exact(scs_state(DIMS), FIELD, [DDSchedule("x", pairs, tau)])
+    out = evolve_exact(DIMS, FIELD, [DDSchedule("x", pairs, tau)], "scs")
     eff = effective(scs_state(DIMS), [("x", 2 * pairs * tau, FIELD.Bx)])
     assert fidelity(out, eff) >= 0.999
 
@@ -157,7 +150,7 @@ def test_exact_block_matches_effective_block():
 def test_three_blocks_match_effective_at_fine_spacing():
     tau, pairs = 0.0004, 2500
     scheds = [DDSchedule(ax, pairs, tau) for ax in ("z", "y", "x")]
-    out = evolve_exact(scs_state(DIMS), FIELD, scheds)
+    out = evolve_exact(DIMS, FIELD, scheds, "scs")
     eff = effective(scs_state(DIMS),
                     [(ax, 2.0, FIELD.coupling(ax)) for ax in ("z", "y", "x")])
     assert fidelity(out, eff) >= 0.9999
@@ -181,7 +174,7 @@ def test_free_step_uses_gamma():
     field = FieldVector(1, 2, 3, gamma=2.0)
     cfg = SchemeConfig("parallel", "scs", DIMS, field, (0.5, 0.5, 0.5))
     free = effective(scs_state(DIMS), [("y", 0.5, 4.0)])
-    expected = dense_rotation(DIMS.N, "y", -np.pi / 2) @ free.amplitudes
+    expected = dense_step(DIMS.N, "rot", "y", -np.pi / 2) @ free.amplitudes
     assert np.max(np.abs(final_state(cfg, "y").amplitudes - expected)) < 1e-13
     doubled = SchemeConfig("parallel", "scs", DIMS, FieldVector(2, 4, 6), (0.5, 0.5, 0.5))
     assert np.allclose(final_state(doubled, "y").amplitudes, expected, rtol=0, atol=1e-13)
@@ -192,7 +185,7 @@ def test_alternating_and_identical_agree_without_noise():
     # because the inner pulses differ by e^{2 i pi J} = +-identity
     for N in (7, 10):
         dims = EnsembleDims(N)
-        states = [evolve_exact(scs_state(dims), FIELD, [DDSchedule("y", 125, 2e-3, mode)])
+        states = [evolve_exact(dims, FIELD, [DDSchedule("y", 125, 2e-3, mode)], "scs")
                   for mode in ("alternating", "identical")]
         assert fidelity(*states) == pytest.approx(1.0, abs=1e-12)
 
@@ -200,8 +193,7 @@ def test_alternating_and_identical_agree_without_noise():
 def test_identical_mode_converges_to_effective_as_tau_shrinks():
     def gap(tau):
         pairs = int(round(0.5 / (2 * tau)))
-        out = evolve_exact(scs_state(DIMS), FIELD,
-                           [DDSchedule("y", pairs, tau, "identical")])
+        out = evolve_exact(DIMS, FIELD, [DDSchedule("y", pairs, tau, "identical")], "scs")
         eff = effective(scs_state(DIMS), [("y", 0.5, FIELD.By)])
         return 1.0 - fidelity(out, eff)
 
@@ -214,7 +206,8 @@ def test_norm_preserved_over_many_pairs():
     sched = DDSchedule("x", 10000, 1e-4)
     u = spin._pulse_block(FIELD, sched.axis, sched.pairs, sched.tau, sched.mode)
     assert abs(abs(u[0]) ** 2 + abs(u[1]) ** 2 - 1.0) < 1e-15
-    assert abs(np.linalg.norm(rotate(DIMS, u, scs_state(DIMS).amplitudes)) - 1.0) < 1e-10
+    for probe in ("scs", "ghz"):
+        assert abs(np.linalg.norm(probe_image(DIMS, probe, [u])[0]) - 1.0) < 1e-10
 
 
 def test_fine_spacing_block_costs_no_per_pair_work(monkeypatch):
@@ -224,7 +217,7 @@ def test_fine_spacing_block_costs_no_per_pair_work(monkeypatch):
     monkeypatch.setattr(pulses, "_angle_table", refuse)
     sched = DDSchedule("x", 10**6, 1e-6)
     start = time.perf_counter()
-    out = evolve_exact(scs_state(DIMS), FIELD, [sched])
+    out = evolve_exact(DIMS, FIELD, [sched], "scs")
     assert time.perf_counter() - start < 1.0
     eff = effective(scs_state(DIMS), [("x", sched.duration, FIELD.Bx)])
     assert fidelity(out, eff) >= 1.0 - 1e-9
@@ -248,12 +241,13 @@ def jz_and_overlap_gap(psi, reference, dims):
 def test_pulse_blocks_match_pair_loop(n, mode, blocks, field, gamma, ghz):
     dims, fv = EnsembleDims(n), FieldVector(*field, gamma=gamma)
     scheds = [DDSchedule(ax, pairs, tau, mode) for ax, pairs, tau in blocks]
-    probe = (ghz_state if ghz else scs_state)(dims)
-    states = list(pair_loop(probe.amplitudes, dims, fv, scheds, _angle_table(scheds)[:, :, 0]))
+    probe = "ghz" if ghz else "scs"
+    start = (ghz_state if ghz else scs_state)(dims).amplitudes
+    states = list(pair_loop(start, dims, fv, scheds, _angle_table(scheds)[:, :, 0]))
     # the first block on its own, then all blocks as one element
     for upto, state in ((1, states[scheds[0].pairs - 1]), (len(scheds), states[-1])):
         jz_gap, overlap_gap = jz_and_overlap_gap(
-            evolve_exact(probe, fv, scheds[:upto]).amplitudes, state, dims)
+            evolve_exact(dims, fv, scheds[:upto], probe).amplitudes, state, dims)
         assert jz_gap <= 1e-11 * dims.J and overlap_gap <= 1e-11
 
 
@@ -285,7 +279,7 @@ def loop_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
     phi, values = scs_state(dims).amplitudes, []
     states = pair_loop(phi, dims, field, scheds, _angle_table(scheds)[:, :, 0])
     for sched, psi in zip(pair_plan(scheds), states):
-        phi = dense_rotation(dims.N, sched.axis, field.coupling(sched.axis) * 2.0 * tau) @ phi
+        phi = dense_step(dims.N, "rot", sched.axis, field.coupling(sched.axis) * 2.0 * tau) @ phi
         values.append(abs(np.vdot(psi, phi)) ** 2)
     return np.array(values)
 
@@ -399,8 +393,8 @@ def scalar_f2(dims, field, schedules, noise):
                     d1 = rng.uniform(-noise.eta, noise.eta)
                     d2 = rng.uniform(-noise.eta, noise.eta)
                 first = -(np.pi + d1) if sched.mode == "alternating" else np.pi + d1
-                psi = dense_rotation(dims.N, sched.axis, first) @ (u_free @ psi)
-                psi = dense_rotation(dims.N, sched.axis, np.pi + d2) @ (u_free @ psi)
+                psi = dense_step(dims.N, "rot", sched.axis, first) @ (u_free @ psi)
+                psi = dense_step(dims.N, "rot", sched.axis, np.pi + d2) @ (u_free @ psi)
                 states.append(psi)
         return states
 
@@ -505,11 +499,11 @@ def test_su2_blocks_match_the_dense_pair_loop(n, mode, paired, eta, pairs, tau, 
     assert np.max(np.abs(res.mean - table.mean(axis=0))) <= 1e-12
     assert np.max(np.abs(res.trial_minima - table.min(axis=1))) <= 1e-12
     # exact evolution of both probes, block by block
-    for probe in (scs_state(dims), ghz_state(dims)):
-        states = list(pair_loop(probe.amplitudes, dims, fv, scheds,
+    for probe, state in (("scs", scs_state(dims)), ("ghz", ghz_state(dims))):
+        states = list(pair_loop(state.amplitudes, dims, fv, scheds,
                                 _angle_table(scheds)[:, :, 0]))
         for k in range(1, len(scheds) + 1):
-            got = evolve_exact(probe, fv, scheds[:k]).amplitudes
+            got = evolve_exact(dims, fv, scheds[:k], probe).amplitudes
             want = states[k * pairs - 1]
             assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-11
 
@@ -556,8 +550,7 @@ def test_zero_field_pulse_pairs_are_plus_or_minus_one(n):
             assert spin._pulse_pair(zero, 1e-3, first, turn) == (sign, 0.0)
             for pairs in (1, 7, 10**6):
                 assert spin._pulse_block(zero, axis, pairs, 1e-3, mode) == (sign ** pairs, 0.0)
-                out = evolve_exact(DickeState(dims, psi), zero,
-                                   [DDSchedule(axis, pairs, 1e-3, mode)])
+                out = evolve_exact(dims, zero, [DDSchedule(axis, pairs, 1e-3, mode)], "ghz")
                 want = sign ** (pairs * n) * psi
                 assert np.max(np.abs(out.amplitudes - want)) <= 1e-13
     # the alternating pair is the identity exactly, and so are its powers

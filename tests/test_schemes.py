@@ -1,18 +1,16 @@
 """Interferometer chains: closed forms vs simulation, precision, QFI."""
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecmag import schemes, spin
+from dense_reference import dense_chain
+from vecmag import schemes
 from vecmag.cli import main, to_json
-from vecmag.pulses import DDSchedule, evolve_exact
 from vecmag.spin import AXES, EnsembleDims, FieldVector
-from vecmag.validation import _collective_operator, _squared_operator, _unitary_from_generator
 from vecmag.schemes import (
     PROBES,
     SCHEMES,
@@ -648,38 +646,6 @@ def test_sequential_chain_shapes():
                           final_state(cfg).amplitudes)
 
 
-@functools.lru_cache(maxsize=None)
-def dense_step(N, kind, axis, theta):
-    """e^{-i theta J_a}, or e^{-i theta J_a^2} for a twist, by spectral decomposition."""
-    make = _squared_operator if kind == "twist" else _collective_operator
-    return _unitary_from_generator(make(EnsembleDims(N), axis), theta)
-
-
-def stepwise_chain(cfg, axis, literal, tangent):
-    """The chain applied one step at a time from the probe vector: every rotation,
-    twist and effective free step a dense unitary and, on a tangent block, every
-    tap -i gamma T_a J_a right after its free step; normalized as final_state and
-    _tangent normalize."""
-    dims = cfg.dims
-    psi = np.zeros((dims.dim, 4), dtype=complex)
-    psi[0, 0] = 1.0
-    if cfg.probe == "ghz":
-        psi[0, 0] = psi[-1, 0] = 1.0 / math.sqrt(2.0)
-    for kind, step_axis, *angle in reversed(schemes._chain(cfg, axis, literal)):
-        if kind != "free":
-            psi = dense_step(dims.N, kind, step_axis, angle[0]) @ psi
-        elif cfg.duration(step_axis) > 0.0:
-            t = cfg.duration(step_axis)
-            if cfg.evolution == "exact":
-                psi = spin.rotate(dims, schemes._exact_free_evolution(cfg, step_axis, t), psi)
-                continue
-            psi = dense_step(dims.N, "free", step_axis, cfg.field.coupling(step_axis) * t) @ psi
-            tap = spin.apply_collective(dims, step_axis, psi[:, 0])
-            psi[:, 1 + AXES.index(step_axis)] -= 1j * cfg.field.gamma * t * tap
-    psi /= np.linalg.norm(psi[:, 0])
-    return psi if tangent else psi[:, 0]
-
-
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(n=st.integers(1, 40),
        field=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
@@ -699,41 +665,34 @@ def test_chains_match_the_stepwise_kernel_chain(n, field, durations, gamma, sche
         if exact:
             pulsed = dataclasses.replace(cfg, evolution="exact", tau=0.05)
             got = final_state(pulsed, axis, literal).amplitudes
-            assert np.max(np.abs(got - stepwise_chain(pulsed, axis, literal, False))) <= 1e-12
+            assert np.max(np.abs(got - dense_chain(pulsed, axis, literal, False))) <= 1e-12
             continue
         got = final_state(cfg, axis, literal).amplitudes
-        assert np.max(np.abs(got - stepwise_chain(cfg, axis, literal, False))) <= 1e-12
-        block, want = schemes._tangent(cfg, axis or "x"), stepwise_chain(cfg, axis, False, True)
+        assert np.max(np.abs(got - dense_chain(cfg, axis, literal, False))) <= 1e-12
+        block, want = schemes._tangent(cfg, axis or "x"), dense_chain(cfg, axis, False, True)
         scale = np.maximum(1.0, np.linalg.norm(want, axis=0))
         assert np.all(np.max(np.abs(block - want), axis=0) <= 1e-12 * scale)
 
 
-def cleared_caches():
-    for cache in (spin._jx_sectors, spin._ladder, spin._diagonals, spin._log_binomial_steps):
-        cache.cache_clear()
+def test_no_chain_tangent_or_report_calls_eigh(monkeypatch):
+    # every chain, tangent block and pulse block is a sum of closed-form probe
+    # images: no eigendecomposition at any N or parity, nor the O(N^3) cost of one
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
 
-
-def test_even_n_cat_chains_and_product_probe_tangents_build_no_sectors():
-    dims, field = EnsembleDims(300), FieldVector(0.31, -0.47, 0.23)
-    cleared_caches()
-    for scheme, axes in (("sequential", (None,)), ("parallel", AXES)):
-        ghz = config(scheme, "ghz", dims=dims, field=field, durations=(1.0, 0.8, 1.2))
-        for axis in axes:
-            final_state(ghz, axis)
-            final_state(ghz, axis, literal=True)
-        final_state(dataclasses.replace(ghz, evolution="exact", tau=0.01), axes[0])
-        scs = dataclasses.replace(ghz, probe="scs")
-        schemes._tangent(scs, "x")
-        precision_report(scs)
-    assert spin._jx_sectors.cache_info().currsize == 0
-
-
-def test_z_phases_build_no_sectors():
-    dims = EnsembleDims(300)
-    psi = spin.scs_state(dims).amplitudes
-    spin._jx_sectors.cache_clear()
-    spin.rotate(dims, spin._su2("z", 0.7), psi)
-    odd = EnsembleDims(301)
-    spin.twist(odd, "z", math.pi / 2, spin.scs_state(odd).amplitudes)
-    evolve_exact(spin.scs_state(dims), FieldVector(0.0, 0.0, 0.6), [DDSchedule("z", 3, 0.01)])
-    assert spin._jx_sectors.cache_info().currsize == 0
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    field = FieldVector(0.31, -0.47, 0.23)
+    for n in (10, 11, 1001):
+        for scheme, probe in ((s, p) for s in SCHEMES for p in PROBES):
+            cfg = config(scheme, probe, dims=EnsembleDims(n), field=field, durations=(1.0, 0.8, 1.2))
+            exact = dataclasses.replace(cfg, evolution="exact", tau=0.01)
+            for axis in (AXES if scheme == "parallel" else ("x",)):
+                for literal in (False, True):
+                    final_state(cfg, axis, literal)
+                    final_state(exact, axis, literal)
+                schemes._tangent(cfg, axis)
+            if probe == "scs" or n % 2 == 0:  # the cat probe's closed forms need even N
+                precision_report(cfg)
+    report = precision_report(config("sequential", "ghz", dims=EnsembleDims(4000),
+                                      field=FieldVector(1e-4, 2e-4, 3e-4)))
+    assert report.n == 4000 and all(entry.qfi_numeric > 0.0 for entry in report.axes)
