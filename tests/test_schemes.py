@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import dense_chain
-from vecmag import schemes
+from vecmag import schemes, spin
 from vecmag.cli import main, to_json
+from vecmag.pulses import DDSchedule, evolve_exact
 from vecmag.spin import AXES, EnsembleDims, FieldVector
 from vecmag.schemes import (
     PROBES,
@@ -674,13 +675,48 @@ def test_chains_match_the_stepwise_kernel_chain(n, field, durations, gamma, sche
         assert np.all(np.max(np.abs(block - want), axis=0) <= 1e-12 * scale)
 
 
-def test_no_chain_tangent_or_report_calls_eigh(monkeypatch):
-    # every chain, tangent block and pulse block is a sum of closed-form probe
-    # images: no eigendecomposition at any N or parity, nor the O(N^3) cost of one
+def refuse_eigh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg.eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+
+def test_even_n_cat_chains_and_product_probe_tangents_build_no_sectors(monkeypatch):
+    refuse_eigh(monkeypatch)
+    dims, field = EnsembleDims(300), FieldVector(0.31, -0.47, 0.23)
+    for scheme, axes in (("sequential", (None,)), ("parallel", AXES)):
+        ghz = config(scheme, "ghz", dims=dims, field=field, durations=(1.0, 0.8, 1.2))
+        for axis in axes:
+            final_state(ghz, axis)
+            final_state(ghz, axis, literal=True)
+        final_state(dataclasses.replace(ghz, evolution="exact", tau=0.01), axes[0])
+        scs = dataclasses.replace(ghz, probe="scs")
+        schemes._tangent(scs, "x")
+        precision_report(scs)
+
+
+def test_z_phases_build_no_sectors(monkeypatch):
+    # z rotations, odd-N z twists and exact z blocks keep |J, J> up to a phase
+    refuse_eigh(monkeypatch)
+    dims = EnsembleDims(300)
+    probe = spin.scs_state(dims).amplitudes
+    turned = spin.probe_image(dims, "scs", [spin._su2("z", 0.7)])[0]
+    assert np.max(np.abs(turned - np.exp(-0.35j * dims.N) * probe)) < 1e-12
+    odd = EnsembleDims(301)
+    halves = spin._twist_terms(odd.N, "z", math.pi / 2)
+    twisted = sum(c * spin.probe_image(odd, "scs", [v])[0] for c, v in halves)
+    # e^{-i pi/2 J_z^2} |J, J> = e^{-i pi/2 (J^2 mod 4)} |J, J>, J^2 = 22650.25
+    want = np.exp(-0.5j * math.pi * (odd.J**2 % 4)) * spin.scs_state(odd).amplitudes
+    assert np.max(np.abs(twisted - want)) < 1e-12
+    pulsed = evolve_exact(dims, FieldVector(0.0, 0.0, 0.6), [DDSchedule("z", 3, 0.01)], "scs")
+    assert abs(np.vdot(probe, pulsed.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_no_chain_tangent_or_report_calls_eigh(monkeypatch):
+    # every chain, tangent block and pulse block is a sum of closed-form probe
+    # images: no eigendecomposition at any N or parity, nor the O(N^3) cost of one
+    refuse_eigh(monkeypatch)
     field = FieldVector(0.31, -0.47, 0.23)
     for n in (10, 11, 1001):
         for scheme, probe in ((s, p) for s in SCHEMES for p in PROBES):

@@ -1,6 +1,8 @@
 """Operator algebra, probe states, unitary construction and probe images."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +284,29 @@ def test_every_chain_matches_the_spectral_reference(N):
     assert worst <= 1e-11
 
 
+def test_chains_at_one_n_share_one_eigendecomposition(monkeypatch):
+    # a chain at any N shares the one closed-form image path: no chain, of
+    # either probe or parity, takes an eigendecomposition
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for N in (13, 14):
+        for cache in (spin._ladder, spin._log_binomial_steps, spin._diagonals, spin._twist_terms):
+            cache.cache_clear()
+        calls.clear()
+        dims = EnsembleDims(N)
+        for field in (FieldVector(0.3, 0.4, 0.5), FieldVector(1.1, -0.2, 0.7)):
+            for probe in ("scs", "ghz"):
+                cfg = SchemeConfig("sequential", probe, dims, field, (1.0, 1.0, 1.0))
+                final_state(cfg)
+        assert calls == []
+
+
 @pytest.mark.parametrize("N", range(1, 42))
 def test_flip_sector_kernel_matches_spectral_unitaries(N):
     # the flip |J, m> -> |J, -m> (reversal, conjugation, signs (-1)^(N-k)) takes
@@ -405,6 +430,50 @@ def test_turned_generator_matches_its_dense_conjugate(N):
             assert np.max(np.abs(apply_collective(dims, axis, psi, v) - want)) < 1e-12 * dims.dim
 
 
+def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
+    # a run of rotations and free steps is one SU(2) element, and a chain forms
+    # its terms' images in one probe_image call: one row per term
+    passes = []
+    image = schemes.probe_image
+
+    def counting(dims, probe, elements):
+        passes.append(len(elements))
+        return image(dims, probe, elements)
+
+    monkeypatch.setattr(schemes, "probe_image", counting)
+
+    def image_rows(run, *args, **kwargs):
+        passes.clear()
+        run(*args, **kwargs)
+        assert len(passes) == 1
+        return passes[0]
+
+    field = FieldVector(0.31, -0.47, 0.23)
+    for n in (10, 11):
+        dims = EnsembleDims(n)
+        cfg = {(scheme, probe): SchemeConfig(scheme, probe, dims, field, (1.0, 0.8, 1.2))
+               for scheme in ("parallel", "sequential") for probe in ("scs", "ghz")}
+        # the product probe's chain is one run; a cat twist splits the terms in
+        # two where a turning run follows it, and at odd N an x or y twist always
+        for literal in (False, True):
+            assert image_rows(final_state, cfg["sequential", "scs"], literal=literal) == 1
+            assert image_rows(final_state, cfg["sequential", "ghz"], literal=literal) == (8 if n % 2 else 2)
+            for axis in AXES:
+                assert image_rows(final_state, cfg["parallel", "scs"], axis, literal) == 1
+                odd = n % 2 and (axis == "z" or not literal)
+                assert image_rows(final_state, cfg["parallel", "ghz"], axis, literal) == (2 if odd else 1)
+        # a pulse block is one SU(2) element in its run
+        for probe, rows in (("scs", 1), ("ghz", 8 if n % 2 else 4)):
+            exact = replace(cfg["sequential", probe], evolution="exact", tau=0.01)
+            assert image_rows(final_state, exact) == rows
+        # a tangent block's taps ride on the terms' images
+        assert image_rows(schemes._tangent, cfg["sequential", "scs"], "x") == 1
+        assert image_rows(schemes._tangent, cfg["parallel", "scs"], "z") == 1
+        assert image_rows(schemes._tangent, cfg["sequential", "ghz"], "x") == (8 if n % 2 else 2)
+        for axis in AXES:
+            assert image_rows(schemes._tangent, cfg["parallel", "ghz"], axis) == 1 + n % 2
+
+
 def _full_eigh_kernel(dims, axis, theta, psi):
     """The one-basis reference: eigh of the whole J_x, exact eigenvalues k - J, and
     J_y = R_z(pi/2) J_x R_z(pi/2)^dagger between the diagonals r of R_z(pi/2)."""
@@ -522,3 +591,47 @@ def test_chains_at_n_20000_keep_the_stated_accuracy():
                 for axis in axes:
                     jz, _ = schemes.jz_moments(final_state(cfg, axis))
                     assert abs(jz - analytic_jz(cfg, axis)) <= bound, (cfg, axis)
+
+
+def first_chain_peak(monkeypatch, probe, n=1000):
+    """tracemalloc peak of a first sequential chain at N from cleared caches,
+    with numpy.linalg.eigh refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for cache in (spin._ladder, spin._log_binomial_steps, spin._diagonals, spin._twist_terms):
+        cache.cache_clear()
+    cfg = SchemeConfig("sequential", probe, EnsembleDims(n),
+                       FieldVector(0.3, 0.4, 0.5), (1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        final_state(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_large_chain_stays_within_half_the_dense_basis_memory(monkeypatch):
+    # the dense J_x eigenbasis at N = 1001 alone is 7.7 MiB; the odd-N cat
+    # probe's chain is eight images of 1002 amplitudes, O(N) memory
+    assert first_chain_peak(monkeypatch, "ghz", 1001) < 2**20
+
+
+def test_first_large_product_probe_chain_builds_no_basis(monkeypatch):
+    # the product probe's chain is one run, the probe's image: O(N) memory
+    assert first_chain_peak(monkeypatch, "scs") < 2**20
+
+
+def test_product_probe_chains_build_no_sectors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    dims, field = EnsembleDims(300), FieldVector(0.31, -0.47, 0.23)
+    for scheme, axes in (("sequential", (None,)), ("parallel", AXES)):
+        cfg = SchemeConfig(scheme, "scs", dims, field, (1.0, 0.8, 1.2))
+        for axis in axes:
+            assert abs(np.linalg.norm(final_state(cfg, axis).amplitudes) - 1.0) < 1e-12
+        exact = final_state(replace(cfg, evolution="exact", tau=0.01), axes[0]).amplitudes
+        assert abs(np.linalg.norm(exact) - 1.0) < 1e-12
