@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (AXES, DickeState, EnsembleDims, FieldVector, _compose, _pulse_block,
+from .spin import (AXES, DickeState, EnsembleDims, FieldVector, _compose, _is_count, _pulse_block,
                    _pulse_pair, _su2, probe_image)
 
 # entries per array in one chunk of F2 pair elements (64 KiB of complex); whole
@@ -62,7 +62,7 @@ class DDSchedule:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not isinstance(self.pairs, (int, np.integer)) or self.pairs < 1:
+        if not _is_count(self.pairs) or self.pairs < 1:
             raise ValueError(f"pulse-pair count must be an integer >= 1, got {self.pairs!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"pulse spacing must be finite and positive, got {self.tau}")
@@ -91,8 +91,10 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not _is_count(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _pair_times(schedules) -> np.ndarray:

@@ -34,6 +34,11 @@ AXES = ("x", "y", "z")
 _HALF_TURNS = {"x": (0j, -1j), "y": (0j, -1 + 0j), "z": (-1j, 0j)}  # -i sigma_a, exact
 
 
+def _is_count(value) -> bool:
+    """An integer that is not a bool: True would pass for 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleDims:
     """Particle count N with derived total spin J = N/2 and dimension N + 1."""
@@ -41,7 +46,7 @@ class EnsembleDims:
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+        if not _is_count(self.N) or self.N < 1:
             raise ValueError(f"particle count must be a positive integer, got {self.N!r}")
 
     @property
@@ -99,6 +104,11 @@ class FieldVector:
     By: float
     Bz: float
     gamma: float = 1.0
+
+    def __post_init__(self):
+        for name in ("Bx", "By", "Bz", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"field {name} must be finite, got {getattr(self, name)!r}")
 
     def component(self, axis: str) -> float:
         return {"x": self.Bx, "y": self.By, "z": self.Bz}[axis]

@@ -41,9 +41,7 @@ from .spin import (
     _pulse_block,
     _su2,
     _twist_terms,
-    ghz_state,
     probe_image,
-    scs_state,
 )
 
 DEFAULT_SEED = 1234
@@ -289,31 +287,28 @@ def criterion_9() -> CriterionResult:
         "; ".join(details) + "; even N in [4, 40], r^2 >= 0.999 required")
 
 
-# Criterion 10's dense reference: J_a, J_a^2 and H_B as matrices, exponentiated
-# by eigendecomposition.  Nothing else in the package builds them.
+# Criterion 10's dense reference: J_a and H_B as frozen Hermitian matrices, and
+# one cached spectral basis per (N, generator) that every dense step, twist and
+# pulse block is applied from.  J_z is diagonal and J_a^2 takes J_a's basis with
+# squared eigenvalues, so neither is diagonalized.  Nothing else in the package
+# builds these matrices.
 _HERM_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class _CollectiveOperator:
-    """Hermitian matrix on the Dicke space with a descriptive label."""
-
-    dims: EnsembleDims
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.dims.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
-            raise ValueError(f"operator {self.label!r} is not Hermitian within {_HERM_TOL}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+def _hermitian(N: int, mat, label: str) -> np.ndarray:
+    """`mat` as a frozen complex generator on the Dicke space of N particles,
+    checked to be (N + 1, N + 1) and Hermitian within _HERM_TOL."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (N + 1, N + 1):
+        raise ValueError(f"generator {label!r} has shape {mat.shape}, expected ({N + 1}, {N + 1})")
+    if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
+        raise ValueError(f"generator {label!r} is not Hermitian within {_HERM_TOL}")
+    return _frozen(mat)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _axis_matrix(N: int, axis: str) -> np.ndarray:
+    """J_x = (J+ + J-)/2, J_y = (J+ - J-)/(2i) or J_z = diag(m), descending m."""
     up = np.diag(_ladder(N), 1)
     if axis == "x":
         mat = (up + up.T) / 2.0
@@ -323,65 +318,74 @@ def _axis_matrix(N: int, axis: str) -> np.ndarray:
         mat = np.diag(EnsembleDims(N).m_values)
     else:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _frozen(mat.astype(complex))
-
-
-def _collective_operator(dims: EnsembleDims, axis: str) -> _CollectiveOperator:
-    """J_x = (J+ + J-)/2, J_y = (J+ - J-)/(2i) or J_z = diag(m), descending m."""
-    return _CollectiveOperator(dims, _axis_matrix(dims.N, axis), label=f"J{axis}")
-
-
-def _squared_operator(dims: EnsembleDims, axis: str) -> _CollectiveOperator:
-    """J_axis^2, the twist generator."""
-    m = _axis_matrix(dims.N, axis)
-    return _CollectiveOperator(dims, m @ m, label=f"J{axis}^2")
-
-
-def _field_hamiltonian(dims: EnsembleDims, field: FieldVector) -> _CollectiveOperator:
-    """Dense H_B = gamma (Bx Jx + By Jy + Bz Jz), the free step's generator."""
-    h_b = sum(field.coupling(ax) * _axis_matrix(dims.N, ax) for ax in AXES)
-    return _CollectiveOperator(dims, h_b, label="H_B")
-
-
-def _unitary_from_generator(gen: _CollectiveOperator, t: float) -> np.ndarray:
-    """e^{-i G t} for Hermitian G, via spectral decomposition."""
-    try:
-        w, v = np.linalg.eigh(gen.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"eigendecomposition failed for generator {gen.label!r} "
-            f"(dim {gen.dims.dim}): {exc}") from exc
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return _hermitian(N, mat, f"J{axis}")
 
 
 @lru_cache(maxsize=32)
-def _dense_step(N: int, kind: str, axis: str, theta: float) -> np.ndarray:
-    """e^{-i theta J_a} ("rot") or e^{-i theta J_a^2} ("twist"), dense."""
-    make = _squared_operator if kind == "twist" else _collective_operator
-    return _frozen(_unitary_from_generator(make(EnsembleDims(N), axis), theta))
+def _spectral_basis(N: int, generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """(w, V) with G = V diag(w) V^dagger, once per (N, generator): G is J_a for an
+    axis a, or H_B = gamma (Bx Jx + By Jy + Bz Jz) for a FieldVector; V is None
+    for the diagonal J_z."""
+    if generator == "z":
+        return EnsembleDims(N).m_values, None
+    if isinstance(generator, str):
+        mat = _axis_matrix(N, generator)
+    else:
+        mat = _hermitian(N, sum(generator.coupling(ax) * _axis_matrix(N, ax) for ax in AXES), "H_B")
+    try:
+        w, v = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"eigendecomposition of {generator!r} failed (dim {N + 1}): {exc}") from exc
+    return _frozen(w), _frozen(v)
+
+
+def _dense_step(N: int, kind: str, generator, theta: float, psi=None) -> np.ndarray:
+    """e^{-i theta G} ("rot") or e^{-i theta G^2} ("twist") on psi, a (dim,) vector or
+    a (dim, k) block, or the dense unitary if psi is None, from G's `_spectral_basis`."""
+    w, v = _spectral_basis(N, generator)
+    phases = np.exp(-1j * theta * (w * w if kind == "twist" else w))
+    if psi is None:
+        return np.diag(phases) if v is None else (v * phases) @ v.conj().T
+    phases = phases.reshape((-1,) + (1,) * (np.ndim(psi) - 1))
+    if v is None:
+        return phases * psi
+    return v @ (phases * (v.T @ np.conj(psi)).conj())  # V^dagger psi without copying V
+
+
+def _dense_pulse_block(N: int, field: FieldVector, axis: str, pairs: int, tau: float,
+                       mode: str = "alternating") -> np.ndarray:
+    """The dense unitary of `pairs` pulse pairs, each a free step of tau, a pi pulse
+    about axis (-pi in alternating mode), a free step and a pi pulse."""
+    free = _dense_step(N, "rot", field, tau)
+    first = -math.pi if mode == "alternating" else math.pi
+    pair = _dense_step(N, "rot", axis, math.pi, free @ _dense_step(N, "rot", axis, first, free))
+    return np.linalg.matrix_power(pair, pairs)
+
+
+def _dense_probe(dims: EnsembleDims, probe: str) -> np.ndarray:
+    """The bare probe, e_0 (scs) or (e_0 + e_N)/sqrt(2) (ghz), built entry by entry."""
+    psi = np.zeros(dims.dim, dtype=complex)
+    psi[0] = 1.0
+    if probe == "ghz":
+        psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
+    return psi
 
 
 def _dense_chain(config: SchemeConfig, axis, literal: bool = False) -> np.ndarray:
-    """The chain of `config` applied one step at a time to the probe vector, every
-    rotation, twist, free step and pi pulse a dense unitary: a (dim, 4) block whose
-    columns 1-3 take, with effective evolution, each free step's tap
-    -i gamma T_a J_a right after it."""
+    """The chain of `config` applied one dense step at a time to the probe vector:
+    a (dim, 4) block whose columns 1-3 take, with effective evolution, each free
+    step's tap -i gamma T_a J_a right after it."""
     dims = config.dims
     psi = np.zeros((dims.dim, 4), dtype=complex)
-    psi[0, 0] = 1.0
-    if config.probe == "ghz":
-        psi[0, 0] = psi[-1, 0] = 1.0 / math.sqrt(2.0)
+    psi[:, 0] = _dense_probe(dims, config.probe)
     for kind, step_axis, *angle in reversed(_chain(config, axis, literal)):
         if kind != "free":
-            psi = _dense_step(dims.N, kind, step_axis, angle[0]) @ psi
+            psi = _dense_step(dims.N, kind, step_axis, angle[0], psi)
         elif (t := config.duration(step_axis)) > 0.0 and config.evolution == "exact":
             pairs = max(1, round(t / (2.0 * config.tau)))  # alternating pairs re-timed to T
-            free = _unitary_from_generator(_field_hamiltonian(dims, config.field), t / (2.0 * pairs))
-            pair = (_dense_step(dims.N, "rot", step_axis, math.pi) @ free
-                    @ _dense_step(dims.N, "rot", step_axis, -math.pi) @ free)
-            psi = np.linalg.matrix_power(pair, pairs) @ psi
+            psi = _dense_pulse_block(dims.N, config.field, step_axis, pairs, t / (2.0 * pairs)) @ psi
         elif t > 0.0:
-            psi = _dense_step(dims.N, "rot", step_axis, config.field.coupling(step_axis) * t) @ psi
+            psi = _dense_step(dims.N, "rot", step_axis, config.field.coupling(step_axis) * t, psi)
             tap = _axis_matrix(dims.N, step_axis) @ psi[:, 0]
             psi[:, 1 + AXES.index(step_axis)] -= 1j * config.field.gamma * t * tap
     return psi
@@ -402,7 +406,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = 0.0
     for n in (*range(1, 13), 20, 30):
         dims = EnsembleDims(n)
-        ops = {ax: _collective_operator(dims, ax).matrix for ax in AXES}
+        ops = {ax: _axis_matrix(n, ax) for ax in AXES}
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             comm = ops[a] @ ops[b] - ops[b] @ ops[a] - 1j * ops[c]
             worst = max(worst, np.max(np.abs(comm)))
@@ -412,26 +416,21 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         field = FieldVector(*pulse_rng.uniform(-6.0, 6.0, 3), gamma=(1.0, 2.5)[n % 2])
         sched = DDSchedule(AXES[pulse_rng.integers(3)], int(pulse_rng.integers(2, 200)),
                            pulse_rng.uniform(1e-3, 0.1), ("alternating", "identical")[n % 2])
-        free = _unitary_from_generator(_field_hamiltonian(dims, field), sched.tau)
-        pulse = _collective_operator(dims, sched.axis)
-        first = -math.pi if sched.mode == "alternating" else math.pi
-        pair = (_unitary_from_generator(pulse, math.pi) @ free
-                @ _unitary_from_generator(pulse, first) @ free)
         block = _pulse_block(field, sched.axis, sched.pairs, sched.tau, sched.mode)
-        dense = np.linalg.matrix_power(pair, sched.pairs)
+        dense = _dense_pulse_block(n, field, sched.axis, sched.pairs, sched.tau, sched.mode)
         rotations = [(AXES[rng.integers(3)], rng.uniform(-2 * math.pi, 2 * math.pi)) for _ in range(3)]
-        images = [(_su2(axis, theta), _unitary_from_generator(_collective_operator(dims, axis), theta))
-                  for axis, theta in rotations] + [(_free_su2(field, sched.tau), free), (block, dense)]
+        images = [(_su2(axis, theta), _dense_step(n, "rot", axis, theta)) for axis, theta in rotations]
+        images += [(_free_su2(field, sched.tau), _dense_step(n, "rot", field, sched.tau)), (block, dense)]
         worst = max(worst, *(np.max(np.abs(w.conj().T @ w - np.eye(dims.dim))) for _, w in images))
-        for probe, state in (("scs", scs_state(dims)), ("ghz", ghz_state(dims))):
-            state = state.amplitudes
+        for probe in ("scs", "ghz"):
+            state = _dense_probe(dims, probe)
             for u, w in images:
                 worst = max(worst, np.max(np.abs(probe_image(dims, probe, [u])[0] - w @ state)))
             for axis, theta in product(AXES, (math.pi / 2, -math.pi / 2)):
                 halves = _twist_terms(n, axis, theta)  # a twist after the block splits its image
                 split = (np.array([c for c, _ in halves])
                          @ probe_image(dims, probe, [_compose(w, block) for _, w in halves]))
-                want = _dense_step(n, "twist", axis, theta) @ dense @ state
+                want = _dense_step(n, "twist", axis, theta, dense @ state)
                 worst = max(worst, np.max(np.abs(split - want)))
             chain_field = FieldVector(*rng.uniform(-2.0, 2.0, 3), gamma=(1.0, 2.5)[n % 2])
             for scheme, (literal, evolution) in product(SCHEMES, ((False, "effective"),

@@ -1,31 +1,15 @@
-"""The tests' dense reference: every unitary is the spectral decomposition
-(`validation._unitary_from_generator`) of a dense generator, and a chain is
-applied one dense step at a time (`validation._dense_chain`)."""
+"""The tests' dense reference, criterion 10's: J_a as a frozen matrix (`op`), every
+dense step applied from its generator's cached spectral basis (`dense_step`,
+`validation._dense_step`), the dense probe (`probe_vector`) and a chain applied
+one dense step at a time from it (`validation._dense_chain`)."""
 
-import functools
 import math
 
 import numpy as np
 
 from vecmag import spin
-from vecmag.spin import EnsembleDims
-from vecmag.validation import _collective_operator, _dense_chain, _dense_step
-
-
-def op(N, axis):
-    """The dense J_axis at N."""
-    return _collective_operator(EnsembleDims(N), axis)
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_step(N, kind, axis, theta):
-    return _dense_step.__wrapped__(N, kind, axis, theta)
-
-
-def dense_step(N, kind, axis, theta):
-    """e^{-i theta J_a} ("rot") or e^{-i theta J_a^2} ("twist"), dense; cached up to
-    N = 64, so that no large matrix of an arbitrary angle stays in memory."""
-    return (_cached_step if N <= 64 else _dense_step.__wrapped__)(N, kind, axis, theta)
+from vecmag.validation import (_axis_matrix as op, _dense_chain, _dense_probe as probe_vector,
+                               _dense_step as dense_step)
 
 
 def dense_element(N, u, psi=None):
@@ -36,31 +20,19 @@ def dense_element(N, u, psi=None):
     a, b = complex(u[0]), complex(u[1])
     arg_a = math.atan2(a.imag, a.real)
     if b == 0:
-        factors = [dense_step(N, "rot", "z", -2.0 * arg_a)]
+        steps = [("z", -2.0 * arg_a)]
     else:
         arg_ib = math.atan2(b.real, -b.imag)
-        factors = [dense_step(N, "rot", "z", -arg_a - arg_ib),
-                   dense_step(N, "rot", "x", 2.0 * math.atan2(abs(b), abs(a))),
-                   dense_step(N, "rot", "z", -arg_a + arg_ib)]
-    out = factors.pop() if psi is None else factors.pop() @ psi
-    for factor in reversed(factors):
-        out = factor @ out
-    return out
+        steps = [("z", -arg_a - arg_ib), ("x", 2.0 * math.atan2(abs(b), abs(a))),
+                 ("z", -arg_a + arg_ib)]
+    for axis, theta in reversed(steps):
+        psi = dense_step(N, "rot", axis, theta, psi)
+    return psi
 
 
 def free_unitary(dims, fv, t):
     """e^{-i t H_B} as the runtime builds it, one SU(2) pair (`spin._free_su2`), imaged densely."""
     return dense_element(dims.N, spin._free_su2(fv, t))
-
-
-def probe_vector(dims, probe):
-    """The bare probe, e_0 or (e_0 + e_N)/sqrt(2), built entry by entry."""
-    psi = np.zeros(dims.dim, dtype=complex)
-    if probe == "scs":
-        psi[0] = 1.0
-    else:
-        psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
-    return psi
 
 
 def dense_chain(cfg, axis, literal, tangent):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import dense_step
+from dense_reference import dense_step, op
 from vecmag import pulses, spin
 from vecmag.spin import (
     AXES,
@@ -26,15 +26,14 @@ from vecmag.pulses import (
     fidelity_f2,
 )
 from vecmag.schemes import SchemeConfig, final_state
-from vecmag.validation import _collective_operator, _field_hamiltonian, _unitary_from_generator
 
 DIMS = EnsembleDims(10)
 FIELD = FieldVector(4.0, 5.0, 6.0)
 
 
-def expectation(state, op):
-    """<psi| op |psi> of a Hermitian operator."""
-    return np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real
+def expectation(state, matrix):
+    """<psi| matrix |psi> of a Hermitian matrix."""
+    return np.vdot(state.amplitudes, matrix @ state.amplitudes).real
 
 
 def fidelity(a, b):
@@ -51,11 +50,10 @@ def pair_loop(psi, dims, field, schedules, angles):
     """The pair-by-pair reference: a dense free step and two dense pulses
     per pair; yields the raw state after every pair.  angles[i] holds pair
     i's (first, second) angles."""
-    h_b = _field_hamiltonian(dims, field)
-    u_free = {t: _unitary_from_generator(h_b, t) for t in {s.tau for s in schedules}}
+    u_free = {t: dense_step(dims.N, "rot", field, t) for t in {s.tau for s in schedules}}
     for sched, (a_first, a_second) in zip(pair_plan(schedules), angles):
-        psi = dense_step(dims.N, "rot", sched.axis, a_first) @ (u_free[sched.tau] @ psi)
-        psi = dense_step(dims.N, "rot", sched.axis, a_second) @ (u_free[sched.tau] @ psi)
+        psi = dense_step(dims.N, "rot", sched.axis, a_first, u_free[sched.tau] @ psi)
+        psi = dense_step(dims.N, "rot", sched.axis, a_second, u_free[sched.tau] @ psi)
         yield psi
 
 
@@ -63,7 +61,7 @@ def effective(state, blocks):
     """Free evolution e^{-i coupling J_axis duration} for each block in order."""
     psi = state.amplitudes
     for axis, duration, coupling in blocks:
-        psi = dense_step(state.dims.N, "rot", axis, coupling * duration) @ psi
+        psi = dense_step(state.dims.N, "rot", axis, coupling * duration, psi)
     return DickeState(state.dims, psi)
 
 
@@ -79,7 +77,7 @@ def test_schedule_validation():
     for tau in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="spacing"):
             DDSchedule("x", 10, tau)
-    for pairs in (2.5, 10.0, "10"):
+    for pairs in (2.5, 10.0, "10", True):
         with pytest.raises(ValueError, match="pair count"):
             DDSchedule("x", pairs, 1e-3)
     assert DDSchedule("x", np.int64(10), 1e-3).pairs == 10
@@ -94,6 +92,14 @@ def test_noise_model_validation():
     for eta in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eta"):
             NoiseModel(eta=eta)
+    for trials in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="trials"):
+            NoiseModel(eta=0.1, trials=trials)
+    for seed in (-1, 0.5, True, "7"):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(eta=0.1, seed=seed)
+    noise = NoiseModel(eta=0.1, trials=np.int64(3), seed=np.int64(7))
+    assert (noise.trials, noise.seed) == (3, 7)
 
 
 def test_empty_schedule_returns_input():
@@ -112,7 +118,7 @@ def test_zero_field_pulse_pairs_cancel():
 
 def test_single_pair_first_order_expansion():
     # one alternating x pair acts as 1 - 2i Bx Jx tau + O(tau^2)
-    jx = _collective_operator(DIMS, "x").matrix
+    jx = op(DIMS.N, "x")
     psi0 = scs_state(DIMS).amplitudes
 
     def defect(tau):
@@ -127,7 +133,7 @@ def test_single_pair_first_order_expansion():
 
 def test_selective_accumulation_transverse_leakage_quadratic():
     # after an x block, sensitivity to By and Bz is O((B tau)^2)
-    jz = _collective_operator(DIMS, "z")
+    jz = op(DIMS.N, "z")
 
     def leakage(tau):
         pairs = int(round(1.0 / (2 * tau)))
@@ -163,7 +169,7 @@ def test_effective_segment_on_eigenstate_is_phase():
 
 
 def test_effective_x_segment_oscillates_at_coupling_frequency():
-    jz = _collective_operator(DIMS, "z")
+    jz = op(DIMS.N, "z")
     for t in (0.3, 0.8, 1.0):
         out = effective(scs_state(DIMS), [("x", t, 2.0)])
         assert expectation(out, jz) == pytest.approx(5 * np.cos(2 * t), abs=1e-10)
@@ -174,7 +180,7 @@ def test_free_step_uses_gamma():
     field = FieldVector(1, 2, 3, gamma=2.0)
     cfg = SchemeConfig("parallel", "scs", DIMS, field, (0.5, 0.5, 0.5))
     free = effective(scs_state(DIMS), [("y", 0.5, 4.0)])
-    expected = dense_step(DIMS.N, "rot", "y", -np.pi / 2) @ free.amplitudes
+    expected = dense_step(DIMS.N, "rot", "y", -np.pi / 2, free.amplitudes)
     assert np.max(np.abs(final_state(cfg, "y").amplitudes - expected)) < 1e-13
     doubled = SchemeConfig("parallel", "scs", DIMS, FieldVector(2, 4, 6), (0.5, 0.5, 0.5))
     assert np.allclose(final_state(doubled, "y").amplitudes, expected, rtol=0, atol=1e-13)
@@ -279,7 +285,7 @@ def loop_f1(dims, field, pairs, tau, block_order=("z", "y", "x")):
     phi, values = scs_state(dims).amplitudes, []
     states = pair_loop(phi, dims, field, scheds, _angle_table(scheds)[:, :, 0])
     for sched, psi in zip(pair_plan(scheds), states):
-        phi = dense_step(dims.N, "rot", sched.axis, field.coupling(sched.axis) * 2.0 * tau) @ phi
+        phi = dense_step(dims.N, "rot", sched.axis, field.coupling(sched.axis) * 2.0 * tau, phi)
         values.append(abs(np.vdot(psi, phi)) ** 2)
     return np.array(values)
 
@@ -383,7 +389,7 @@ def scalar_f2(dims, field, schedules, noise):
     def trajectory(rng):
         psi, states = scs_state(dims).amplitudes, []
         for sched in schedules:
-            u_free = _unitary_from_generator(_field_hamiltonian(dims, field), sched.tau)
+            u_free = dense_step(dims.N, "rot", field, sched.tau)
             for _ in range(sched.pairs):
                 if rng is None:
                     d1 = d2 = 0.0
@@ -393,8 +399,8 @@ def scalar_f2(dims, field, schedules, noise):
                     d1 = rng.uniform(-noise.eta, noise.eta)
                     d2 = rng.uniform(-noise.eta, noise.eta)
                 first = -(np.pi + d1) if sched.mode == "alternating" else np.pi + d1
-                psi = dense_step(dims.N, "rot", sched.axis, first) @ (u_free @ psi)
-                psi = dense_step(dims.N, "rot", sched.axis, np.pi + d2) @ (u_free @ psi)
+                psi = dense_step(dims.N, "rot", sched.axis, first, u_free @ psi)
+                psi = dense_step(dims.N, "rot", sched.axis, np.pi + d2, u_free @ psi)
                 states.append(psi)
         return states
 

@@ -3,13 +3,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import dense_chain, dense_element, dense_step, free_unitary, op, probe_vector
-from vecmag import schemes, spin
+from vecmag import schemes, spin, validation
 from vecmag.schemes import SchemeConfig, analytic_jz, analytic_jz2, final_state
 from vecmag.spin import (
     AXES,
@@ -21,20 +22,14 @@ from vecmag.spin import (
     probe_image,
     scs_state,
 )
-from vecmag.validation import (
-    _CollectiveOperator,
-    _collective_operator,
-    _field_hamiltonian,
-    _squared_operator,
-    _unitary_from_generator,
-)
+from vecmag.validation import _hermitian
 
 PROPERTY_NS = list(range(1, 13)) + [20, 30]
 
 
 def expectation(state, operator):
-    """<psi| operator |psi> of a Hermitian operator."""
-    return np.vdot(state.amplitudes, operator.matrix @ state.amplitudes).real
+    """<psi| operator |psi> of a Hermitian matrix."""
+    return np.vdot(state.amplitudes, operator @ state.amplitudes).real
 
 
 def fidelity(a, b):
@@ -50,36 +45,36 @@ def test_dims_derived_quantities():
 
 
 def test_dims_rejects_bad_counts():
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3, 2.5, True):
         with pytest.raises((ValueError, TypeError)):
             EnsembleDims(bad)
 
 
 def test_jz_is_diagonal_m():
-    assert np.allclose(op(2, "z").matrix, np.diag([1.0, 0.0, -1.0]))
+    assert np.allclose(op(2, "z"), np.diag([1.0, 0.0, -1.0]))
 
 
 def test_single_particle_jx_is_half_pauli():
-    assert np.allclose(op(1, "x").matrix, [[0, 0.5], [0.5, 0]])
+    assert np.allclose(op(1, "x"), [[0, 0.5], [0.5, 0]])
 
 
 def test_jx_jy_tridiagonal_structure():
     for N in (2, 5, 8):
         for axis in ("x", "y"):
-            m = op(N, axis).matrix
+            m = op(N, axis)
             assert np.allclose(np.diag(m), 0)
             off = np.abs(np.triu(m, 2)) + np.abs(np.tril(m, -2))
             assert np.max(off) == 0
 
 
 def test_commutator_n4():
-    jx, jy, jz = (op(4, a).matrix for a in AXES)
+    jx, jy, jz = (op(4, a) for a in AXES)
     assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
 
 
 @pytest.mark.parametrize("N", PROPERTY_NS)
 def test_su2_commutators(N):
-    mats = {a: op(N, a).matrix for a in AXES}
+    mats = {a: op(N, a) for a in AXES}
     for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
         comm = mats[a] @ mats[b] - mats[b] @ mats[a]
         assert np.linalg.norm(comm - 1j * mats[c]) < 1e-10
@@ -88,7 +83,7 @@ def test_su2_commutators(N):
 @pytest.mark.parametrize("N", PROPERTY_NS)
 def test_casimir(N):
     dims = EnsembleDims(N)
-    total = sum(op(N, a).matrix @ op(N, a).matrix for a in AXES)
+    total = sum(op(N, a) @ op(N, a) for a in AXES)
     expected = dims.J * (dims.J + 1) * np.eye(dims.dim)
     assert np.linalg.norm(total - expected) < 1e-10
 
@@ -101,7 +96,7 @@ def test_unitarity_and_norm_preservation(N):
     U = free_unitary(dims, fv, 0.7)
     assert np.linalg.norm(U.conj().T @ U - np.eye(dims.dim)) < 1e-10
     # the Euler-angle free step against the dense eigendecomposition
-    reference = _unitary_from_generator(_field_hamiltonian(dims, fv), 0.7)
+    reference = dense_step(N, "rot", fv, 0.7)
     assert np.max(np.abs(U - reference)) < 1e-12
     amps = rng.normal(size=dims.dim) + 1j * rng.normal(size=dims.dim)
     amps /= np.linalg.norm(amps)
@@ -114,7 +109,7 @@ def test_apply_collective_matches_operator_matrix(N):
     rng = np.random.default_rng(N)
     amps = rng.normal(size=dims.dim) + 1j * rng.normal(size=dims.dim)
     for axis in AXES:
-        expected = op(N, axis).matrix @ amps
+        expected = op(N, axis) @ amps
         assert np.max(np.abs(apply_collective(dims, axis, amps) - expected)) < 1e-12
     with pytest.raises(ValueError):
         apply_collective(dims, "w", amps)
@@ -149,13 +144,70 @@ def test_gamma_scales_coupling():
 
 def test_unitary_t0_is_identity():
     dims = EnsembleDims(6)
-    U = _unitary_from_generator(_collective_operator(dims, "y"), 0.0)
+    U = dense_step(dims.N, "rot", "y", 0.0)
     assert np.allclose(U, np.eye(dims.dim))
 
 
 def test_unitary_diagonal_generator():
-    U = _unitary_from_generator(op(2, "z"), np.pi)
+    U = dense_step(2, "rot", "z", np.pi)
     assert np.allclose(U, np.diag([np.exp(-1j * np.pi), 1.0, np.exp(1j * np.pi)]))
+
+
+@pytest.mark.parametrize("N", [*PROPERTY_NS, 400, 401])
+def test_cached_basis_steps_match_a_per_call_eigh(N):
+    # rotations, +-pi/2 twists and H_B steps from the cached spectral basis, on a
+    # vector, a block and the identity, against a fresh eigh of each generator
+    dims = EnsembleDims(N)
+    rng = np.random.default_rng(900 + N)
+    psi = rng.normal(size=(dims.dim, 2)) + 1j * rng.normal(size=(dims.dim, 2))
+    psi /= np.linalg.norm(psi, axis=0)
+    field = FieldVector(*rng.uniform(-3, 3, 3), gamma=(1.0, 2.5)[N % 2])
+    cases = [("rot", a, op(N, a), theta) for a in AXES for theta in (1.3, -2.9)]
+    cases += [("twist", a, op(N, a) @ op(N, a), theta) for a in AXES for theta in (np.pi / 2, -np.pi / 2)]
+    cases += [("rot", field, sum(field.coupling(a) * op(N, a) for a in AXES), t) for t in (0.37, -1.1)]
+    tol = 1e-12 * max(1.0, dims.J)
+    for kind, generator, matrix, theta in cases:
+        w, v = np.linalg.eigh(matrix)
+        want = (v * np.exp(-1j * theta * w)) @ v.conj().T
+        for block in (psi, psi[:, 0]):
+            assert np.max(np.abs(dense_step(N, kind, generator, theta, block) - want @ block)) <= tol
+        if N <= 30:
+            assert np.max(np.abs(dense_step(N, kind, generator, theta) - want)) <= tol
+
+
+def test_dense_reference_diagonalizes_each_generator_once(monkeypatch):
+    # repeated dense steps, twists, pulse blocks and chains at one N take one
+    # eigendecomposition per generator: J_x, J_y and the one field's H_B; J_z is
+    # diagonal and the squares take their axis's basis
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.asarray(a).tobytes())
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    validation._spectral_basis.cache_clear()
+    dims, field = EnsembleDims(9), FieldVector(0.31, -0.47, 0.23)
+    for _ in range(2):
+        for axis, theta in product(AXES, (0.4, -1.7, np.pi / 2)):
+            dense_step(dims.N, "rot", axis, theta)
+            dense_step(dims.N, "twist", axis, theta)
+        for scheme, probe, evolution in product(("sequential", "parallel"), ("scs", "ghz"),
+                                                ("effective", "exact")):
+            cfg = SchemeConfig(scheme, probe, dims, field, (1.3, 0.8, 1.1), evolution, tau=0.05)
+            for axis in (AXES if scheme == "parallel" else (None,)):
+                dense_chain(cfg, axis, True, False)
+                dense_chain(cfg, axis, False, True)
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_field_vector_refuses_non_finite_components():
+    for name in ("Bx", "By", "Bz", "gamma"):
+        for value in (math.inf, -math.inf, math.nan):
+            components = {"Bx": 0.3, "By": 0.4, "Bz": 0.5, "gamma": 1.0, name: value}
+            with pytest.raises(ValueError, match=name):
+                FieldVector(**components)
 
 
 def test_full_turn_parity():
@@ -169,12 +221,12 @@ def test_full_turn_parity():
 
 def test_exponential_matches_taylor_series():
     dims, fv, t = EnsembleDims(6), FieldVector(0.3, -0.2, 0.45), 0.2
-    g = _field_hamiltonian(dims, fv)
+    g = sum(fv.coupling(a) * op(dims.N, a) for a in AXES)
     U = free_unitary(dims, fv, t)
     term = np.eye(dims.dim, dtype=complex)
     series = term.copy()
     for k in range(1, 21):
-        term = term @ (-1j * t * g.matrix) / k
+        term = term @ (-1j * t * g) / k
         series += term
     assert np.max(np.abs(U - series)) < 1e-8
 
@@ -193,14 +245,13 @@ def test_ghz_state():
     assert np.allclose(g.amplitudes, [1 / np.sqrt(2), 0, 1 / np.sqrt(2)])
     g10 = ghz_state(EnsembleDims(10))
     assert expectation(g10, op(10, "z")) == pytest.approx(0.0, abs=1e-12)
-    jz2 = _squared_operator(EnsembleDims(10), "z")
-    assert expectation(g10, jz2) == pytest.approx(25.0)
+    assert expectation(g10, op(10, "z") @ op(10, "z")) == pytest.approx(25.0)
 
 
 def test_variance_nonnegative_and_correct():
     def variance(state, axis):
-        return (expectation(state, _squared_operator(state.dims, axis))
-                - expectation(state, _collective_operator(state.dims, axis)) ** 2)
+        m = op(state.dims.N, axis)
+        return expectation(state, m @ m) - expectation(state, m) ** 2
 
     g = ghz_state(EnsembleDims(8))
     assert variance(g, "z") == pytest.approx(16.0)
@@ -214,7 +265,7 @@ def test_state_and_operator_reject_dimension_mismatch():
     with pytest.raises(ValueError):
         DickeState(EnsembleDims(6), scs_state(EnsembleDims(4)).amplitudes)
     with pytest.raises(ValueError):
-        _CollectiveOperator(EnsembleDims(6), op(4, "z").matrix)
+        _hermitian(6, op(4, "z"), "Jz")
 
 
 def test_fidelity_basics():
@@ -241,11 +292,11 @@ def test_operator_hermiticity_enforced():
     dims = EnsembleDims(2)
     bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
     with pytest.raises(ValueError):
-        _CollectiveOperator(dims, bad, label="bad")
+        _hermitian(dims.N, bad, "bad")
 
 
 def test_values_are_immutable():
-    m = op(6, "x").matrix
+    m = op(6, "x")
     with pytest.raises(ValueError):
         m[0, 0] = 5.0
     s = scs_state(EnsembleDims(6))
@@ -262,8 +313,8 @@ def test_kernel_matches_spectral_unitaries(N):
     for probe in ("scs", "ghz"):
         rows = probe_image(dims, probe, [spin._su2(*u) for u in us])
         for (axis, theta), row in zip(us, rows):
-            ref = _unitary_from_generator(_collective_operator(dims, axis), theta)
-            assert np.max(np.abs(row - ref @ probe_vector(dims, probe))) < 1e-12
+            ref = dense_step(N, "rot", axis, theta, probe_vector(dims, probe))
+            assert np.max(np.abs(row - ref)) < 1e-12
             assert np.array_equal(row, probe_image(dims, probe, [spin._su2(axis, theta)])[0])
 
 
@@ -317,7 +368,7 @@ def test_flip_sector_kernel_matches_spectral_unitaries(N):
     tol = 1e-12 * max(1.0, dims.J)
     for axis in AXES:
         for theta in (0.7, -np.pi, 2.9):
-            ref = _unitary_from_generator(_collective_operator(dims, axis), theta)
+            ref = dense_step(N, "rot", axis, theta)
             scs, ghz = (probe_image(dims, probe, [spin._su2(axis, theta)])[0] for probe in ("scs", "ghz"))
             assert np.max(np.abs(np.sqrt(2.0) * ghz - scs - ref @ bottom)) < tol
             assert np.max(np.abs(scs - ref[:, 0])) < tol
@@ -341,10 +392,10 @@ def test_rotate_equals_its_rotations_one_by_one(N):
         u, want = (1 + 0j, 0j), start
         for axis, theta in steps:
             u = spin._compose(spin._su2(axis, theta), u)
-            want = _unitary_from_generator(op(N, axis), theta) @ want
+            want = dense_step(N, "rot", axis, theta, want)
         checks.append((u, want))
     # |a| = 0 exactly: R_y(pi) = [[0, -1], [1, 0]]
-    checks.append(((0j, -1 + 0j), _unitary_from_generator(op(N, "y"), np.pi) @ start))
+    checks.append(((0j, -1 + 0j), dense_step(N, "rot", "y", np.pi, start)))
     for u, want in checks:
         for column, probe in enumerate(probes):
             assert np.max(np.abs(probe_image(dims, probe, [u])[0] - want[:, column])) <= tol
@@ -383,7 +434,7 @@ def test_quarter_twists_match_the_spectral_unitary(N):
         for theta in (np.pi / 2, -np.pi / 2):
             for probe, image in images.items():
                 if N <= 41:
-                    want = dense_step(N, "twist", axis, theta) @ image
+                    want = dense_step(N, "twist", axis, theta, image)
                 else:
                     want = turn @ (quarter_twist_phases(N, np.sign(theta)) * (back @ image))
                 assert np.max(np.abs(twist_split(dims, probe, axis, theta, u) - want)) <= tol
@@ -426,7 +477,7 @@ def test_turned_generator_matches_its_dense_conjugate(N):
         v = (complex(v[0], v[1]) / np.linalg.norm(v), complex(v[2], v[3]) / np.linalg.norm(v))
         turn = dense_element(N, v)
         for axis in AXES:
-            want = turn @ op(N, axis).matrix @ turn.conj().T @ psi
+            want = turn @ op(N, axis) @ turn.conj().T @ psi
             assert np.max(np.abs(apply_collective(dims, axis, psi, v) - want)) < 1e-12 * dims.dim
 
 
@@ -514,7 +565,7 @@ def test_assembled_eigenbasis_diagonalizes_jx(N):
     v, ev = assembled_eigenbasis(N)
     assert np.array_equal(ev, dims.J - np.arange(dims.dim))
     assert np.max(np.abs(v.conj().T @ v - np.eye(dims.dim))) < 1e-12
-    assert np.max(np.abs(op(N, "x").matrix @ v - v * ev)) < 1e-12 * max(1.0, dims.J)
+    assert np.max(np.abs(op(N, "x") @ v - v * ev)) < 1e-12 * max(1.0, dims.J)
 
 
 def test_probe_states_are_the_identity_image_bit_for_bit():
