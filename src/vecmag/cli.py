@@ -322,6 +322,8 @@ def cmd_qfi(args) -> int:
 def cmd_scaling(args) -> int:
     from .estimation import minimized_delta_b, scaling_fit
 
+    if not math.isfinite(math.pi / args.duration):
+        args.parser.error(f"--duration {args.duration!r} is too small: pi / duration overflows")
     probes = ("scs", "ghz") if args.probe == "both" else (args.probe,)
     rows, fits = [], {}
     for probe in probes:

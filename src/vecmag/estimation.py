@@ -29,7 +29,7 @@ from .schemes import (
     closed_form_jz,
     simulated_jz,
 )
-from .spin import AXES, _frozen
+from .spin import AXES, _frozen, _is_count
 
 SIGN_CHOICES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
@@ -128,10 +128,10 @@ def sample_signal(config: SchemeConfig, t_max: float, m: int) -> SignalTrace:
     """
     if config.scheme != "sequential":
         raise ValueError("signal traces are defined for the sequential scheme")
-    if m < 2 or m & (m - 1):
-        raise ValueError("sample count must be a power of two, at least 2")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not _is_count(m) or m < 2 or m & (m - 1):
+        raise ValueError(f"sample count m must be a power of two, at least 2, got {m!r}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
     times = np.arange(m) * (t_max / m)
     if config.evolution == "exact":
         values = simulated_jz(config, times)
@@ -238,8 +238,8 @@ def recover_field(peaks, scale: float = 1.0,
     peaks = sorted(peaks, key=lambda p: -p.amplitude)
     if len(peaks) != 6:
         raise ValueError(f"recovery needs exactly 6 peaks, got {len(peaks)}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
     if method == "amplitude-rule":
         w5, w6 = peaks[0].omega, peaks[1].omega
         bx = (w5 + w6) / (2.0 * scale)
@@ -395,7 +395,7 @@ def _nelder_mead(objective, start) -> float:
 def minimized_delta_b(scheme: str, probe: str, n: int,
                       duration: float = 1.0) -> tuple[float, float, float]:
     """Best achievable closed-form (dB_x, dB_y, dB_z), each over B in (0, pi/T)^3,
-    T finite > 0.
+    T finite > 0 with pi/T finite.
 
     Parallel devices have field-independent precision, read at one point.
     Sequential readouts are minimized on a coarse grid (max(24, 2N) points per
@@ -403,8 +403,8 @@ def minimized_delta_b(scheme: str, probe: str, n: int,
     _delta_b_arrays per slab, then each axis is polished by _nelder_mead from
     its own best grid point on the scalar _delta_b_kernel.
     """
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    if not (math.isfinite(duration) and duration > 0.0 and math.isfinite(math.pi / duration)):
+        raise ValueError(f"duration must be finite and > 0, with pi/duration finite, got {duration!r}")
     if scheme == "parallel":
         return tuple(closed_form_delta_b(scheme, probe, n, axis, duration, 0.0, 0.0, 0.0)
                      for axis in AXES)

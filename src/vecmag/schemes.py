@@ -30,9 +30,10 @@ from .spin import (
     EnsembleDims,
     FieldVector,
     _compose,
-    _diagonals,
+    _is_count,
     _pulse_block,
     _su2,
+    _tables,
     _twist_terms,
     apply_collective,
     probe_image,
@@ -173,15 +174,15 @@ def _apply_chain(config: SchemeConfig, chain, tangent: bool = False) -> np.ndarr
     by a pulse block; a run of free steps and rotations is one SU(2) element, and
     a quarter turn right after a twist moves before it, turning the twist's axis.
     The state is a sum of terms c D(u) probe, each twist D(v0) (c0 + c1 H_a)
-    splitting every term in two (`spin._twist_terms`), up to the last twist that
-    a turning run (b != 0) follows or whose D(v0) turns (odd N, x or y).  There
-    the terms' images are formed, in one `probe_image` call, and summed; the
-    twists and z rotations left act on that vector as O(N) reversals and phases
-    (`spin._diagonals`).  B_a enters only its free step, as the tap k J_a,
-    k = -i gamma T_a: each term carries its taps (w, a, k), k D(w) J_a D(w)^dagger
-    on the term, w the steps after the free step, which splits and runs compose
-    into as into u; a tap joins its column by `apply_collective`, on its term's
-    image or on the vector at the end of its run.
+    splitting every term in two (`spin._twist_terms`, cached by N's parity), up to
+    the last twist that a turning run (b != 0) follows or whose D(v0) turns (odd N,
+    x or y).  There the terms' images are formed, in one `probe_image` call, and
+    summed; the twists and z rotations left act on that vector as O(N) reversals
+    and phases from the one bounded per-N table (`spin._tables`).  B_a enters only
+    its free step, as the tap k J_a, k = -i gamma T_a: each term carries its taps
+    (w, a, k), k D(w) J_a D(w)^dagger on the term, w the steps after the free step,
+    which splits and runs compose into as into u; a tap joins its column by
+    `apply_collective`, on its term's image or on the vector at the end of its run.
     """
     dims, runs, taps, twists = config.dims, [[]], [[]], []
     for kind, axis, *angle in reversed(chain):
@@ -218,14 +219,14 @@ def _apply_chain(config: SchemeConfig, chain, tangent: bool = False) -> np.ndarr
     for c, image, term_taps in zip(scales, images, tapped):
         for t, a, k in term_taps:
             psi[1 + AXES.index(a)] += c * k * apply_collective(dims, a, image, t)
-    m, turns = _diagonals(dims.N)
+    tables = _tables(dims.N)
     for i in range(last + 1, len(runs)):  # D(u v0) (c0 + c1 H_a), u v0 = (a, 0)
         (c0, v0), (c1, _) = _twist_terms(dims.N, *twists[i - 1])
-        turned = turns[twists[i - 1][0]] * psi
+        turned = tables.turns[twists[i - 1][0]] * psi
         psi = c0 * psi + c1 * (turned if twists[i - 1][0] == "z" else turned[..., ::-1])
         a = _compose(elements[i], v0)[0]
         if arg := math.atan2(a.imag, a.real):
-            psi = np.exp(-1j * (-2.0 * arg) * m) * psi
+            psi = np.exp(-1j * (-2.0 * arg) * tables.m) * psi
         for at, a, k in taps[i]:
             psi[1 + AXES.index(a)] += k * apply_collective(dims, a, psi[0], _element(runs[i][at + 1:]))
     return psi.T if tangent else psi
@@ -579,8 +580,8 @@ def precision_report(config: SchemeConfig, eta: int = 1) -> PrecisionReport:
     must respect the single-trial bound to a relative 1e-9; a violation
     raises BoundViolationError.
     """
-    if eta < 1:
-        raise ValueError("eta must be a positive trial count")
+    if not _is_count(eta) or eta < 1:
+        raise ValueError(f"eta must be an integer trial count >= 1, got {eta!r}")
     entries = []
     groups = [AXES] if config.scheme == "sequential" else [(axis,) for axis in AXES]
     figures = [row for axes in groups

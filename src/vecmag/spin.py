@@ -6,15 +6,17 @@ basis |J, m>, ordered by descending m (m = J first).  Every rotation, free
 step and pulse block is an SU(2) element (`_su2`, `_free_su2`,
 `_pulse_block`), and its image on a probe is a closed-form product state,
 O(N) (`probe_image`); the probe states are the identity's images.  A +-pi/2
-twist is a sum of two such elements (`_twist_terms`), so every chain is a sum
-of probe images, and the half turn in it is a reversal with phases
-(`_diagonals`).  `apply_collective` applies a rotated generator n.J.
+twist is a sum of two such elements (`_twist_terms`, cached by N's parity), so
+every chain is a sum of probe images, and the half turn in it is a reversal with
+phases.  Every per-N array lives in one bounded table (`_tables`), and
+`apply_collective` applies a rotated generator n.J from its ladder.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,7 +62,7 @@ class EnsembleDims:
     @property
     def m_values(self) -> np.ndarray:
         """Magnetic quantum numbers in basis order: J, J-1, ..., -J."""
-        return _diagonals(self.N)[0]
+        return _tables(self.N).m
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -122,24 +124,23 @@ class FieldVector:
         return (self.Bx, self.By, self.Bz)
 
 
-@lru_cache(maxsize=None)
-def _diagonals(N: int):
-    """(m, turns) in basis order, once per N: the half turn H_a = e^{-i pi J_a} maps
-    the amplitude psi_k to turns[a][k] psi_k at index N - k (x, y) or k (z), with
-    (-i)^N (x), (-1)^k (y) and (-i)^N (-1)^k (z); real at even N."""
-    m, alt = N / 2.0 - np.arange(N + 1), 1.0 - 2.0 * (np.arange(N + 1) % 2)
+_Tables = namedtuple("_Tables", "m turns ladder rising rising_list")
+
+
+@lru_cache(maxsize=32)
+def _tables(N: int) -> _Tables:
+    """N's arrays in basis order, built on first use; a sweep over N keeps the last 32.
+    H_a = e^{-i pi J_a} takes psi_k to turns[a][k] psi_k at N - k (x, y) or k (z):
+    (-i)^N, (-1)^k and (-i)^N (-1)^k, real at even N.  The ladder is J+'s superdiagonal
+    sqrt(J(J+1) - m(m+1)), m = J-1, ..., -J, and `rising` the log-binomial steps
+    log sqrt(C(N, k) / C(N, k+1)), k < N, with a list of them for `bisect`."""
+    J = N / 2.0
+    m, alt = J - np.arange(N + 1), 1.0 - 2.0 * (np.arange(N + 1) % 2)
     phase = (1.0, -1j, -1.0, 1j)[N % 4]
     turns = {"x": np.full(N + 1, phase), "y": alt, "z": phase * alt}
-    return _frozen(m), {a: _frozen(x) for a, x in turns.items()}
-
-
-@lru_cache(maxsize=None)
-def _ladder(N: int) -> np.ndarray:
-    # J+ |J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>; in descending-m order these
-    # are the first-superdiagonal elements, one per m = J-1, ..., -J.
-    dims = EnsembleDims(N)
-    m = dims.m_values[1:]
-    return _frozen(np.sqrt(dims.J * (dims.J + 1) - m * (m + 1)))
+    rising = _frozen(-0.5 * np.log((N - np.arange(N)) / np.arange(1.0, N + 1)))
+    return _Tables(_frozen(m), {a: _frozen(x) for a, x in turns.items()},
+                   _frozen(np.sqrt(J * (J + 1) - m[1:] * (m[1:] + 1))), rising, rising.tolist())
 
 
 def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray,
@@ -149,9 +150,10 @@ def apply_collective(dims: EnsembleDims, axis: str, psi: np.ndarray,
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     a, b = _compose(_compose(turn, _HALF_TURNS[axis]), (turn[0].conjugate(), -turn[1]))
-    out = -a.imag * _diagonals(dims.N)[0] * psi
-    out[:-1] += 0.5j * b * _ladder(dims.N) * psi[1:]  # J+ psi
-    out[1:] -= 0.5j * b.conjugate() * _ladder(dims.N) * psi[:-1]  # J- psi
+    tables = _tables(dims.N)
+    out = -a.imag * tables.m * psi
+    out[:-1] += 0.5j * b * tables.ladder * psi[1:]  # J+ psi
+    out[1:] -= 0.5j * b.conjugate() * tables.ladder * psi[:-1]  # J- psi
     return out
 
 
@@ -173,16 +175,21 @@ def _compose(u: tuple[complex, complex], v: tuple[complex, complex]) -> tuple[co
     return a * c - b * d.conjugate(), a * d + b * c.conjugate()
 
 
-@lru_cache(maxsize=None)
 def _twist_terms(N: int, axis: str, theta: float):
     """((c, v), (c', v h)) with e^{-i theta J_a^2} = c D(v) + c' D(v h) at theta = sigma pi/2,
     h = -i sigma_a the half turn H_a's pair, from m^2 mod 4 (docs/conventions.md):
     v = 1 and (c, c') = (1 -+ i sigma)/2 at integer J; v = e^{-i pi sigma_a/4} and
-    c = -c' = e^{-i sigma pi/8}/sqrt(2) at half-integer J."""
+    c = -c' = e^{-i sigma pi/8}/sqrt(2) at half-integer J.  They depend on N only
+    through its parity, the cache's key: at most 12 entries."""
+    return _parity_twist_terms(N % 2, axis, theta)
+
+
+@lru_cache(maxsize=None)
+def _parity_twist_terms(odd: int, axis: str, theta: float):
     if abs(theta) != math.pi / 2.0:
         raise ValueError(f"a twist splits into rotations only at +-pi/2, got {theta!r}")
     sigma = math.copysign(1.0, theta)
-    if N % 2 == 0:
+    if not odd:
         v, c, c_turn = (1 + 0j, 0j), complex(0.5, -0.5 * sigma), complex(0.5, 0.5 * sigma)
     else:
         c = complex(math.cos(math.pi / 8.0), -sigma * math.sin(math.pi / 8.0)) / math.sqrt(2.0)
@@ -236,17 +243,6 @@ def _pulse_block(field: FieldVector, axis: str, pairs, tau: float, mode: str):
     return _power(_pulse_pair(field, tau, first, turn), pairs)
 
 
-@lru_cache(maxsize=None)
-def _log_binomial_steps(N: int):
-    """The log-binomial row as its rising steps log sqrt(C(N, k) / C(N, k+1)), k < N,
-    an array and a list (for `bisect`)."""
-    rising = _frozen(-0.5 * np.log((N - np.arange(N)) / np.arange(1.0, N + 1)))
-    return rising, rising.tolist()
-
-
-_ZERO = _frozen(np.zeros(1))
-
-
 def _product(N: int, elements) -> np.ndarray:
     """One row (up |up> + down |down>)^{(x)N} normalized, sqrt(C(N, k)) up^{N-k} down^k
     on |J, J-k>, for the first column (up, down) = (a, -b*) of each element
@@ -259,14 +255,14 @@ def _product(N: int, elements) -> np.ndarray:
     of 2^-38, so k hi is exact for k < 10^4 (+ 0.0 clears a -0.0).  Past that, k hi
     rounds to about k ulps, which bounds the phases' error (docs/conventions.md).
     """
-    (rising, rising_list), k = _log_binomial_steps(N), np.arange(N + 1)
+    tables, k = _tables(N), np.arange(N + 1)
     out = np.empty((len(elements), N + 1), dtype=complex)
     for row, (up, b) in zip(out, elements):
         up, down = complex(up), -complex(b).conjugate()
         tilt = math.log(abs(down) / abs(up)) if up and down else (math.inf if down else -math.inf)
-        steps = tilt - rising  # log |c_{k+1} / c_k|, falling in k
-        top = bisect.bisect_left(rising_list, tilt)  # the count of steps > 0
-        mag = np.concatenate((steps[:top], _ZERO, steps[top:]))
+        steps = tilt - tables.rising  # log |c_{k+1} / c_k|, falling in k
+        top = bisect.bisect_left(tables.rising_list, tilt)  # the count of steps > 0
+        mag = np.concatenate((steps[:top], [0.0], steps[top:]))
         np.add.accumulate(mag[top:], out=mag[top:])
         np.subtract.accumulate(mag[top::-1], out=mag[top::-1])
         mag = np.exp(mag)

@@ -37,9 +37,9 @@ from .spin import (
     _compose,
     _free_su2,
     _frozen,
-    _ladder,
     _pulse_block,
     _su2,
+    _tables,
     _twist_terms,
     probe_image,
 )
@@ -309,13 +309,13 @@ def _hermitian(N: int, mat, label: str) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _axis_matrix(N: int, axis: str) -> np.ndarray:
     """J_x = (J+ + J-)/2, J_y = (J+ - J-)/(2i) or J_z = diag(m), descending m."""
-    up = np.diag(_ladder(N), 1)
+    up = np.diag(_tables(N).ladder, 1)
     if axis == "x":
         mat = (up + up.T) / 2.0
     elif axis == "y":
         mat = (up - up.T) / 2.0j
     elif axis == "z":
-        mat = np.diag(EnsembleDims(N).m_values)
+        mat = np.diag(_tables(N).m)
     else:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     return _hermitian(N, mat, f"J{axis}")

@@ -364,6 +364,8 @@ def test_qfi_and_precision_share_their_figures(capsys, flags):
     # finite phases, but exact evolution's pulse-pair count T / (2 tau) overflows
     ("simulate", "--scheme", "sequential", "--probe", "scs", "--N", "4", "--B", "1,1,1",
      "--grid", "0:1:4", "--evolution", "exact", "--tau", "1e-320"),
+    # a finite duration whose phase range pi / duration overflows
+    ("scaling", "--duration", "1e-310"),
 ])
 def test_overflowing_phases_are_refused_by_the_parser(capsys, argv):
     with warnings.catch_warnings():

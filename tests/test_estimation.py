@@ -61,6 +61,11 @@ def test_sample_signal_guards():
         sample_signal(cfg, T_MAX, 100)  # not a power of two
     with pytest.raises(ValueError):
         sample_signal(cfg, 0.0, 64)
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_max"):
+            sample_signal(cfg, t_max, 64)
+    with pytest.raises(ValueError, match="sample count m"):
+        sample_signal(cfg, T_MAX, 64.0)
     par = SchemeConfig("parallel", "scs", DIMS, FIG_FIELD, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         sample_signal(par, T_MAX, 64)
@@ -158,8 +163,9 @@ def test_pair_spread_rule_is_kept_verbatim_including_its_failure():
 def test_recover_field_guards():
     with pytest.raises(ValueError):
         recover_field(fig_peaks()[:5], 1.0)
-    with pytest.raises(ValueError):
-        recover_field(fig_peaks(), 0.0)
+    for scale in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            recover_field(fig_peaks(), scale)
     with pytest.raises(ValueError):
         recover_field(fig_peaks(), 1.0, method="median-rule")
     clustered = [SpectrumPeak(w, a) for w, a in
@@ -280,7 +286,7 @@ def test_scaling_slopes_from_minimized_precision():
 
 
 @pytest.mark.parametrize("scheme", ["parallel", "sequential"])
-@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan, 1e-310])
 def test_minimized_delta_b_refuses_invalid_durations(scheme, duration):
     with pytest.raises(ValueError, match="duration must be finite and > 0"):
         minimized_delta_b(scheme, "scs", 10, duration=duration)

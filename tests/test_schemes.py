@@ -367,8 +367,9 @@ def test_precision_report_eta_scales_qcrb():
     huge = precision_report(long, eta=10**300).axis("x").qcrb
     assert one == pytest.approx(1e-6, rel=1e-9)
     assert huge == pytest.approx(one / 1e150, rel=1e-12, abs=0.0)
-    with pytest.raises(ValueError):
-        precision_report(cfg, eta=0)
+    for eta in (0, math.inf, math.nan, 2.5, True):
+        with pytest.raises(ValueError, match="eta"):
+            precision_report(cfg, eta=eta)
 
 
 @settings(derandomize=True, deadline=None)

@@ -1,5 +1,6 @@
 """Operator algebra, probe states, unitary construction and probe images."""
 
+import gc
 import math
 import tracemalloc
 from dataclasses import replace
@@ -347,7 +348,7 @@ def test_chains_at_one_n_share_one_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for N in (13, 14):
-        for cache in (spin._ladder, spin._log_binomial_steps, spin._diagonals, spin._twist_terms):
+        for cache in (spin._tables, spin._parity_twist_terms):
             cache.cache_clear()
         calls.clear()
         dims = EnsembleDims(N)
@@ -457,7 +458,7 @@ def test_odd_n_quarter_twist_matches_exact_phases_at_large_n(sigma):
 def test_half_turn_phases_match_the_rotation(N):
     # H_a = e^{-i pi J_a} takes amplitude k to turns[a][k] at N - k (x, y) or k (z)
     dims = EnsembleDims(N)
-    turns, k = spin._diagonals(N)[1], np.arange(dims.dim)
+    turns, k = spin._tables(N).turns, np.arange(dims.dim)
     for axis in AXES:
         want = np.zeros((dims.dim, dims.dim), dtype=complex)
         want[k if axis == "z" else N - k, k] = turns[axis]
@@ -528,7 +529,7 @@ def test_chains_make_one_x_pass_per_run_of_rotations(monkeypatch):
 def _full_eigh_kernel(dims, axis, theta, psi):
     """The one-basis reference: eigh of the whole J_x, exact eigenvalues k - J, and
     J_y = R_z(pi/2) J_x R_z(pi/2)^dagger between the diagonals r of R_z(pi/2)."""
-    half = spin._ladder(dims.N) / 2.0
+    half = spin._tables(dims.N).ladder / 2.0
     v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))[1]
     ev = dims.m_values[::-1][:, None]
     r = np.exp(-0.5j * np.pi * dims.m_values)[:, None]
@@ -651,7 +652,7 @@ def first_chain_peak(monkeypatch, probe, n=1000):
         raise AssertionError("numpy.linalg.eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    for cache in (spin._ladder, spin._log_binomial_steps, spin._diagonals, spin._twist_terms):
+    for cache in (spin._tables, spin._parity_twist_terms):
         cache.cache_clear()
     cfg = SchemeConfig("sequential", probe, EnsembleDims(n),
                        FieldVector(0.3, 0.4, 0.5), (1.0, 1.0, 1.0))
@@ -661,6 +662,52 @@ def first_chain_peak(monkeypatch, probe, n=1000):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("N", [*PROPERTY_NS, 1000, 1001])
+def test_per_n_table_keeps_every_arrays_bits(N):
+    # the one per-N table against each array built on its own: m, the half
+    # turns' phases, the ladder from m and J, and the rising log-binomial steps
+    tables, dims, k = spin._tables(N), EnsembleDims(N), np.arange(N + 1)
+    m, alt = N / 2.0 - k, 1.0 - 2.0 * (k % 2)
+    phase = (1.0, -1j, -1.0, 1j)[N % 4]
+    want = {"m": m, "x": np.full(N + 1, phase), "y": alt, "z": phase * alt,
+            "ladder": np.sqrt(dims.J * (dims.J + 1) - m[1:] * (m[1:] + 1)),
+            "rising": -0.5 * np.log((N - np.arange(N)) / np.arange(1.0, N + 1))}
+    got = {"m": tables.m, **tables.turns, "ladder": tables.ladder, "rising": tables.rising}
+    assert got.keys() == want.keys()
+    for name, array in got.items():
+        assert array.dtype == want[name].dtype and array.tobytes() == want[name].tobytes(), name
+        assert not array.flags.writeable, name
+    assert tables.rising_list == want["rising"].tolist()
+    assert dims.m_values is tables.m
+
+
+def test_n_sweep_keeps_only_the_bounded_table():
+    # a precision sweep over N keeps at most the last 32 N's arrays: the
+    # sequential cat chain at even N from 2 to 1000 retains 2.4 MiB, where a
+    # table per N ever seen retained 20 MiB
+    field = FieldVector(0.3, 0.4, 0.5)
+
+    def report(n):
+        return schemes.precision_report(
+            SchemeConfig("sequential", "ghz", EnsembleDims(n), field, (1.0, 1.0, 1.0)))
+
+    report(2)  # one-off allocations of a first call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for n in range(2, 1001, 2):
+            report(n)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20
+    info = spin._tables.cache_info()
+    assert info.maxsize == 32 and info.currsize <= 32
+    assert spin._parity_twist_terms.cache_info().currsize <= 12
 
 
 def test_first_large_chain_stays_within_half_the_dense_basis_memory(monkeypatch):
