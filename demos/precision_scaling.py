@@ -8,22 +8,21 @@ constants 1/(sqrt(N) T) and 1/(N T).
 Run: python3 demos/precision_scaling.py
 """
 
-from vecmag.estimation import minimized_delta_b, scaling_fit
+from vecmag.estimation import scaling_table
 
 SIZES = (4, 6, 8, 10, 12, 16, 20, 24)
 
 
 def main():
-    table = {}
+    tables = {p: scaling_table("sequential", p, SIZES) for p in ("scs", "ghz")}
     print(f"{'N':>4}  {'scs dBz * sqrt(N)':>18}  {'ghz dBz * N':>12}")
     for n in SIZES:
-        row = {p: minimized_delta_b("sequential", p, n)[2] for p in ("scs", "ghz")}
-        table[n] = row
+        scs, ghz = (tables[p][0][n][2] for p in ("scs", "ghz"))
         # normalized columns should sit near 1 if the scaling laws hold
-        print(f"{n:>4}  {row['scs'] * n**0.5:>18.6f}  {row['ghz'] * n:>12.6f}")
+        print(f"{n:>4}  {scs * n**0.5:>18.6f}  {ghz * n:>12.6f}")
     print()
     for probe, target in (("scs", -0.5), ("ghz", -1.0)):
-        fit = scaling_fit((n, table[n][probe]) for n in SIZES)
+        fit = tables[probe][1][2]
         print(f"{probe}: slope {fit.slope:+.4f} (target {target:+.1f}),"
               f" r^2 {fit.r_squared:.6f}")
 

@@ -254,11 +254,16 @@ def cmd_spectrum(args) -> int:
     scale = float(args.N) if args.probe == "ghz" else 1.0
     t_max = args.t_max
     if t_max is None:
-        top = scale * sum(abs(b) for b in args.B)
+        top = 4.0 * scale * sum(abs(b) for b in args.B)
         if top <= 0:
             parser.error("--t-max is required when --B is all zero")
+        if not math.isfinite(top):
+            parser.error("--B overflows the default --t-max rule's 4 scale sum |B_a|")
         # keep the largest line at a quarter of the Nyquist frequency
-        t_max = math.pi * args.M / (4.0 * top)
+        t_max = math.pi * args.M / top
+    # a sample spacing t_max / M of 0 makes this grid infinite too
+    if not math.isfinite(2.0 * math.pi * args.M / t_max):
+        parser.error(f"the frequency grid 2 pi M / t_max overflows at t_max {t_max!r}")
     _require_finite_phases(args, [t_max] * 3, "--t-max")
     from .estimation import recover_from_trace, sample_signal
     from .schemes import SchemeConfig
@@ -320,27 +325,20 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    from .estimation import minimized_delta_b, scaling_fit
+    from .estimation import scaling_table
 
     if not math.isfinite(math.pi / args.duration):
         args.parser.error(f"--duration {args.duration!r} is too small: pi / duration overflows")
     probes = ("scs", "ghz") if args.probe == "both" else (args.probe,)
     rows, fits = [], {}
     for probe in probes:
-        points = {axis: [] for axis in AXES}
-        for n in args.N:
-            try:
-                values = minimized_delta_b(args.scheme, probe, n, duration=args.duration)
-            except AnalyticBranchError as exc:  # odd-N cat probe
-                rows.append([str(n), probe, "", "", "", f"skipped: {exc}"])
-                continue
-            rows.append([str(n), probe, *(_fmt(v) for v in values), ""])
-            for axis, v in zip(AXES, values):
-                points[axis].append((n, v))
-        if all(len(pts) >= 3 for pts in points.values()):
-            fits[probe] = {
-                axis: {"slope": fit.slope, "r_squared": fit.r_squared}
-                for axis, fit in ((ax, scaling_fit(points[ax])) for ax in AXES)}
+        minima, probe_fits = scaling_table(args.scheme, probe, args.N, args.duration)
+        rows += [[str(n), probe, "", "", "", f"skipped: {v}"]  # odd-N cat probe
+                 if isinstance(v, AnalyticBranchError) else [str(n), probe, *map(_fmt, v), ""]
+                 for n, v in minima.items()]
+        if probe_fits:
+            fits[probe] = {axis: {"slope": f.slope, "r_squared": f.r_squared}
+                           for axis, f in zip(AXES, probe_fits)}
     _emit(args, _csv_text(["N", "probe", "db_x", "db_y", "db_z", "note"], rows),
           fits=fits)
     return 0
@@ -350,6 +348,8 @@ def cmd_robustness(args) -> int:
     from .pulses import DDSchedule, NoiseModel, fidelity_f2
 
     _require_finite_phases(args, (3 * 2 * args.pairs * args.tau,) * 3, "the last F2 time")
+    if not math.isfinite(2.0 * max(args.eta)):
+        args.parser.error(f"--eta {max(args.eta)!r} overflows: the draw range 2 eta must be finite")
     dims = EnsembleDims(args.N)
     field = FieldVector(*args.B)
     modes = (("alternating", "identical") if args.mode == "both"

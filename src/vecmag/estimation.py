@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import AmbiguousSignError, OutOfRegimeError, UnderResolvedError
+from . import AmbiguousSignError, AnalyticBranchError, OutOfRegimeError, UnderResolvedError
 from .schemes import (
     SchemeConfig,
     _delta_b_arrays,
@@ -317,8 +317,8 @@ def scaling_fit(points) -> ScalingFit:
     points = list(points)
     if len({n for n, _ in points}) < 3:
         raise ValueError("scaling fit needs at least 3 distinct N")
-    if any(n <= 0 or db <= 0 for n, db in points):
-        raise ValueError("scaling fit needs positive N and dB")
+    if not all(0 < n < math.inf and 0 < db < math.inf for n, db in points):
+        raise ValueError("scaling fit needs positive N and dB, each finite")
     x = np.log([n for n, _ in points])
     y = np.log([db for _, db in points])
     slope, intercept = np.polyfit(x, y, 1)
@@ -398,10 +398,11 @@ def minimized_delta_b(scheme: str, probe: str, n: int,
     T finite > 0 with pi/T finite.
 
     Parallel devices have field-independent precision, read at one point.
-    Sequential readouts are minimized on a coarse grid (max(24, 2N) points per
+    A sequential dB T depends on the phases gamma B_a T alone: a coarse grid
+    over (0, pi)^3 in phase units at unit duration (max(24, 2N) points per
     axis, for the cat probe's N-fold fringes), all three axes in one pass of
-    _delta_b_arrays per slab, then each axis is polished by _nelder_mead from
-    its own best grid point on the scalar _delta_b_kernel.
+    _delta_b_arrays per slab, then each axis polished by _nelder_mead from its
+    own best grid point on the scalar _delta_b_kernel; each minimum over T.
     """
     if not (math.isfinite(duration) and duration > 0.0 and math.isfinite(math.pi / duration)):
         raise ValueError(f"duration must be finite and > 0, with pi/duration finite, got {duration!r}")
@@ -409,26 +410,37 @@ def minimized_delta_b(scheme: str, probe: str, n: int,
         return tuple(closed_form_delta_b(scheme, probe, n, axis, duration, 0.0, 0.0, 0.0)
                      for axis in AXES)
     pts = max(24, 2 * n)
-    upper = math.pi / duration
-    grid = np.linspace(0.0, upper, pts + 2)[1:-1]
-    phases = grid * duration
+    phases = np.linspace(0.0, math.pi, pts + 2)[1:-1]
     rows, low, best = max(1, _CHUNK // (pts * pts)), [math.inf] * 3, [(0, 0, 0)] * 3
     for lo in range(0, pts, rows):  # strictly lower slab minima: the cube's first argmin
         slab = (phases[lo:lo + rows, None, None], phases[:, None], phases)
-        for a, values in enumerate(_delta_b_arrays(scheme, probe, n, duration, slab, AXES)):
+        for a, values in enumerate(_delta_b_arrays(scheme, probe, n, 1.0, slab, AXES)):
             i = int(np.argmin(values))
             if values.flat[i] < low[a]:
                 low[a] = float(values.flat[i])
                 best[a] = np.unravel_index(lo * pts * pts + i, (pts,) * 3)
     minima = []
     for a, axis in enumerate(AXES):
-        kernel = _delta_b_kernel(scheme, probe, n, axis, duration)
+        kernel = _delta_b_kernel(scheme, probe, n, axis, 1.0)
 
-        def objective(b, kernel=kernel):
-            bx, by, bz = b
-            if 0.0 < bx < upper and 0.0 < by < upper and 0.0 < bz < upper:
-                return kernel(bx * duration, by * duration, bz * duration)
-            return math.inf
+        def objective(phi, kernel=kernel):
+            return kernel(*phi) if 0.0 < min(phi) and max(phi) < math.pi else math.inf
 
-        minima.append(min(low[a], _nelder_mead(objective, grid[list(best[a])].tolist())))
+        minima.append(min(low[a], _nelder_mead(objective, phases[list(best[a])].tolist())) / duration)
     return tuple(minima)
+
+
+def scaling_table(scheme: str, probe: str, ns, duration: float = 1.0):
+    """(minima, fits): minima maps each N in `ns` to minimized_delta_b's triple, or
+    to the AnalyticBranchError that refused it (an odd-N cat probe); fits holds
+    the (x, y, z) ScalingFits over the N with values, None below three of them."""
+    minima = {}
+    for n in ns:
+        try:
+            minima[n] = minimized_delta_b(scheme, probe, n, duration)
+        except AnalyticBranchError as exc:
+            minima[n] = exc
+    points = [(n, v) for n, v in minima.items() if not isinstance(v, AnalyticBranchError)]
+    if len(points) < 3:
+        return minima, None
+    return minima, tuple(scaling_fit((n, v[a]) for n, v in points) for a in range(3))

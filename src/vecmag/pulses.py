@@ -89,8 +89,8 @@ class NoiseModel:
     paired_error: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if not (math.isfinite(2.0 * self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be >= 0 with a finite draw range 2 eta, got {self.eta}")
         if not _is_count(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_count(self.seed) or self.seed < 0:

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .estimation import minimized_delta_b, recover_from_trace, sample_signal, scaling_fit
+from .estimation import recover_from_trace, sample_signal, scaling_table
 from .pulses import DDSchedule, NoiseModel, evolve_exact, fidelity_f1, fidelity_f2
 from .schemes import (
     SCHEMES,
@@ -270,18 +270,11 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Minimized precision scales as N^-1/2 (SCS) and N^-1 (GHZ)."""
-    ns = range(4, 41, 2)
-    targets = (("scs", -0.5), ("ghz", -1.0))
-    minima = {(probe, n): minimized_delta_b("sequential", probe, n)
-              for n in ns for probe, _ in targets}
     details, ok = [], True
-    for probe, target in targets:
-        slopes = []
-        for per_axis in zip(*(minima[probe, n] for n in ns)):
-            fit = scaling_fit(zip(ns, per_axis))
-            slopes.append(fit.slope)
-            ok = ok and abs(fit.slope - target) <= 0.05 and fit.r_squared >= 0.999
-        details.append(f"{probe} slopes ({', '.join(f'{s:.4f}' for s in slopes)}) "
+    for probe, target in (("scs", -0.5), ("ghz", -1.0)):
+        _, fits = scaling_table("sequential", probe, range(4, 41, 2))
+        ok = ok and all(abs(f.slope - target) <= 0.05 and f.r_squared >= 0.999 for f in fits)
+        details.append(f"{probe} slopes ({', '.join(f'{f.slope:.4f}' for f in fits)}) "
                        f"target {target}")
     return _result(9, ok,
         "; ".join(details) + "; even N in [4, 40], r^2 >= 0.999 required")

@@ -366,6 +366,16 @@ def test_qfi_and_precision_share_their_figures(capsys, flags):
      "--grid", "0:1:4", "--evolution", "exact", "--tau", "1e-320"),
     # a finite duration whose phase range pi / duration overflows
     ("scaling", "--duration", "1e-310"),
+    # the frequency grid 2 pi M / t_max overflows; at 5e-324 t_max / M is 0 too
+    ("spectrum", "--probe", "scs", "--B", "10,6,2", "--t-max", "5e-324"),
+    ("spectrum", "--probe", "scs", "--B", "10,6,2", "--t-max", "1e-310"),
+    # the default t_max rule's 4 scale sum |B_a| overflows, leaving t_max 0
+    ("spectrum", "--probe", "scs", "--B", "1e308,0.2,0.1"),
+    ("spectrum", "--probe", "ghz", "--B", "1e308,0.2,0.1"),
+    ("spectrum", "--probe", "scs", "--B", "10,1e308,0.2"),
+    ("spectrum", "--probe", "ghz", "--B", "10,1e308,0.2"),
+    # a finite eta whose draw range 2 eta overflows
+    ("robustness", "--eta", "1e308"),
 ])
 def test_overflowing_phases_are_refused_by_the_parser(capsys, argv):
     with warnings.catch_warnings():
@@ -429,6 +439,22 @@ def test_scaling_at_off_grid_duration(capsys):
     for n, probe, *values, _ in parse_csv(lines)[1:]:
         floor = 1.0 / ((math.sqrt(int(n)) if probe == "scs" else int(n)) * 0.75)
         assert all(float(v) >= floor * (1 - 1e-6) for v in values)
+
+
+def test_scaling_at_the_largest_duration_writes_the_floor(capsys):
+    # a field-unit search wrote inf here, with null fits, after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "scaling", "--N", "4,6,8", "--duration", "1e308")
+    assert code == 0
+    meta, lines = split_artifact(out)
+    for n, probe, *values, _ in parse_csv(lines)[1:]:
+        floor = 1.0 / (math.sqrt(int(n)) if probe == "scs" else int(n)) / 1e308
+        assert all(float(v) == pytest.approx(floor, rel=1e-4, abs=0.0) for v in values)
+    for probe, target in (("scs", -0.5), ("ghz", -1.0)):
+        for fit in meta["fits"][probe].values():
+            assert fit["slope"] == pytest.approx(target, abs=0.05)
+            assert fit["r_squared"] >= 0.999
 
 
 def test_scaling_skips_only_missing_closed_forms(monkeypatch):

@@ -27,6 +27,7 @@ from vecmag.estimation import (
     resolve_signs,
     sample_signal,
     scaling_fit,
+    scaling_table,
 )
 
 DIMS = EnsembleDims(10)
@@ -250,6 +251,11 @@ def test_scaling_fit_exact_power_laws():
         scaling_fit([(4, 0.5), (6, 0.4), (6, 0.41), (4, 0.52)])
     with pytest.raises(ValueError):
         scaling_fit([(4, 0.5), (6, -0.4), (8, 0.3)])
+    # an inf dB made numpy warn, a NaN one gave a NaN slope
+    for bad in ([(4, 0.5), (6, math.inf), (8, 0.3)], [(4, 0.5), (6, math.nan), (8, 0.3)],
+                [(4, 0.5), (6, 0.4), (math.inf, 0.3)]):
+        with pytest.raises(ValueError, match="needs positive N and dB"):
+            scaling_fit(bad)
 
 
 def test_minimized_precision_reaches_the_limits():
@@ -293,16 +299,17 @@ def test_minimized_delta_b_refuses_invalid_durations(scheme, duration):
 
 
 def full_cube_start(delta_b_arrays, probe, n, axis, duration=1.0):
-    """The grid point and value minimized_delta_b starts its polish from,
-    found on the whole (pts, pts, pts) cube at once: np.argmin's first
-    occurrence in C order."""
+    """The grid point in phase units and the value minimized_delta_b starts
+    its polish from, found on the whole (pts, pts, pts) phase cube at once, at
+    unit duration: np.argmin's first occurrence in C order, its value divided
+    by T."""
     pts = max(24, 2 * n)
-    grid = np.linspace(0.0, math.pi / duration, pts + 2)[1:-1]
+    grid = np.linspace(0.0, math.pi, pts + 2)[1:-1]
     cube = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-    values, = delta_b_arrays("sequential", probe, n, duration,
-                             tuple(g * duration for g in cube), (axis,))
+    values, = delta_b_arrays("sequential", probe, n, 1.0, cube, (axis,))
     i = int(np.argmin(values))
-    return grid[list(np.unravel_index(i, values.shape))].tolist(), float(values.flat[i])
+    start = grid[list(np.unravel_index(i, values.shape))].tolist()
+    return start, float(values.flat[i]) / duration
 
 
 def slab_start(monkeypatch, probe, n, axis, duration=1.0):
@@ -422,7 +429,36 @@ def test_minimized_delta_b_matches_scipy_anywhere(probe, n, axis, duration):
     optimize = pytest.importorskip("scipy.optimize")
     if probe == "ghz":
         n += n % 2
-    assert_matches_scipy(optimize, [(probe, n, axis, duration)])
+    # the search runs in phase units at unit duration, then divides by T
+    got = minimized_delta_b("sequential", probe, n, duration)[AXES.index(axis)]
+    want = scipy_minimized_delta_b(optimize, "sequential", probe, n, axis) / duration
+    assert got.hex() == want.hex(), (probe, n, axis, duration)
+
+
+@pytest.mark.parametrize("duration", [1e-300, 0.75, 2.5, 1e9, 1e300])
+def test_minimized_delta_b_is_the_unit_duration_search_divided_by_t(duration):
+    # dB T depends on the phases alone; a field-unit search stopped short of
+    # the floor at large T and wrote inf at T = 1e308
+    for probe in PROBES:
+        for n in (4, 10, 16):
+            unit = minimized_delta_b("sequential", probe, n)
+            got = minimized_delta_b("sequential", probe, n, duration)
+            assert [v.hex() for v in got] == [(v / duration).hex() for v in unit], (probe, n)
+
+
+def test_scaling_table_reads_the_minima_and_fits(monkeypatch):
+    minima, fits = scaling_table("sequential", "ghz", (4, 5, 6))
+    assert isinstance(minima[5], AnalyticBranchError)
+    assert list(minima) == [4, 5, 6] and fits is None  # two N with values
+    ns = (4, 5, 6, 8)
+    minima, fits = scaling_table("sequential", "ghz", ns, 0.75)
+    assert isinstance(minima[5], AnalyticBranchError) and list(minima) == list(ns)
+    for n in (4, 6, 8):
+        assert minima[n] == minimized_delta_b("sequential", "ghz", n, 0.75)
+    assert fits == tuple(scaling_fit((n, minima[n][a]) for n in (4, 6, 8)) for a in range(3))
+    minima, fits = scaling_table("parallel", "scs", (4, 6, 8))
+    assert minima == {n: minimized_delta_b("parallel", "scs", n) for n in (4, 6, 8)}
+    assert fits[0].slope == pytest.approx(-0.5, abs=1e-12)
 
 
 def hashed(x):

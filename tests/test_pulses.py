@@ -89,7 +89,8 @@ def test_noise_model_validation():
         NoiseModel(eta=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(eta=0.1, trials=0)
-    for eta in (float("nan"), float("inf")):
+    # 1e308 is finite, but its draw range 2 eta overflows Generator.uniform
+    for eta in (float("nan"), float("inf"), 1e308):
         with pytest.raises(ValueError, match="eta"):
             NoiseModel(eta=eta)
     for trials in (2.5, 3.0, True, "3"):
